@@ -31,36 +31,14 @@ from ..symplectic_core import (
     dilation_block,
     interchange,
 )
-from .grid import Axis, Grid, GridFunction, full_dft, lp_norm, lpq_norm, partial_dft
-from .operators import apply_metaplectic, rescale_apply
+from .grid import Axis, Grid, GridFunction, form_sum, full_dft, lattice_reads
+from .grid import lp_norm, lpq_norm, partial_dft
+from .operators import apply_metaplectic
 
 
 def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
     if not f.grid.close_to(g.grid):
         raise ValueError("distribution arguments must share one grid")
-
-
-def _pair_index_arrays(shape: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Index arrays for the exact reads (x+u) and (x-u) on the doubled grid.
-
-    Output tuples index arrays of shape (*shape, *shape): first the x axes,
-    then the u axes, with periodic wrap-around on each centered axis.
-    """
-    d = len(shape)
-    sum_idx = []
-    diff_idx = []
-    for ax, n in enumerate(shape):
-        idx = np.arange(n)
-        x_shape = [1] * (2 * d)
-        u_shape = [1] * (2 * d)
-        x_shape[ax] = n
-        u_shape[d + ax] = n
-        j = idx.reshape(x_shape)
-        k = idx.reshape(u_shape)
-        h = n // 2
-        sum_idx.append((j + k - h) % n)
-        diff_idx.append((j - k + h) % n)
-    return tuple(sum_idx), tuple(diff_idx)
 
 
 def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:
@@ -84,10 +62,8 @@ def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:
     _check_same_grid(f, g)
     d = f.grid.d
     shape = f.grid.shape
-    sum_idx, diff_idx = _pair_index_arrays(shape)
-    paired = f.values[sum_idx] * np.conj(g.values[diff_idx])
-    paired_grid = Grid(f.grid.axes + f.grid.axes)
-    inner = GridFunction(paired_grid, paired)
+    paired = f.values[lattice_reads(shape, 1, 1)] * np.conj(g.values[lattice_reads(shape, 1, -1)])
+    inner = GridFunction(Grid(f.grid.axes + f.grid.axes), paired)
     spectral = partial_dft(inner, tuple(range(d, 2 * d)))
     out_axes = f.grid.axes + tuple(
         Axis(ax.n, ax.step / 2.0) for ax in spectral.grid.axes[d:]
@@ -101,20 +77,7 @@ def stft(f: GridFunction, g: GridFunction) -> GridFunction:
     d = f.grid.d
     shape = f.grid.shape
     # gather V(x, t) = f(t) conj(g(t - x)) with exact periodic index reads
-    f_idx = []
-    g_idx = []
-    for ax, n in enumerate(shape):
-        idx = np.arange(n)
-        x_shape = [1] * (2 * d)
-        t_shape = [1] * (2 * d)
-        x_shape[ax] = n
-        t_shape[d + ax] = n
-        j = idx.reshape(x_shape)  # x index
-        k = idx.reshape(t_shape)  # t index
-        h = n // 2
-        f_idx.append(k)
-        g_idx.append((k - j + h) % n)
-    gathered = f.values[tuple(f_idx)] * np.conj(g.values[tuple(g_idx)])
+    gathered = f.values[lattice_reads(shape, 0, 1)] * np.conj(g.values[lattice_reads(shape, -1, 1)])
     inner = GridFunction(Grid(f.grid.axes + f.grid.axes), gathered)
     return partial_dft(inner, tuple(range(d, 2 * d)))
 
@@ -125,11 +88,9 @@ def rihacek(f: GridFunction, g: GridFunction) -> GridFunction:
     ghat = full_dft(g)
     grid = Grid(f.grid.axes + ghat.grid.axes)
     vals = np.multiply.outer(f.values, np.conj(ghat.values))
-    mesh = grid.meshgrid()
+    x = grid.open_mesh()
     d = f.grid.d
-    phase = np.zeros(grid.shape, dtype=float)
-    for i in range(d):
-        phase = phase + mesh[i] * mesh[d + i]
+    phase = form_sum(np.eye(d), x[:d], x[d:])
     return GridFunction(grid, vals * np.exp(-2j * math.pi * phase))
 
 
@@ -157,15 +118,9 @@ def wigner_metaplectic(
     d2 = A.d
     if f.grid.d * 2 != d2:
         raise ValueError(f"matrix acts on {d2} phase-space coordinates, signals have {f.grid.d}")
-    if not force_generic:
-        d = f.grid.d
-        for builder, dedicated in (
-            (wigner_projection, wigner),
-            (stft_projection, stft),
-            (rihacek_projection, rihacek),
-        ):
-            if np.allclose(A.mat, builder(d).mat, rtol=0.0, atol=1e-12):
-                return dedicated(f, g)
+    kind = None if force_generic else classical_kind(A)
+    if kind is not None:
+        return {"wigner": wigner, "stft": stft, "rihacek": rihacek}[kind](f, g)
     return apply_metaplectic(A, tensor_with_conj(f, g))
 
 
@@ -197,6 +152,17 @@ def rihacek_projection(d: int) -> SymplecticMatrix:
     c0 = np.block([[zero, -eye], [-eye, zero]])
     ft2 = interchange(IndexSet(2 * d, tuple(range(d + 1, 2 * d + 1))))
     return chirp_block(c0) @ ft2.transpose()
+
+
+def classical_kind(A: SymplecticMatrix) -> str | None:
+    """``"wigner"``, ``"stft"`` or ``"rihacek"`` when A equals that projection
+    entrywise to 1e-12 absolute (no relative slack), else None."""
+    d = A.d // 2
+    builders = {"wigner": wigner_projection, "stft": stft_projection, "rihacek": rihacek_projection}
+    for kind, builder in builders.items():
+        if np.allclose(A.mat, builder(d).mat, rtol=0.0, atol=1e-12):
+            return kind
+    return None
 
 
 # -- modulation-space norms ---------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, form_sum
 
 
 def _as_matrix(M, d: int | None = None) -> np.ndarray:
@@ -99,20 +99,15 @@ class GaussianChirp:
         """Evaluate on broadcastable coordinate arrays (one per dimension)."""
         if len(coords) != self.d:
             raise ValueError(f"expected {self.d} coordinate arrays, got {len(coords)}")
-        xs = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-        quad = np.zeros(xs[0].shape, dtype=complex)
-        for i in range(self.d):
-            for j in range(self.d):
-                quad = quad + self.M[i, j] * xs[i] * xs[j]
-        lin = np.zeros(xs[0].shape, dtype=complex)
-        for i in range(self.d):
-            lin = lin + self.b[i] * xs[i]
+        xs = [np.asarray(c, dtype=float) for c in coords]
+        quad = form_sum(self.M, xs)
+        lin = form_sum(self.b, xs)
         return self.gamma * np.exp(1j * math.pi * quad + 2j * math.pi * lin)
 
     def sample(self, grid: Grid) -> GridFunction:
         if grid.d != self.d:
             raise ValueError(f"grid dimension {grid.d} does not match chirp dimension {self.d}")
-        return GridFunction(grid, self(*grid.meshgrid()))
+        return GridFunction(grid, self(*grid.open_mesh()))
 
     # -- closed-form functionals ---------------------------------------------
 

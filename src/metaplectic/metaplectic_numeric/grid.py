@@ -113,6 +113,10 @@ class Grid:
     def meshgrid(self) -> list[np.ndarray]:
         return np.meshgrid(*(ax.points() for ax in self.axes), indexing="ij")
 
+    def open_mesh(self) -> tuple[np.ndarray, ...]:
+        """Coordinates as broadcastable per-axis arrays (``np.ix_``), no full copies."""
+        return np.ix_(*(ax.points() for ax in self.axes))
+
     def coords(self) -> np.ndarray:
         """Stacked coordinates, shape (d, *shape)."""
         return np.stack(self.meshgrid())
@@ -172,6 +176,46 @@ class GridFunction:
         return f"GridFunction(shape={self.grid.shape})"
 
 
+# -- lattice arithmetic ---------------------------------------------------
+
+
+def form_sum(coef, x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """sum_ij coef[i, j] x_i y_j (y defaults to x) for a matrix ``coef``, or
+    sum_i coef[i] x_i for a vector, on broadcastable coordinate arrays.
+
+    Nonzero terms are added one at a time, in row-major order, onto zeros of
+    the broadcast shape.
+    """
+    y = x if y is None else y
+    coef = np.asarray(coef)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (*x, *y)))
+    total = np.zeros(shape, dtype=np.result_type(coef, *x))
+    for idx in zip(*np.nonzero(coef)):
+        term = coef[idx] * x[idx[0]]
+        total = total + (term * y[idx[1]] if coef.ndim == 2 else term)
+    return total
+
+
+def lattice_reads(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray, ...]:
+    """Per-axis indices (a (j - h) + b (k - h) + h) mod n of a periodic read.
+
+    j runs over the first d axes of the doubled grid (*shape, *shape), k over
+    the last d, and h = n // 2 is the centre of each axis.  The arrays
+    broadcast against the doubled shape; each holds at most n^2 entries.
+    """
+    d = len(shape)
+    out = []
+    for ax, n in enumerate(shape):
+        h = n // 2
+        centred = np.arange(n) - h
+        idx = h
+        for coef, slot in ((a, ax), (b, d + ax)):
+            if coef:
+                idx = idx + coef * centred.reshape([n if i == slot else 1 for i in range(2 * d)])
+        out.append(idx % n)
+    return tuple(out)
+
+
 # -- transforms -----------------------------------------------------------
 
 
@@ -193,15 +237,13 @@ def partial_dft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
 def partial_idft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
     """Inverse of :func:`partial_dft` along the given axes (conjugate kernel)."""
     values = f.values
-    new_axes = list(f.grid.axes)
     for ax in axes:
         dual_step = f.grid.axes[ax].step
         n = f.grid.axes[ax].n
         values = np.fft.fftshift(
             np.fft.ifft(np.fft.ifftshift(values, axes=ax), axis=ax), axes=ax
         ) * (n * dual_step)
-        new_axes[ax] = f.grid.axes[ax].dual()
-    return GridFunction(Grid(tuple(new_axes)), values)
+    return GridFunction(f.grid.dualized(axes), values)
 
 
 def full_dft(f: GridFunction) -> GridFunction:

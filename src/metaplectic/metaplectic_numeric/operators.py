@@ -1,14 +1,18 @@
-"""Sampled operator stages and the factorization-driven pipeline.
+"""Sampled operator stages and the stage plan that chains them.
 
-Every symplectic matrix S projects (two-to-one) from an operator; given the
-generator factorization S = V_Q . D_L . V_P^T . Pi_J, the operator is
+Every symplectic matrix S projects (two-to-one) from an operator.  Read right
+to left, the factorization S = V_Q . D_L . V_P^T . Pi_J gives the operator,
+up to one global unimodular constant, as the stages
 
-    (chirp by Q) o (rescale by L) o (frequency multiplier by P) o (partial FT on J),
+    partial FT on J -> multiplier by P -> rescale by L -> chirp by Q.
 
-up to one global unimodular constant.  The stages below realize each factor
-on sampled functions:
+``stage_plan`` compiles a factorization into that list of ``(stage, param)``
+pairs without the identity stages (J empty, P = 0, L = I, Q = 0), and
+``adjoint_plan`` reverses it with inverted stages.  ``run_plan`` interprets a
+plan on sampled functions or, through its closed-form methods, on a
+``GaussianChirp``; ``apply_metaplectic``, ``gaussian_apply`` and the
+quantization adjoint wrap it.  The sampled stages:
 
-* ``chirp_apply``      — pointwise multiplication by exp(i pi x . Q x);
 * ``partial_ft``       — centered DFT on a subset of axes (exact quadrature);
 * ``multiplier_apply`` — full DFT, multiply by exp(-i pi xi . P xi), inverse
                          DFT; singular P needs no special handling;
@@ -16,13 +20,11 @@ on sampled functions:
                          permutations, FFT phase ramps for shears, dense
                          trigonometric synthesis for per-axis scalings,
                          composed through a pivoted triangular factorization;
-* ``tf_shift``         — time-frequency shift with trigonometric
-                         interpolation for off-lattice translations.
+* ``chirp_apply``      — pointwise multiplication by exp(i pi x . Q x).
 
-``apply_metaplectic`` chains the stages; ``free_apply_direct`` evaluates the
-one-integral kernel form available when the upper-right block is invertible,
-as an independent reference; ``gaussian_apply`` runs the same factorization
-through the closed-form Gaussian-chirp rules.
+``tf_shift`` shifts in time and frequency (trigonometric interpolation off
+the lattice); ``free_apply_direct`` is the one-integral kernel form for an
+invertible upper-right block, an independent reference.
 """
 
 from __future__ import annotations
@@ -39,21 +41,10 @@ from ..symplectic_core import (
     is_free,
 )
 from .gaussian import GaussianChirp
-from .grid import Grid, GridFunction, full_dft, full_idft, partial_dft, partial_idft
+from .grid import GridFunction, form_sum, full_dft, full_idft, partial_dft, partial_idft
 
 #: dense per-axis synthesis is O(n^2) per line; keep axes at desk scale
 MAX_DENSE_AXIS = 4096
-
-
-def _quadratic_phase(grid: Grid, Q: np.ndarray, sign: float = 1.0) -> np.ndarray:
-    """exp(sign * i pi x . Q x) evaluated on the grid."""
-    mesh = grid.meshgrid()
-    quad = np.zeros(grid.shape, dtype=float)
-    for i in range(grid.d):
-        for j in range(grid.d):
-            if Q[i, j] != 0.0:
-                quad = quad + Q[i, j] * mesh[i] * mesh[j]
-    return np.exp(sign * 1j * math.pi * quad)
 
 
 def _as_param(Q, d: int) -> np.ndarray:
@@ -68,7 +59,7 @@ def chirp_apply(Q, f: GridFunction) -> GridFunction:
     Q = _as_param(Q, f.grid.d)
     if not np.any(Q):
         return f
-    return f.with_values(f.values * _quadratic_phase(f.grid, Q))
+    return f.with_values(f.values * np.exp(1j * math.pi * form_sum(Q, f.grid.open_mesh())))
 
 
 def partial_ft(f: GridFunction, J: IndexSet) -> GridFunction:
@@ -90,22 +81,21 @@ def multiplier_apply(P, f: GridFunction) -> GridFunction:
     if not np.any(P):
         return f
     spec = full_dft(f)
-    spec = spec.with_values(spec.values * _quadratic_phase(spec.grid, P, sign=-1.0))
+    phase = np.exp(-1j * math.pi * form_sum(P, spec.grid.open_mesh()))
+    spec = spec.with_values(spec.values * phase)
     return full_idft(spec)
 
 
 # -- rescaling -------------------------------------------------------------
 
 
-def _axis_reverse(values: np.ndarray, axis: int) -> np.ndarray:
-    """Exact samples of f(-x) along one centered axis: index k -> (n - k) mod n."""
-    n = values.shape[axis]
-    idx = (-np.arange(n)) % n
-    return np.take(values, idx, axis=axis)
-
-
 def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
-    """|a|^{1/2} f(a x) along one axis by dense trigonometric synthesis."""
+    """|a|^{1/2} f(a x) along one axis by dense trigonometric synthesis.
+
+    The synthesis is periodic in the window: for |a| > 1 the points a x fall
+    outside it and read wrapped samples, so periodic replicas of f enter the
+    output.  ``decay_ok`` of the result does not detect this.
+    """
     ax = f.grid.axes[axis]
     if ax.n > MAX_DENSE_AXIS:
         raise ValueError(
@@ -113,8 +103,8 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
         )
     if a == 1.0:
         return f
-    if a == -1.0:
-        return f.with_values(_axis_reverse(f.values, axis))
+    if a == -1.0:  # exact samples of f(-x): index k -> (n - k) mod n
+        return f.with_values(np.take(f.values, -np.arange(ax.n) % ax.n, axis=axis))
     spec = partial_dft(f, (axis,))
     xi = spec.grid.axes[axis].points()
     y = a * ax.points()
@@ -125,31 +115,27 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     return f.with_values(math.sqrt(abs(a)) * vals)
 
 
-def _axis_shear(f: GridFunction, axis: int, coeffs: dict[int, float]) -> GridFunction:
+def _axis_shear(f: GridFunction, axis: int, coeffs: np.ndarray) -> GridFunction:
     """Samples of f with x_axis replaced by x_axis + sum_j coeffs[j] x_j.
 
     Translation along one axis by an amount depending on the other
     coordinates, realized as a phase ramp on the spectrum (f(x + s) has
     spectrum exp(2 pi i xi s) f^(xi)); spectrally exact for decaying data.
     """
-    if not coeffs:
+    if not np.any(coeffs):
         return f
     spec = partial_dft(f, (axis,))
-    mesh = spec.grid.meshgrid()
-    shift = np.zeros(spec.grid.shape, dtype=float)
-    for j, c in coeffs.items():
-        shift = shift + c * mesh[j]
-    ramp = np.exp(2j * math.pi * mesh[axis] * shift)
+    mesh = spec.grid.open_mesh()
+    ramp = np.exp(2j * math.pi * mesh[axis] * form_sum(coeffs, mesh))
     spec = spec.with_values(spec.values * ramp)
     return partial_idft(spec, (axis,))
 
 
 def _pivoted_lu(L: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Row-pivoted Doolittle factorization: L[perm] = Lo @ diag(dvec) @ Up.
+    """Row-pivoted Doolittle factorization L[perm] = (I + lo) @ diag(dvec) @ (I + up).
 
-    Lo is unit lower triangular, Up unit upper triangular.  Returns
-    (perm, Lo, dvec, Up) with perm as a list: row i of the permuted matrix is
-    row perm[i] of L.
+    lo is strictly lower triangular, up strictly upper triangular; perm is a
+    list: row i of the permuted matrix is row perm[i] of L.
     """
     d = L.shape[0]
     a = L.copy()
@@ -163,10 +149,8 @@ def _pivoted_lu(L: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, np.nd
             perm[k], perm[pivot] = perm[pivot], perm[k]
         a[k + 1 :, k] /= a[k, k]
         a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    lo = np.tril(a, -1) + np.eye(d)
     dvec = np.diag(a).copy()
-    up = np.triu(a, 1) / dvec[:, None] + np.eye(d)
-    return perm, lo, dvec, up
+    return perm, np.tril(a, -1), dvec, np.triu(a, 1) / dvec[:, None]
 
 
 def rescale_apply(L, f: GridFunction) -> GridFunction:
@@ -175,7 +159,10 @@ def rescale_apply(L, f: GridFunction) -> GridFunction:
     The factorization L = Perm . Lo . diag . Up (row-pivoted) turns the
     substitution into a sequence of exact stages: composition obeys
     T_{M1 M2} = T_{M2} o T_{M1}, so the permutation acts first, then the
-    lower shears, the per-axis scalings, and the upper shears.
+    lower shears, the per-axis scalings, and the upper shears.  The
+    substitution is periodic in the window: a scaling by |a| > 1 reads
+    wrapped samples (see ``_axis_scale``), and ``decay_ok`` does not
+    detect it.
     """
     d = f.grid.d
     L = _as_param(L, d)
@@ -189,27 +176,22 @@ def rescale_apply(L, f: GridFunction) -> GridFunction:
     if perm != list(range(d)):
         if not all(f.grid.axes[p].close_to(f.grid.axes[i]) for i, p in enumerate(perm)):
             raise ValueError("axis permutation requires matching axes")
-        inv_perm = [0] * d
-        for i, p in enumerate(perm):
-            inv_perm[p] = i
-        out = f.with_values(np.transpose(f.values, inv_perm))
+        out = f.with_values(np.transpose(f.values, np.argsort(perm)))
     else:
         out = f
 
     # lower shears read only already-final coordinates when applied in
     # increasing order; upper shears in decreasing order
     for i in range(d):
-        coeffs = {j: float(lo[i, j]) for j in range(i) if lo[i, j] != 0.0}
-        out = _axis_shear(out, i, coeffs)
+        out = _axis_shear(out, i, lo[i])
     for i in range(d):
         out = _axis_scale(out, i, float(dvec[i]))
     for i in reversed(range(d)):
-        coeffs = {j: float(up[i, j]) for j in range(i + 1, d) if up[i, j] != 0.0}
-        out = _axis_shear(out, i, coeffs)
+        out = _axis_shear(out, i, up[i])
     return out
 
 
-# -- shifts and the pipeline -------------------------------------------------
+# -- shifts -------------------------------------------------------------------
 
 
 def tf_shift(f: GridFunction, x0, xi0, tau: float = 0.0) -> GridFunction:
@@ -224,39 +206,14 @@ def tf_shift(f: GridFunction, x0, xi0, tau: float = 0.0) -> GridFunction:
     out = f
     if np.any(x0):
         spec = full_dft(out)
-        mesh = spec.grid.meshgrid()
-        phase = np.zeros(spec.grid.shape, dtype=float)
-        for i in range(d):
-            phase = phase + mesh[i] * x0[i]
+        phase = form_sum(x0, spec.grid.open_mesh())
         spec = spec.with_values(spec.values * np.exp(-2j * math.pi * phase))
         out = full_idft(spec)
     if np.any(xi0):
-        mesh = out.grid.meshgrid()
-        phase = np.zeros(out.grid.shape, dtype=float)
-        for i in range(d):
-            phase = phase + mesh[i] * xi0[i]
+        phase = form_sum(xi0, out.grid.open_mesh())
         out = out.with_values(out.values * np.exp(2j * math.pi * phase))
     constant = np.exp(2j * math.pi * tau) * np.exp(-1j * math.pi * float(xi0 @ x0))
     return out.with_values(out.values * constant)
-
-
-def apply_metaplectic(S, f: GridFunction, tol: float | None = None) -> GridFunction:
-    """Apply the operator projecting to S (a matrix or a prepared factorization).
-
-    Stage order is partial FT, frequency multiplier, rescaling, chirp —
-    matching the factor order V_Q . D_L . V_P^T . Pi_J read right to left.
-    The result equals the operator's true action up to one global unimodular
-    constant shared by the whole grid.
-    """
-    fact = S if isinstance(S, DJFactorization) else dj_factorize(S, tol)
-    if fact.d != f.grid.d:
-        raise ValueError(f"matrix acts in dimension {fact.d}, function lives in {f.grid.d}")
-    out = partial_ft(f, fact.J)
-    out = multiplier_apply(fact.P, out)
-    if not np.array_equal(fact.L, np.eye(fact.d)):
-        out = rescale_apply(fact.L, out)
-    out = chirp_apply(fact.Q, out)
-    return out
 
 
 def free_apply_direct(S: SymplecticMatrix, f: GridFunction, chunk: int = 1024) -> GridFunction:
@@ -297,16 +254,74 @@ def free_apply_direct(S: SymplecticMatrix, f: GridFunction, chunk: int = 1024) -
     return f.with_values(out.reshape(f.grid.shape))
 
 
+# -- the stage plan ----------------------------------------------------------
+
+
+def stage_plan(fact: DJFactorization) -> list[tuple[str, object]]:
+    """The factors of V_Q . D_L . V_P^T . Pi_J read right to left, as
+    ``(stage, param)`` pairs, with identity stages left out."""
+    stages = (
+        ("ft", fact.J, bool(fact.J.members)),
+        ("multiplier", fact.P, np.any(fact.P)),
+        ("rescale", fact.L, not np.array_equal(fact.L, np.eye(fact.d))),
+        ("chirp", fact.Q, np.any(fact.Q)),
+    )
+    return [(stage, param) for stage, param, active in stages if active]
+
+
+#: each stage's inverse, which is its adjoint: every stage is unitary
+#: (on samples, up to the interpolation error of the dense rescaling)
+_INVERSE = {
+    "ft": lambda J: ("ift", J),
+    "multiplier": lambda P: ("multiplier", -P),
+    "rescale": lambda L: ("rescale", np.linalg.inv(L)),
+    "chirp": lambda Q: ("chirp", -Q),
+}
+
+
+def adjoint_plan(fact: DJFactorization) -> list[tuple[str, object]]:
+    """The plan of the adjoint operator: stages reversed, each inverted."""
+    return [_INVERSE[stage](param) for stage, param in reversed(stage_plan(fact))]
+
+
+def run_plan(plan: list[tuple[str, object]], f):
+    """Interpret a plan on a GridFunction (sampled stages) or a GaussianChirp
+    (closed-form stages).  Sampled stages are called by their module-level
+    names, looked up at call time."""
+    for stage, param in plan:
+        if isinstance(f, GaussianChirp):
+            if stage in ("ft", "ift"):
+                f = f.partial_ft(tuple(param.positions()), inverse=stage == "ift")
+            else:
+                f = getattr(f, stage)(param)
+        elif stage == "ft":
+            f = partial_ft(f, param)
+        elif stage == "ift":
+            f = partial_idft(f, tuple(param.positions()))
+        elif stage == "multiplier":
+            f = multiplier_apply(param, f)
+        elif stage == "rescale":
+            f = rescale_apply(param, f)
+        else:
+            f = chirp_apply(param, f)
+    return f
+
+
+def apply_metaplectic(S, f: GridFunction, tol: float | None = None) -> GridFunction:
+    """Apply the operator projecting to S (a matrix or a prepared factorization).
+
+    The result equals the operator's true action up to one global unimodular
+    constant shared by the whole grid.
+    """
+    fact = S if isinstance(S, DJFactorization) else dj_factorize(S, tol)
+    if fact.d != f.grid.d:
+        raise ValueError(f"matrix acts in dimension {fact.d}, function lives in {f.grid.d}")
+    return run_plan(stage_plan(fact), f)
+
+
 def gaussian_apply(S, f: GaussianChirp, tol: float | None = None) -> GaussianChirp:
     """Run the factorization of S through the closed-form Gaussian-chirp rules."""
     fact = S if isinstance(S, DJFactorization) else dj_factorize(S, tol)
     if fact.d != f.d:
         raise ValueError(f"matrix acts in dimension {fact.d}, chirp lives in {f.d}")
-    out = f.partial_ft(tuple(fact.J.positions()))
-    if np.any(fact.P):
-        out = out.multiplier(fact.P)
-    if not np.array_equal(fact.L, np.eye(fact.d)):
-        out = out.rescale(fact.L)
-    if np.any(fact.Q):
-        out = out.chirp(fact.Q)
-    return out
+    return run_plan(stage_plan(fact), f)

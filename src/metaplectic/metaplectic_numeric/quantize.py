@@ -20,12 +20,14 @@ operator inherits the pipeline's global unimodular constant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..symplectic_core import SymplecticMatrix, dj_factorize
-from .distributions import wigner_projection
-from .grid import Axis, Grid, GridFunction, partial_idft
-from .operators import chirp_apply, multiplier_apply, rescale_apply
+from .distributions import classical_kind
+from .grid import Axis, Grid, GridFunction, lattice_reads, partial_idft
+from .operators import adjoint_plan, run_plan
 
 #: refuse to build dense operators beyond this many signal lattice points
 MAX_OPERATOR_POINTS = 4096
@@ -53,29 +55,13 @@ def _wigner_adjoint(a: GridFunction) -> np.ndarray:
                 "(frequency axes must sit on the half-step dual lattice)"
             )
     # undo the half-step relabeling, invert the DFT over the second slot
-    relabeled = GridFunction(
-        Grid(sig_axes + tuple(ax.dual() for ax in sig_axes)), a.values
-    )
+    relabeled = GridFunction(Grid(sig_axes + tuple(ax.dual() for ax in sig_axes)), a.values)
     y = partial_idft(relabeled, tuple(range(d, 2 * d)))
     # scatter through the pairing (x, u) -> (x + u, x - u); two index pairs
     # land on each reachable tensor entry, so accumulate
     shape = tuple(ax.n for ax in sig_axes)
     out = np.zeros(shape + shape, dtype=complex)
-    sum_idx = []
-    diff_idx = []
-    dd = len(shape)
-    for axi, n in enumerate(shape):
-        idx = np.arange(n)
-        jshape = [1] * (2 * dd)
-        kshape = [1] * (2 * dd)
-        jshape[axi] = n
-        kshape[dd + axi] = n
-        j = idx.reshape(jshape)
-        k = idx.reshape(kshape)
-        h = n // 2
-        sum_idx.append(np.broadcast_to((j + k - h) % n, shape + shape))
-        diff_idx.append(np.broadcast_to((j - k + h) % n, shape + shape))
-    np.add.at(out, tuple(sum_idx) + tuple(diff_idx), y.values)
+    np.add.at(out, lattice_reads(shape, 1, 1) + lattice_reads(shape, 1, -1), y.values)
     return out
 
 
@@ -84,13 +70,7 @@ def _pipeline_adjoint(A: SymplecticMatrix, a: GridFunction) -> GridFunction:
     fact = dj_factorize(A)
     if fact.d != a.grid.d:
         raise ValueError(f"matrix acts in dimension {fact.d}, symbol lives in {a.grid.d}")
-    out = chirp_apply(-fact.Q, a)
-    if not np.array_equal(fact.L, np.eye(fact.d)):
-        out = rescale_apply(np.linalg.inv(fact.L), out)
-    out = multiplier_apply(-fact.P, out)
-    if fact.J.members:
-        out = partial_idft(out, tuple(fact.J.positions()))
-    return out
+    return run_plan(adjoint_plan(fact), a)
 
 
 def opA_build(a: GridFunction, A: SymplecticMatrix) -> np.ndarray:
@@ -103,14 +83,12 @@ def opA_build(a: GridFunction, A: SymplecticMatrix) -> np.ndarray:
     d = _check_doubled(a)
     if 2 * d != A.d:
         raise ValueError(f"matrix acts on {A.d} phase-space coordinates, symbol has {2 * d}")
-    npts = 1
-    for ax in a.grid.axes[:d]:
-        npts *= ax.n
+    npts = math.prod(a.grid.shape[:d])
     if npts > MAX_OPERATOR_POINTS:
         raise ValueError(
             f"dense operator would have {npts} rows; limit is {MAX_OPERATOR_POINTS}"
         )
-    if np.allclose(A.mat, wigner_projection(d).mat, atol=1e-12):
+    if classical_kind(A) == "wigner":
         tensor_vals = _wigner_adjoint(a)
         sig_axes = a.grid.axes[:d]
     else:
