@@ -243,7 +243,7 @@ def export_csv(f: GridFunction) -> str:
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"x{i + 1}" for i in range(f.grid.d)] + ["re", "im", "abs"])
-    coords = [m.ravel() for m in np.meshgrid(*[ax.points() for ax in f.grid.axes], indexing="ij")]
+    coords = [m.ravel() for m in f.grid.meshgrid()]
     flat = f.values.ravel()
     for i in range(flat.size):
         writer.writerow(

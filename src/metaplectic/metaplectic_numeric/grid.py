@@ -117,10 +117,6 @@ class Grid:
         """Coordinates as broadcastable per-axis arrays (``np.ix_``), no full copies."""
         return np.ix_(*(ax.points() for ax in self.axes))
 
-    def coords(self) -> np.ndarray:
-        """Stacked coordinates, shape (d, *shape)."""
-        return np.stack(self.meshgrid())
-
     def dualized(self, axes: Iterable[int]) -> "Grid":
         """Replace the given 0-based axes by their frequency duals."""
         which = set(axes)

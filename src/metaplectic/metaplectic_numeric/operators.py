@@ -46,6 +46,9 @@ from .grid import GridFunction, form_sum, full_dft, full_idft, partial_dft, part
 #: dense per-axis synthesis is O(n^2) per line; keep axes at desk scale
 MAX_DENSE_AXIS = 4096
 
+#: output points per dense block of the direct kernel quadrature
+DIRECT_CHUNK = 1024
+
 
 def _as_param(Q, d: int) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -216,7 +219,7 @@ def tf_shift(f: GridFunction, x0, xi0, tau: float = 0.0) -> GridFunction:
     return out.with_values(out.values * constant)
 
 
-def free_apply_direct(S: SymplecticMatrix, f: GridFunction, chunk: int = 1024) -> GridFunction:
+def free_apply_direct(S: SymplecticMatrix, f: GridFunction) -> GridFunction:
     """Direct quadrature of the single-integral kernel for invertible B:
 
         (S f)(x) = |det B|^(-1/2) exp(i pi x . D B^{-1} x)
@@ -238,16 +241,16 @@ def free_apply_direct(S: SymplecticMatrix, f: GridFunction, chunk: int = 1024) -
     dbinv = S.D @ binv
     binva = binv @ S.A
 
-    pts = f.grid.coords().reshape(d, npts).T  # (N, d)
+    pts = np.stack(f.grid.meshgrid()).reshape(d, npts).T  # (N, d)
     fvals = f.values.ravel()
     inner_quad = np.einsum("ni,ij,nj->n", pts, binva, pts)
     weights = np.exp(1j * math.pi * inner_quad) * fvals * f.grid.weight
 
     out = np.empty(npts, dtype=complex)
     bx = pts @ binv.T  # (N, d): B^{-1} x for each output point
-    for start in range(0, npts, chunk):
-        stop = min(start + chunk, npts)
-        phase = bx[start:stop] @ pts.T  # (chunk, N)
+    for start in range(0, npts, DIRECT_CHUNK):
+        stop = min(start + DIRECT_CHUNK, npts)
+        phase = bx[start:stop] @ pts.T  # (DIRECT_CHUNK, N)
         out[start:stop] = np.exp(-2j * math.pi * phase) @ weights
     out_quad = np.einsum("ni,ij,nj->n", pts, dbinv, pts)
     out *= np.exp(1j * math.pi * out_quad) / math.sqrt(abs(np.linalg.det(S.B)))

@@ -47,6 +47,9 @@ from .symplectic_core import (
 DIVERGENCE_FACTOR = 10.0
 FLATNESS_FACTOR = 2.0
 CONSTANT_RTOL = 1e-3
+#: eigenvalues of the retained multiplier corner below this, relative to its
+#: largest, count as null directions
+WITNESS_TOL = 1e-8
 
 __all__ = [
     "CONSTANT_RTOL",
@@ -182,7 +185,7 @@ def quasi_isometry_probe(
     )
 
 
-def _witness_chirps(fact, d: int, tol_rel: float = 1e-8):
+def _witness_chirps(fact, d: int):
     """Null directions of the retained multiplier block, embedded in R^d.
 
     For a singular upper-right block every admissible retained set leaves
@@ -196,7 +199,7 @@ def _witness_chirps(fact, d: int, tol_rel: float = 1e-8):
     pcc = fact.P[np.ix_(c_pos, c_pos)]
     pcc = (pcc + pcc.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(pcc)
-    cut = tol_rel * max(1.0, float(np.abs(eigvals).max()))
+    cut = WITNESS_TOL * max(1.0, float(np.abs(eigvals).max()))
     out = []
     for i in range(eigvals.size):
         if abs(eigvals[i]) <= cut:

@@ -13,7 +13,6 @@ from .generators import (
     generator,
     interchange,
     multiplier_block,
-    projector,
     random_symplectic,
     standard_involution,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "lower_tri_alternate",
     "lower_tri_factorize",
     "multiplier_block",
-    "projector",
     "random_symplectic",
     "redox_split",
     "shift_invertible",

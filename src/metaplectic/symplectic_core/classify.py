@@ -23,23 +23,18 @@ from enum import Enum
 
 import numpy as np
 
-from ..tolerances import (
-    default_tol,
-    DEFAULT_RELATION_TOL,
-    rel_invertible_checked,
-    rel_zero_checked,
-    singular_extremes,
-)
-from .types import SymplecticMatrix, symplectic_residual
+from ..tolerances import DEFAULT_RELATION_TOL, rel_invertible, rel_zero, singular_extremes
+from .types import SymplecticMatrix
 
 
 def is_symplectic(mat, tol: float = DEFAULT_RELATION_TOL) -> bool:
-    """Whether the block relations hold up to ``tol`` relative to the norm."""
+    """Whether ``mat`` passes the validation of :class:`SymplecticMatrix`."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0 or mat.shape[0] == 0:
+    try:
+        SymplecticMatrix(mat, tol)
+    except ValueError:
         return False
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    return symplectic_residual(mat) <= tol * scale
+    return True
 
 
 def is_free(S: SymplecticMatrix, tol: float | None = None) -> bool:
@@ -47,11 +42,8 @@ def is_free(S: SymplecticMatrix, tol: float | None = None) -> bool:
 
     Cutoff: sigma_min(B) >= tol * sigma_max(S).
     """
-    if tol is None:
-        tol = default_tol()
     _, scale = singular_extremes(S.mat)
-    smin, _ = singular_extremes(S.B)
-    return smin >= tol * scale
+    return rel_invertible(S.B, tol, scale)
 
 
 class BoundednessCase(Enum):
@@ -140,12 +132,10 @@ def classify_lp(S: SymplecticMatrix, tol: float | None = None) -> BoundednessVer
     Raises :class:`ToleranceAmbiguityError` when the block sits inside the
     ambiguity band of either test, rather than silently picking a side.
     """
-    if tol is None:
-        tol = default_tol()
     _, scale = singular_extremes(S.mat)
-    if rel_zero_checked(S.B, tol, scale, what="upper-right block zero test"):
+    if rel_zero(S.B, tol, scale, what="upper-right block zero test"):
         case = BoundednessCase.LOWER_TRIANGULAR
-    elif rel_invertible_checked(S.B, tol, scale, what="upper-right block invertibility"):
+    elif rel_invertible(S.B, tol, scale, what="upper-right block invertibility"):
         case = BoundednessCase.FREE
     else:
         case = BoundednessCase.SINGULAR_NONZERO_B

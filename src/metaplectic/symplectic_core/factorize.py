@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tolerances import default_tol, rel_zero, singular_extremes
+from ..tolerances import rel_invertible, rel_zero, singular_extremes
 from .classify import is_free, is_symplectic
 from .generators import chirp_block, dilation_block, interchange, multiplier_block, standard_involution
 from .types import DJFactorization, IndexSet, SymplecticMatrix
@@ -45,12 +45,16 @@ def dj_compose(f: DJFactorization) -> SymplecticMatrix:
     return prod
 
 
+def _interchange_x(S: SymplecticMatrix, J: IndexSet) -> np.ndarray:
+    """X(J) = A I_{J^c} + B I_J; J is admissible exactly when X(J) is invertible."""
+    return S.A @ J.complement().projector() + S.B @ J.projector()
+
+
 def _solve_for_subset(S: SymplecticMatrix, J: IndexSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve for (Q, L, P) given the interchange index set J."""
     pj = J.projector()
     pjc = J.complement().projector()
-    x = S.A @ pjc + S.B @ pj
-    xinv = np.linalg.inv(x)
+    xinv = np.linalg.inv(_interchange_x(S, J))
     L = xinv
     P = xinv @ (S.B @ pjc - S.A @ pj)
     Q = (S.C @ pjc + S.D @ pj) @ xinv
@@ -64,8 +68,6 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
     subset is always admissible.  Q and P come out symmetric (forced by the
     block relations) and the recomposition residual is recorded.
     """
-    if tol is None:
-        tol = default_tol()
     if not is_symplectic(S.mat):
         raise ValueError("input matrix is not symplectic")
     d = S.d
@@ -75,11 +77,8 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
     best: IndexSet | None = None
     best_score = -np.inf
     for J in IndexSet.all_subsets(d):
-        pj = J.projector()
-        pjc = J.complement().projector()
-        x = S.A @ pjc + S.B @ pj
-        smin, _ = singular_extremes(x)
-        if smin < tol * scale:
+        x = _interchange_x(S, J)
+        if not rel_invertible(x, tol, scale):
             continue
         score = abs(np.linalg.det(x))
         # strict improvement keeps the first-seen subset on ties, i.e. the
@@ -134,6 +133,12 @@ def free_compose(q1: np.ndarray, l1: np.ndarray, p1: np.ndarray) -> SymplecticMa
     )
 
 
+def _require_lower_tri(S: SymplecticMatrix, tol: float | None) -> None:
+    _, scale = singular_extremes(S.mat)
+    if not rel_zero(S.B, tol, scale):
+        raise ValueError("lower-triangular factorization requires a vanishing upper-right block")
+
+
 def lower_tri_factorize(S: SymplecticMatrix, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Two-generator form for B = 0:
 
@@ -142,11 +147,7 @@ def lower_tri_factorize(S: SymplecticMatrix, tol: float | None = None) -> tuple[
     The same data also gives the reversed-order form S = D_{A^{-1}} . V_{A^T C}
     (see :func:`lower_tri_alternate`).
     """
-    if tol is None:
-        tol = default_tol()
-    _, scale = singular_extremes(S.mat)
-    if not rel_zero(S.B, tol, scale):
-        raise ValueError("lower-triangular factorization requires a vanishing upper-right block")
+    _require_lower_tri(S, tol)
     ainv = np.linalg.inv(S.A)
     return S.C @ ainv, ainv
 
@@ -158,9 +159,5 @@ def lower_tri_alternate(S: SymplecticMatrix, tol: float | None = None) -> tuple[
 
     returning (L, P) = (A^{-1}, A^T C).
     """
-    if tol is None:
-        tol = default_tol()
-    _, scale = singular_extremes(S.mat)
-    if not rel_zero(S.B, tol, scale):
-        raise ValueError("lower-triangular factorization requires a vanishing upper-right block")
+    _require_lower_tri(S, tol)
     return np.linalg.inv(S.A), S.A.T @ S.C

@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tolerances import default_tol, rel_invertible, require_symmetric
+from ..tolerances import rel_invertible, require_symmetric
 from .types import IndexSet, SymplecticMatrix
-
-
-def projector(J: IndexSet) -> np.ndarray:
-    """Diagonal 0/1 projector onto the coordinates in J."""
-    return J.projector()
 
 
 def chirp_block(P) -> SymplecticMatrix:

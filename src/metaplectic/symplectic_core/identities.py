@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tolerances import default_tol, rel_invertible, require_symmetric
+from ..tolerances import rel_invertible, require_symmetric
 from .generators import chirp_block, dilation_block, interchange, multiplier_block
 from .types import IndexSet, SymplecticMatrix
 
@@ -36,8 +36,6 @@ def free_block_test(P, J: IndexSet, tol: float | None = None) -> tuple[bool, boo
     P = require_symmetric(P, "P")
     if P.shape[0] != J.d:
         raise ValueError(f"P has size {P.shape[0]} but J lives in dimension {J.d}")
-    if tol is None:
-        tol = default_tol()
     scale = max(1.0, float(np.linalg.norm(P, 2)))
     lhs_mat = J.projector() + P @ J.complement().projector()
     pos = J.complement().positions()

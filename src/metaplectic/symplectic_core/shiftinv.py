@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tolerances import default_tol, singular_extremes
+from ..tolerances import default_tol, rel_invertible, singular_extremes
 from .factorize import dj_compose, dj_factorize
 from .generators import chirp_block, dilation_block, interchange, multiplier_block
 from .identities import redox_split
@@ -55,8 +55,6 @@ def shift_submatrix(S: SymplecticMatrix) -> np.ndarray:
 
 def shift_invertible(S: SymplecticMatrix, tol: float | None = None) -> ShiftInvReport:
     """Tolerance-based invertibility report for the shift submatrix."""
-    if tol is None:
-        tol = default_tol()
     d = _require_double(S)
     e = shift_submatrix(S)
     smin, smax = singular_extremes(e)
@@ -65,7 +63,7 @@ def shift_invertible(S: SymplecticMatrix, tol: float | None = None) -> ShiftInvR
         d=d,
         entries=e,
         det=float(np.linalg.det(e)),
-        invertible=smin >= tol * scale,
+        invertible=rel_invertible(e, tol, scale),
         sigma_min=smin,
         sigma_max=smax,
     )
@@ -78,17 +76,11 @@ def _swap_matrix(d: int) -> np.ndarray:
     return np.block([[zero, eye], [eye, zero]])
 
 
-def admissible_shift_range(S: SymplecticMatrix, tol: float | None = None) -> float:
-    """Largest open bound tau_max so that 0 < tau < tau_max perturbs safely.
-
-    tau_max is the least nonzero eigenvalue modulus of the upper-right d x d
-    block of the factorization's multiplier parameter (infinity if that block
-    is nilpotent or zero): below it, adding tau R cannot cross a singularity.
-    """
+def _shift_range(f: DJFactorization, tol: float | None) -> float:
+    """tau_max of :func:`admissible_shift_range`, read off a factorization."""
     if tol is None:
         tol = default_tol()
-    d = _require_double(S)
-    f = dj_factorize(S, tol)
+    d = f.d // 2
     p12 = f.P[:d, d:]
     scale = max(1.0, float(np.linalg.norm(p12, 2)))
     moduli = np.abs(np.linalg.eigvals(p12))
@@ -96,6 +88,17 @@ def admissible_shift_range(S: SymplecticMatrix, tol: float | None = None) -> flo
     if nonzero.size == 0:
         return float(np.inf)
     return float(nonzero.min())
+
+
+def admissible_shift_range(S: SymplecticMatrix, tol: float | None = None) -> float:
+    """Largest open bound tau_max so that 0 < tau < tau_max perturbs safely.
+
+    tau_max is the least nonzero eigenvalue modulus of the upper-right d x d
+    block of the factorization's multiplier parameter (infinity if that block
+    is nilpotent or zero): below it, adding tau R cannot cross a singularity.
+    """
+    _require_double(S)
+    return _shift_range(dj_factorize(S, tol), tol)
 
 
 def shift_perturb(
@@ -111,13 +114,11 @@ def shift_perturb(
     * ``Theta_tau`` never involves an interchange and satisfies
       ``S = S_tau @ inverse(Theta_tau)``.
     """
-    if tol is None:
-        tol = default_tol()
     d = _require_double(S)
-    tau_max = admissible_shift_range(S, tol)
+    f = dj_factorize(S, tol)
+    tau_max = _shift_range(f, tol)
     if not 0.0 < tau < tau_max:
         raise ValueError(f"tau must lie in (0, {tau_max:g}), got {tau}")
-    f = dj_factorize(S, tol)
     r = _swap_matrix(d)
 
     s_tau = dj_compose(DJFactorization(Q=f.Q, L=f.L, P=f.P + tau * r, J=f.J))

@@ -52,7 +52,7 @@ class SymplecticMatrix:
         if validate:
             residual = symplectic_residual(mat)
             scale = max(1.0, float(np.linalg.norm(mat)))
-            if residual > tol * scale:
+            if not residual <= tol * scale:  # a residual that is NaN fails too
                 raise ValueError(
                     f"matrix is not symplectic: block relation residual {residual:.3e} "
                     f"exceeds {tol:g} * {scale:.3e}"

@@ -1,9 +1,12 @@
 """Shared tolerance policy.
 
 Invertibility and zero-ness of matrices are always decided from singular
-values relative to a scale, never from determinant signs alone.  The default
-relative cutoff can be overridden through the ``METAPLECTIC_TOL`` environment
-variable (used by the CLI; library callers pass ``tol=`` explicitly).
+values relative to a scale, never from determinant signs alone, by the one
+comparison in ``_verdict``: ``sigma_min >= tol * scale`` (:func:`rel_invertible`)
+or ``sigma_max <= tol * scale`` (:func:`rel_zero`).  Passing ``what=`` turns on
+the ambiguity band; only ``classify_lp`` does.  ``tol=None`` means
+:func:`default_tol`, which the ``METAPLECTIC_TOL`` environment variable
+overrides (used by the CLI; library callers pass ``tol=`` explicitly).
 """
 
 from __future__ import annotations
@@ -67,76 +70,48 @@ def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def rel_invertible(mat: np.ndarray, tol: float | None = None, scale: float | None = None) -> bool:
+def _verdict(value: float, tol: float | None, scale: float, what: str | None, below: bool) -> bool:
+    """``value <= tol * scale`` if ``below``, else ``>=``; with ``what``, raise inside the band."""
+    if tol is None:
+        tol = default_tol()
+    if what is not None:
+        ratio = value / scale
+        if tol / AMBIGUITY_BAND < ratio < tol * AMBIGUITY_BAND:
+            raise ToleranceAmbiguityError(what, ratio, tol)
+    cutoff = tol * scale
+    return value <= cutoff if below else value >= cutoff
+
+
+def rel_invertible(
+    mat: np.ndarray, tol: float | None = None, scale: float | None = None, *, what: str | None = None
+) -> bool:
     """True when sigma_min(mat) >= tol * scale.
 
     ``scale`` defaults to sigma_max(mat); pass the ambient matrix norm when
-    testing a block of a larger matrix.
+    testing a block of a larger matrix.  Nothing is invertible relative to a
+    zero scale.
     """
-    if tol is None:
-        tol = default_tol()
     smin, smax = singular_extremes(mat)
     if scale is None:
         scale = smax
     if scale == 0.0:
         return False
-    return smin >= tol * scale
+    return _verdict(smin, tol, scale, what, below=False)
 
 
-def rel_invertible_checked(
-    mat: np.ndarray,
-    tol: float | None = None,
-    scale: float | None = None,
-    what: str = "invertibility test",
+def rel_zero(
+    mat: np.ndarray, tol: float | None = None, scale: float | None = None, *, what: str | None = None
 ) -> bool:
-    """Like :func:`rel_invertible` but refuses to answer inside the ambiguity band."""
-    if tol is None:
-        tol = default_tol()
-    smin, smax = singular_extremes(mat)
-    if scale is None:
-        scale = smax
-    if scale == 0.0:
-        return False
-    ratio = smin / scale
-    if tol / AMBIGUITY_BAND < ratio < tol * AMBIGUITY_BAND:
-        raise ToleranceAmbiguityError(what, ratio, tol)
-    return ratio >= tol
+    """True when sigma_max(mat) <= tol * scale (the block vanishes).
 
-
-def rel_zero(mat: np.ndarray, tol: float | None = None, scale: float | None = None) -> bool:
-    """True when sigma_max(mat) <= tol * scale (the block vanishes)."""
-    if tol is None:
-        tol = default_tol()
+    ``scale`` defaults to 1.  The empty matrix, and every matrix relative to
+    a zero scale, counts as vanishing.
+    """
     mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
+    if mat.size == 0 or scale == 0.0:
         return True
-    smax = float(np.linalg.norm(mat, 2))
-    if scale is None:
-        scale = 1.0
-    return smax <= tol * scale
-
-
-def rel_zero_checked(
-    mat: np.ndarray,
-    tol: float | None = None,
-    scale: float | None = None,
-    what: str = "zero-block test",
-) -> bool:
-    """Like :func:`rel_zero` but refuses to answer inside the ambiguity band."""
-    if tol is None:
-        tol = default_tol()
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return True
-    smax = float(np.linalg.norm(mat, 2))
-    if scale is None:
-        scale = 1.0
-    if scale == 0.0:
-        return True
-    ratio = smax / scale
-    if tol / AMBIGUITY_BAND < ratio < tol * AMBIGUITY_BAND:
-        raise ToleranceAmbiguityError(what, ratio, tol)
-    return ratio <= tol
+    _, smax = singular_extremes(mat)
+    return _verdict(smax, tol, 1.0 if scale is None else scale, what, below=True)
 
 
 def require_symmetric(mat: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:

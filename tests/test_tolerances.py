@@ -1,0 +1,116 @@
+"""The shared singular-value cutoff and its ambiguity band.
+
+Every yes/no matrix verdict of the library (zero block, invertible block,
+admissible interchange set, shift-invertibility) ends in the one comparison
+of ``tolerances.py``; these tests pin its boundary conventions directly.
+"""
+
+import numpy as np
+import pytest
+
+from metaplectic import ToleranceAmbiguityError, default_tol
+from metaplectic.symplectic_core import SymplecticMatrix, classify_lp, is_symplectic, multiplier_block
+from metaplectic.tolerances import AMBIGUITY_BAND, DEFAULT_TOL, ENV_TOL, rel_invertible, rel_zero
+
+TOL = 1e-9
+
+
+@pytest.fixture(autouse=True)
+def _no_env_override(monkeypatch):
+    monkeypatch.delenv(ENV_TOL, raising=False)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 0.7])
+def test_sigma_min_equal_to_cutoff_counts_as_invertible(scale):
+    assert rel_invertible(np.array([[TOL * scale]]), TOL, scale)
+    assert not rel_invertible(np.array([[np.nextafter(TOL * scale, 0.0)]]), TOL, scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 0.7])
+def test_sigma_max_equal_to_cutoff_counts_as_zero(scale):
+    assert rel_zero(np.array([[TOL * scale]]), TOL, scale)
+    assert not rel_zero(np.array([[np.nextafter(TOL * scale, 1.0)]]), TOL, scale)
+
+
+def test_band_edges_do_not_raise():
+    lo, hi = TOL / AMBIGUITY_BAND, TOL * AMBIGUITY_BAND
+    assert not rel_invertible(np.array([[lo]]), TOL, 1.0, what="edge")
+    assert rel_invertible(np.array([[hi]]), TOL, 1.0, what="edge")
+    assert rel_zero(np.array([[lo]]), TOL, 1.0, what="edge")
+    assert not rel_zero(np.array([[hi]]), TOL, 1.0, what="edge")
+
+
+def test_inside_the_band_raises_only_when_named():
+    inside = np.array([[5.0 * TOL]])
+    assert rel_invertible(inside, TOL, 1.0)
+    assert not rel_zero(inside, TOL, 1.0)
+    with pytest.raises(ToleranceAmbiguityError, match="block test") as info:
+        rel_invertible(inside, TOL, 1.0, what="block test")
+    assert info.value.ratio == 5.0 * TOL
+    assert info.value.cutoff == TOL
+    with pytest.raises(ToleranceAmbiguityError, match="zero test"):
+        rel_zero(inside, TOL, 1.0, what="zero test")
+
+
+def test_classify_lp_is_clear_just_outside_the_band():
+    # sigma_max(S) is about 1, so B alone sets the ratio of both tests
+    assert classify_lp(multiplier_block([[TOL / 20.0]]), TOL).case.value == "lower-triangular"
+    assert classify_lp(multiplier_block([[TOL * 20.0]]), TOL).case.value == "free"
+
+
+@pytest.mark.parametrize("what", [None, "empty"])
+def test_empty_matrix_is_both_invertible_and_zero(what):
+    empty = np.zeros((0, 0))
+    assert rel_invertible(empty, TOL, what=what)
+    assert rel_zero(empty, TOL, what=what)
+
+
+def test_default_scales():
+    # rel_zero measures against 1, rel_invertible against sigma_max(mat)
+    small = np.array([[1e-10]])
+    assert rel_zero(small, TOL)
+    assert rel_invertible(small, TOL)
+    assert not rel_invertible(np.diag([1.0, 1e-10]), TOL)
+    assert not rel_invertible(np.zeros((2, 2)), TOL)
+
+
+def test_explicit_zero_scale():
+    # nothing is invertible, everything vanishes, relative to a zero scale
+    assert not rel_invertible(np.eye(2), TOL, 0.0)
+    assert rel_zero(np.eye(2), TOL, 0.0)
+    assert not rel_invertible(np.eye(2), TOL, 0.0, what="zero scale")
+    assert rel_zero(np.eye(2), TOL, 0.0, what="zero scale")
+
+
+def test_default_tol_without_override():
+    assert default_tol() == DEFAULT_TOL
+
+
+def test_environment_override_is_honoured(monkeypatch):
+    mat = np.diag([1.0, 1e-4])
+    assert rel_invertible(mat)
+    monkeypatch.setenv(ENV_TOL, "1e-3")
+    assert default_tol() == 1e-3
+    assert not rel_invertible(mat)
+    assert rel_zero(np.array([[5e-4]]))
+    # an explicit tol wins over the environment
+    assert rel_invertible(mat, 1e-9)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan"])
+def test_environment_override_rejects_non_positive(monkeypatch, raw):
+    monkeypatch.setenv(ENV_TOL, raw)
+    with pytest.raises(ValueError, match=ENV_TOL):
+        default_tol()
+    with pytest.raises(ValueError, match=ENV_TOL):
+        rel_invertible(np.eye(2))
+    with pytest.raises(ValueError, match=ENV_TOL):
+        rel_zero(np.eye(2))
+
+
+def test_non_finite_matrix_fails_the_block_relations():
+    # the relation residual is NaN here; it must not pass the residual cutoff
+    mat = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    assert not is_symplectic(mat)
+    with pytest.raises(ValueError, match="not symplectic"):
+        SymplecticMatrix(mat)
