@@ -31,8 +31,8 @@ from ..symplectic_core import (
     dilation_block,
     interchange,
 )
-from .grid import Axis, Grid, GridFunction, form_sum, full_dft, lattice_reads
-from .grid import lp_norm, lpq_norm, partial_dft
+from .grid import Axis, Grid, GridFunction, centered_dft, form_sum, lattice_reads
+from .grid import lp_norm, lpq_norm
 from .operators import apply_metaplectic
 
 
@@ -63,12 +63,13 @@ def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:
     d = f.grid.d
     shape = f.grid.shape
     paired = f.values[lattice_reads(shape, 1, 1)] * np.conj(g.values[lattice_reads(shape, 1, -1)])
-    inner = GridFunction(Grid(f.grid.axes + f.grid.axes), paired)
-    spectral = partial_dft(inner, tuple(range(d, 2 * d)))
-    out_axes = f.grid.axes + tuple(
-        Axis(ax.n, ax.step / 2.0) for ax in spectral.grid.axes[d:]
-    )
-    return GridFunction(Grid(out_axes), (2.0**d) * spectral.values)
+    spectral = centered_dft(paired, Grid(f.grid.axes + f.grid.axes), tuple(range(d, 2 * d)))
+    return GridFunction(wigner_grid(f.grid), (2.0**d) * spectral)
+
+
+def wigner_grid(signal: Grid) -> Grid:
+    """Output grid of :func:`wigner`: the signal axes, then their duals at half the step."""
+    return Grid(signal.axes + tuple(Axis(ax.n, ax.dual().step / 2.0) for ax in signal.axes))
 
 
 def stft(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -78,18 +79,19 @@ def stft(f: GridFunction, g: GridFunction) -> GridFunction:
     shape = f.grid.shape
     # gather V(x, t) = f(t) conj(g(t - x)) with exact periodic index reads
     gathered = f.values[lattice_reads(shape, 0, 1)] * np.conj(g.values[lattice_reads(shape, -1, 1)])
-    inner = GridFunction(Grid(f.grid.axes + f.grid.axes), gathered)
-    return partial_dft(inner, tuple(range(d, 2 * d)))
+    freq = tuple(range(d, 2 * d))
+    doubled = Grid(f.grid.axes + f.grid.axes)
+    return GridFunction(doubled.dualized(freq), centered_dft(gathered, doubled, freq))
 
 
 def rihacek(f: GridFunction, g: GridFunction) -> GridFunction:
     """Rank-one distribution f(x) conj(FT g)(xi) exp(-2 pi i x . xi)."""
     _check_same_grid(f, g)
-    ghat = full_dft(g)
-    grid = Grid(f.grid.axes + ghat.grid.axes)
-    vals = np.multiply.outer(f.values, np.conj(ghat.values))
-    x = grid.open_mesh()
     d = f.grid.d
+    ghat = centered_dft(g.values, g.grid, range(d))
+    grid = Grid(f.grid.axes + g.grid.dualized(range(d)).axes)
+    vals = np.multiply.outer(f.values, np.conj(ghat))
+    x = grid.open_mesh()
     phase = form_sum(np.eye(d), x[:d], x[d:])
     return GridFunction(grid, vals * np.exp(-2j * math.pi * phase))
 

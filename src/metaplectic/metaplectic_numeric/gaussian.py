@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..tolerances import rel_invertible
 from .grid import Grid, GridFunction, form_sum
 
 
@@ -139,17 +140,12 @@ class GaussianChirp:
         Q = _as_matrix(Q, self.d)
         return GaussianChirp(self.gamma, self.M + Q.real, self.b)
 
-    def modulate(self, shift) -> "GaussianChirp":
-        """Multiply by exp(2 pi i shift . x); complex shift allowed."""
-        shift = np.atleast_1d(np.asarray(shift, dtype=complex))
-        return GaussianChirp(self.gamma, self.M, self.b + shift)
-
     def rescale(self, L) -> "GaussianChirp":
         """|det L|^{1/2} f(L x) for real invertible L."""
         L = np.atleast_2d(np.asarray(L, dtype=float))
-        det = np.linalg.det(L)
-        if det == 0.0:
+        if not rel_invertible(L):
             raise ValueError("rescaling matrix must be invertible")
+        det = np.linalg.det(L)
         return GaussianChirp(
             self.gamma * math.sqrt(abs(det)), L.T @ self.M @ L, L.T @ self.b
         )

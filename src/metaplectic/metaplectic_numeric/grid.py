@@ -11,6 +11,10 @@ axis is again centered, with step 1 / (n * step).  A grid whose frequency
 lattice coincides with its space lattice (n * step^2 = 1, i.e. n = 4 T^2 for
 half-width T) is called self-dual; transforms then map a grid to itself.
 
+``centered_dft`` is the one transform loop.  It works on plain arrays, so
+the numeric layer keeps its intermediates as arrays and follows one rule:
+one ``GridFunction`` per public result (the constructor copies its input).
+
 Quadrature, norms and inner products all carry the lattice weight, so the
 discrete Parseval identity holds exactly on every grid.
 """
@@ -215,31 +219,33 @@ def lattice_reads(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray, .
 # -- transforms -----------------------------------------------------------
 
 
+def centered_dft(
+    values: np.ndarray, grid: Grid, axes: Sequence[int], inverse: bool = False
+) -> np.ndarray:
+    """Centered Fourier integral of samples on ``grid`` along the given 0-based
+    axes (conjugate kernel if ``inverse``); the result lives on the grid with
+    those axes dualized."""
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for ax in axes:
+        n, step = grid.axes[ax].n, grid.axes[ax].step
+        values = np.fft.fftshift(
+            transform(np.fft.ifftshift(values, axes=ax), axis=ax), axes=ax
+        ) * (n * step if inverse else step)
+    return values
+
+
 def partial_dft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
     """Centered Fourier integral along the given 0-based axes.
 
     Exact evaluation of the Riemann sum; the output lives on the grid with
     those axes dualized.
     """
-    values = f.values
-    for ax in axes:
-        step = f.grid.axes[ax].step
-        values = np.fft.fftshift(
-            np.fft.fft(np.fft.ifftshift(values, axes=ax), axis=ax), axes=ax
-        ) * step
-    return GridFunction(f.grid.dualized(axes), values)
+    return GridFunction(f.grid.dualized(axes), centered_dft(f.values, f.grid, axes))
 
 
 def partial_idft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
     """Inverse of :func:`partial_dft` along the given axes (conjugate kernel)."""
-    values = f.values
-    for ax in axes:
-        dual_step = f.grid.axes[ax].step
-        n = f.grid.axes[ax].n
-        values = np.fft.fftshift(
-            np.fft.ifft(np.fft.ifftshift(values, axes=ax), axis=ax), axes=ax
-        ) * (n * dual_step)
-    return GridFunction(f.grid.dualized(axes), values)
+    return GridFunction(f.grid.dualized(axes), centered_dft(f.values, f.grid, axes, inverse=True))
 
 
 def full_dft(f: GridFunction) -> GridFunction:

@@ -41,7 +41,7 @@ from ..symplectic_core import (
     is_free,
 )
 from .gaussian import GaussianChirp
-from .grid import GridFunction, form_sum, full_dft, full_idft, partial_dft, partial_idft
+from .grid import Grid, GridFunction, centered_dft, form_sum, partial_dft, partial_idft
 
 #: dense per-axis synthesis is O(n^2) per line; keep axes at desk scale
 MAX_DENSE_AXIS = 4096
@@ -74,6 +74,18 @@ def partial_ft(f: GridFunction, J: IndexSet) -> GridFunction:
     return partial_dft(f, tuple(J.positions()))
 
 
+def _spectral_product(f: GridFunction, axes, symbol) -> tuple[Grid, np.ndarray]:
+    """``(grid, values)`` of f with its spectrum along ``axes`` multiplied by
+    ``symbol(open frequency mesh)``.
+
+    The grid is the dual of the dual, which equals f's grid only to rounding
+    (1 / (1 / x) is not always x); results are reported on it.
+    """
+    spec_grid = f.grid.dualized(axes)
+    spec = centered_dft(f.values, f.grid, axes) * symbol(spec_grid.open_mesh())
+    return spec_grid.dualized(axes), centered_dft(spec, spec_grid, axes, inverse=True)
+
+
 def multiplier_apply(P, f: GridFunction) -> GridFunction:
     """Frequency-side quadratic multiplier exp(-i pi xi . P xi).
 
@@ -83,10 +95,8 @@ def multiplier_apply(P, f: GridFunction) -> GridFunction:
     P = _as_param(P, f.grid.d)
     if not np.any(P):
         return f
-    spec = full_dft(f)
-    phase = np.exp(-1j * math.pi * form_sum(P, spec.grid.open_mesh()))
-    spec = spec.with_values(spec.values * phase)
-    return full_idft(spec)
+    symbol = lambda xi: np.exp(-1j * math.pi * form_sum(P, xi))
+    return GridFunction(*_spectral_product(f, range(f.grid.d), symbol))
 
 
 # -- rescaling -------------------------------------------------------------
@@ -108,14 +118,11 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
         return f
     if a == -1.0:  # exact samples of f(-x): index k -> (n - k) mod n
         return f.with_values(np.take(f.values, -np.arange(ax.n) % ax.n, axis=axis))
-    spec = partial_dft(f, (axis,))
-    xi = spec.grid.axes[axis].points()
-    y = a * ax.points()
-    kernel = np.exp(2j * math.pi * np.outer(y, xi)) * spec.grid.axes[axis].step
-    vals = np.moveaxis(spec.values, axis, -1)
-    vals = vals @ kernel.T
-    vals = np.moveaxis(vals, -1, axis)
-    return f.with_values(math.sqrt(abs(a)) * vals)
+    spec = centered_dft(f.values, f.grid, (axis,))
+    dual = ax.dual()
+    kernel = np.exp(2j * math.pi * np.outer(a * ax.points(), dual.points())) * dual.step
+    vals = np.moveaxis(spec, axis, -1) @ kernel.T
+    return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 
 
 def _axis_shear(f: GridFunction, axis: int, coeffs: np.ndarray) -> GridFunction:
@@ -127,11 +134,8 @@ def _axis_shear(f: GridFunction, axis: int, coeffs: np.ndarray) -> GridFunction:
     """
     if not np.any(coeffs):
         return f
-    spec = partial_dft(f, (axis,))
-    mesh = spec.grid.open_mesh()
-    ramp = np.exp(2j * math.pi * mesh[axis] * form_sum(coeffs, mesh))
-    spec = spec.with_values(spec.values * ramp)
-    return partial_idft(spec, (axis,))
+    ramp = lambda xi: np.exp(2j * math.pi * xi[axis] * form_sum(coeffs, xi))
+    return GridFunction(*_spectral_product(f, (axis,), ramp))
 
 
 def _pivoted_lu(L: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
@@ -206,17 +210,14 @@ def tf_shift(f: GridFunction, x0, xi0, tau: float = 0.0) -> GridFunction:
     d = f.grid.d
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (d,))
-    out = f
+    grid, values = f.grid, f.values
     if np.any(x0):
-        spec = full_dft(out)
-        phase = form_sum(x0, spec.grid.open_mesh())
-        spec = spec.with_values(spec.values * np.exp(-2j * math.pi * phase))
-        out = full_idft(spec)
+        shift = lambda xi: np.exp(-2j * math.pi * form_sum(x0, xi))
+        grid, values = _spectral_product(f, range(d), shift)
     if np.any(xi0):
-        phase = form_sum(xi0, out.grid.open_mesh())
-        out = out.with_values(out.values * np.exp(2j * math.pi * phase))
+        values = values * np.exp(2j * math.pi * form_sum(xi0, grid.open_mesh()))
     constant = np.exp(2j * math.pi * tau) * np.exp(-1j * math.pi * float(xi0 @ x0))
-    return out.with_values(out.values * constant)
+    return GridFunction(grid, values * constant)
 
 
 def free_apply_direct(S: SymplecticMatrix, f: GridFunction) -> GridFunction:

@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from ..symplectic_core import SymplecticMatrix, dj_factorize
-from .distributions import classical_kind
-from .grid import Axis, Grid, GridFunction, lattice_reads, partial_idft
+from .distributions import classical_kind, wigner_grid
+from .grid import Grid, GridFunction, centered_dft, lattice_reads
 from .operators import adjoint_plan, run_plan
 
 #: refuse to build dense operators beyond this many signal lattice points
@@ -46,31 +46,20 @@ def _wigner_adjoint(a: GridFunction) -> np.ndarray:
     Returns the tensor (D* a) on the doubled signal grid as an ndarray.
     """
     d = a.grid.d // 2
-    sig_axes = a.grid.axes[:d]
-    for i in range(d):
-        expected = Axis(sig_axes[i].n, sig_axes[i].dual().step / 2.0)
-        if not a.grid.axes[d + i].close_to(expected):
-            raise ValueError(
-                "symbol grid does not match the Wigner output grid "
-                "(frequency axes must sit on the half-step dual lattice)"
-            )
+    sig = Grid(a.grid.axes[:d])
+    if not a.grid.close_to(wigner_grid(sig)):
+        raise ValueError(
+            "symbol grid does not match the Wigner output grid "
+            "(frequency axes must sit on the half-step dual lattice)"
+        )
     # undo the half-step relabeling, invert the DFT over the second slot
-    relabeled = GridFunction(Grid(sig_axes + tuple(ax.dual() for ax in sig_axes)), a.values)
-    y = partial_idft(relabeled, tuple(range(d, 2 * d)))
+    relabeled = Grid(sig.axes + tuple(ax.dual() for ax in sig.axes))
+    y = centered_dft(a.values, relabeled, tuple(range(d, 2 * d)), inverse=True)
     # scatter through the pairing (x, u) -> (x + u, x - u); two index pairs
     # land on each reachable tensor entry, so accumulate
-    shape = tuple(ax.n for ax in sig_axes)
-    out = np.zeros(shape + shape, dtype=complex)
-    np.add.at(out, lattice_reads(shape, 1, 1) + lattice_reads(shape, 1, -1), y.values)
+    out = np.zeros(sig.shape + sig.shape, dtype=complex)
+    np.add.at(out, lattice_reads(sig.shape, 1, 1) + lattice_reads(sig.shape, 1, -1), y)
     return out
-
-
-def _pipeline_adjoint(A: SymplecticMatrix, a: GridFunction) -> GridFunction:
-    """Adjoint of the factorization pipeline on the doubled grid."""
-    fact = dj_factorize(A)
-    if fact.d != a.grid.d:
-        raise ValueError(f"matrix acts in dimension {fact.d}, symbol lives in {a.grid.d}")
-    return run_plan(adjoint_plan(fact), a)
 
 
 def opA_build(a: GridFunction, A: SymplecticMatrix) -> np.ndarray:
@@ -90,17 +79,17 @@ def opA_build(a: GridFunction, A: SymplecticMatrix) -> np.ndarray:
         )
     if classical_kind(A) == "wigner":
         tensor_vals = _wigner_adjoint(a)
-        sig_axes = a.grid.axes[:d]
+        sig = Grid(a.grid.axes[:d])
     else:
-        tensor = _pipeline_adjoint(A, a)
-        sig_axes = tensor.grid.axes[:d]
-        for i in range(d):
-            if not tensor.grid.axes[d + i].close_to(sig_axes[i]):
-                raise ValueError(
-                    "symbol grid is not the distribution's output grid for this matrix"
-                )
+        fact = dj_factorize(A)
+        # the adjoint ends with the inverse DFT on J: its output must be the
+        # doubled signal grid
+        tensor_grid = a.grid.dualized(fact.J.positions())
+        if not tensor_grid.close_to(Grid(tensor_grid.axes[:d] * 2)):
+            raise ValueError("symbol grid is not the distribution's output grid for this matrix")
+        tensor = run_plan(adjoint_plan(fact), a)
         tensor_vals = tensor.values
-    sig = Grid(sig_axes)
+        sig = Grid(tensor.grid.axes[:d])
     return sig.weight * tensor_vals.reshape(npts, npts)
 
 

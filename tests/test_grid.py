@@ -15,10 +15,17 @@ from metaplectic.metaplectic_numeric import (
     herm_inner,
     lp_norm,
     lpq_norm,
+    multiplier_apply,
+    opA_build,
     outer,
     partial_dft,
     partial_idft,
     phase_align_distance,
+    rihacek,
+    stft,
+    tf_shift,
+    wigner,
+    wigner_projection,
 )
 
 import oracles
@@ -208,3 +215,38 @@ def test_phase_align_distance_detects_global_phase_only():
     zero = f.with_values(np.zeros_like(f.values))
     with pytest.raises(ValueError):
         phase_align_distance(f, zero)
+
+
+# --------------------------------------------------------------------------
+# one GridFunction per public result
+
+
+def test_each_public_result_builds_one_grid_function(monkeypatch):
+    g = Grid.selfdual(2, 8)
+    f = GaussianChirp.standard(2).sample(g)
+    h = GaussianChirp(1.0, 1j * np.eye(2), np.array([0.1, -0.2])).sample(g)
+    symbol = wigner(GaussianChirp.standard(1).sample(Grid.selfdual(1, 16)))
+    built = []
+    init = GridFunction.__init__
+
+    def counted(self, grid, values):
+        built.append(grid)
+        init(self, grid, values)
+
+    monkeypatch.setattr(GridFunction, "__init__", counted)
+    calls = {
+        "wigner": lambda: wigner(f, h),
+        "stft": lambda: stft(f, h),
+        "rihacek": lambda: rihacek(f, h),
+        "multiplier_apply": lambda: multiplier_apply(np.array([[0.3, 0.1], [0.1, -0.2]]), f),
+        "tf_shift": lambda: tf_shift(f, [0.3, -0.1], [0.2, 0.4], 0.1),
+        "partial_dft": lambda: partial_dft(f, (1,)),
+        "partial_idft": lambda: partial_idft(f, (0, 1)),
+        "opA_build": lambda: opA_build(symbol, wigner_projection(1)),
+    }
+    counts = {}
+    for name, call in calls.items():
+        built.clear()
+        call()
+        counts[name] = len(built)
+    assert counts == {**{name: 1 for name in calls}, "opA_build": 0}

@@ -206,6 +206,15 @@ def test_rescale_apply_rejects_singular_matrix():
         rescale_apply(np.array([[0.0]]), f)
 
 
+def test_gaussian_rescale_uses_the_shared_invertibility_cutoff():
+    # det 1e-15 is nonzero, but far below the relative singular-value cutoff
+    L = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(ValueError, match="must be invertible"):
+        dilation_block(L)
+    with pytest.raises(ValueError, match="must be invertible"):
+        GaussianChirp.standard(2).rescale(L)
+
+
 def test_tf_shift_off_lattice_matches_closed_form():
     g = Grid.regular(1, 128, 8.0)
     f = GaussianChirp.standard(1).sample(g)

@@ -103,7 +103,7 @@ def test_opA_build_rejects_a_near_wigner_matrix():
     # within numpy's default rtol of the Wigner matrix, but not equal to it
     A = wigner_projection(1) @ dilation_block(np.diag([1.0 + 1e-6, 1.0]))
     a = wigner(GaussianChirp.standard(1).sample(Grid.selfdual(1, 32)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="output grid"):
         opA_build(a, A)
 
 
