@@ -16,6 +16,18 @@ matrix through the factorization pipeline.
 Sign conventions and normalizations follow the operator layer; each agrees
 with direct quadrature of its defining integral to roundoff on decaying
 input (see the test suite).
+
+Each classical distribution has one row builder: the values on a range of
+x-rows (a slice of axis 0).  ``wigner``, ``stft`` and ``rihacek`` call it
+with all rows, which ``MAX_DISTRIBUTION_POINTS`` caps; ``distribution_norm``
+and ``mp_norm`` call it slab by slab (``grid.row_slabs``: at least
+``grid.SLAB_BYTES`` of entries per slab, leftover rows in the last) and
+stream the slabs into ``grid.slab_norm``, so their memory is one slab
+instead of n^(2d) points.  The floats equal the full-array norms exactly: a
+row's values do not depend on the slab around it as long as no slab is
+smaller than numpy's 256 KiB temporary-elision floor, under which a
+complex product would run out of place with its operands in the other
+order, and round differently.
 """
 
 from __future__ import annotations
@@ -32,13 +44,90 @@ from ..symplectic_core import (
     interchange,
 )
 from .grid import Axis, Grid, GridFunction, centered_dft, form_sum, lattice_reads
-from .grid import lp_norm, lpq_norm
+from .grid import lpq_norm, row_slabs, slab_norm
 from .operators import apply_metaplectic
+
+
+#: refuse to build a whole distribution (or tensor) beyond this many points
+MAX_DISTRIBUTION_POINTS = 2**26
 
 
 def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
     if not f.grid.close_to(g.grid):
         raise ValueError("distribution arguments must share one grid")
+
+
+def _check_points(what: str, npts: int) -> None:
+    if npts > MAX_DISTRIBUTION_POINTS:
+        raise ValueError(
+            f"{what} would have {npts} points; limit is {MAX_DISTRIBUTION_POINTS} "
+            "(distribution_norm and mp_norm compute norms of the classical "
+            "distributions without building them)"
+        )
+
+
+def _wigner_rows(f: GridFunction, g: GridFunction):
+    d = f.grid.d
+    shape = f.grid.shape
+    doubled = Grid(f.grid.axes + f.grid.axes)
+
+    def build(rows: slice) -> np.ndarray:
+        paired = f.values[lattice_reads(shape, 1, 1, rows)] * np.conj(
+            g.values[lattice_reads(shape, 1, -1, rows)]
+        )
+        spectral = centered_dft(paired, doubled, tuple(range(d, 2 * d)))
+        return (2.0**d) * spectral
+
+    return wigner_grid(f.grid), build
+
+
+def _stft_rows(f: GridFunction, g: GridFunction):
+    d = f.grid.d
+    shape = f.grid.shape
+    freq = tuple(range(d, 2 * d))
+    doubled = Grid(f.grid.axes + f.grid.axes)
+
+    def build(rows: slice) -> np.ndarray:
+        # gather V(x, t) = f(t) conj(g(t - x)) with exact periodic index reads
+        gathered = f.values[lattice_reads(shape, 0, 1, rows)] * np.conj(
+            g.values[lattice_reads(shape, -1, 1, rows)]
+        )
+        return centered_dft(gathered, doubled, freq)
+
+    return doubled.dualized(freq), build
+
+
+def _rihacek_rows(f: GridFunction, g: GridFunction):
+    d = f.grid.d
+    ghat_conj = np.conj(centered_dft(g.values, g.grid, range(d)))
+    grid = Grid(f.grid.axes + g.grid.dualized(range(d)).axes)
+    mesh = grid.open_mesh()
+
+    def build(rows: slice) -> np.ndarray:
+        vals = np.multiply.outer(f.values[rows], ghat_conj)
+        x = (mesh[0][rows],) + mesh[1:]
+        phase = form_sum(np.eye(d), x[:d], x[d:])
+        return vals * np.exp(-2j * math.pi * phase)
+
+    return grid, build
+
+
+#: the row builder of each classical distribution: (f, g) -> (grid, build),
+#: where ``build(rows)`` returns the values on the x-rows ``rows``
+_ROW_BUILDERS = {"wigner": _wigner_rows, "stft": _stft_rows, "rihacek": _rihacek_rows}
+
+
+def _whole(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
+    _check_same_grid(f, g)
+    _check_points(f"{kind} distribution", math.prod(f.grid.shape) ** 2)
+    grid, build = _ROW_BUILDERS[kind](f, g)
+    return GridFunction(grid, build(slice(None)))
+
+
+def _streamed_norm(kind: str, f: GridFunction, g: GridFunction, p: float, q: float | None) -> float:
+    _check_same_grid(f, g)
+    grid, build = _ROW_BUILDERS[kind](f, g)
+    return slab_norm((build(rows) for rows in row_slabs(grid)), grid, p, q)
 
 
 def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:
@@ -57,14 +146,7 @@ def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:
     should stay in the central half of the window, and full-torus mixed
     norms carry an exact extra 2^(1/p) in the inner (space) norm.
     """
-    if g is None:
-        g = f
-    _check_same_grid(f, g)
-    d = f.grid.d
-    shape = f.grid.shape
-    paired = f.values[lattice_reads(shape, 1, 1)] * np.conj(g.values[lattice_reads(shape, 1, -1)])
-    spectral = centered_dft(paired, Grid(f.grid.axes + f.grid.axes), tuple(range(d, 2 * d)))
-    return GridFunction(wigner_grid(f.grid), (2.0**d) * spectral)
+    return _whole("wigner", f, f if g is None else g)
 
 
 def wigner_grid(signal: Grid) -> Grid:
@@ -74,31 +156,18 @@ def wigner_grid(signal: Grid) -> Grid:
 
 def stft(f: GridFunction, g: GridFunction) -> GridFunction:
     """Short-time Fourier transform of f with window g (V_g f)."""
-    _check_same_grid(f, g)
-    d = f.grid.d
-    shape = f.grid.shape
-    # gather V(x, t) = f(t) conj(g(t - x)) with exact periodic index reads
-    gathered = f.values[lattice_reads(shape, 0, 1)] * np.conj(g.values[lattice_reads(shape, -1, 1)])
-    freq = tuple(range(d, 2 * d))
-    doubled = Grid(f.grid.axes + f.grid.axes)
-    return GridFunction(doubled.dualized(freq), centered_dft(gathered, doubled, freq))
+    return _whole("stft", f, g)
 
 
 def rihacek(f: GridFunction, g: GridFunction) -> GridFunction:
     """Rank-one distribution f(x) conj(FT g)(xi) exp(-2 pi i x . xi)."""
-    _check_same_grid(f, g)
-    d = f.grid.d
-    ghat = centered_dft(g.values, g.grid, range(d))
-    grid = Grid(f.grid.axes + g.grid.dualized(range(d)).axes)
-    vals = np.multiply.outer(f.values, np.conj(ghat))
-    x = grid.open_mesh()
-    phase = form_sum(np.eye(d), x[:d], x[d:])
-    return GridFunction(grid, vals * np.exp(-2j * math.pi * phase))
+    return _whole("rihacek", f, g)
 
 
 def tensor_with_conj(f: GridFunction, g: GridFunction) -> GridFunction:
     """f (x) conj(g) on the doubled grid — the input to the generic pipeline."""
     _check_same_grid(f, g)
+    _check_points("tensor", math.prod(f.grid.shape) * math.prod(g.grid.shape))
     grid = Grid(f.grid.axes + g.grid.axes)
     return GridFunction(grid, np.multiply.outer(f.values, np.conj(g.values)))
 
@@ -117,13 +186,33 @@ def wigner_metaplectic(
     shortcut; note the generic output may sit on a different (coarser)
     frequency lattice than the dedicated one.
     """
-    d2 = A.d
-    if f.grid.d * 2 != d2:
-        raise ValueError(f"matrix acts on {d2} phase-space coordinates, signals have {f.grid.d}")
+    _check_phase_space(A, f)
     kind = None if force_generic else classical_kind(A)
     if kind is not None:
-        return {"wigner": wigner, "stft": stft, "rihacek": rihacek}[kind](f, g)
+        return _whole(kind, f, g)
     return apply_metaplectic(A, tensor_with_conj(f, g))
+
+
+def _check_phase_space(A: SymplecticMatrix, f: GridFunction) -> None:
+    if f.grid.d * 2 != A.d:
+        raise ValueError(f"matrix acts on {A.d} phase-space coordinates, signals have {f.grid.d}")
+
+
+def distribution_norm(
+    A: SymplecticMatrix, f: GridFunction, g: GridFunction, p: float, q: float
+) -> float:
+    """Mixed L^{p,q} norm (as :func:`lpq_norm`) of ``wigner_metaplectic(A, f, g)``.
+
+    For the three classical matrices the distribution is never built whole:
+    its x-row slabs stream into one accumulator (``grid.slab_norm``), and the
+    float equals the full-array norm exactly.  Any other matrix runs the
+    factorization pipeline on the whole tensor.
+    """
+    _check_phase_space(A, f)
+    kind = classical_kind(A)
+    if kind is not None:
+        return _streamed_norm(kind, f, g, p, q)
+    return lpq_norm(apply_metaplectic(A, tensor_with_conj(f, g)), p, q)
 
 
 # -- the classical projection matrices ---------------------------------------
@@ -171,8 +260,6 @@ def classical_kind(A: SymplecticMatrix) -> str | None:
 
 
 def mp_norm(f: GridFunction, window: GridFunction, p: float, q: float | None = None) -> float:
-    """Modulation norm: the L^{p,q} mixed norm of V_window f (q defaults to p)."""
-    v = stft(f, window)
-    if q is None or q == p:
-        return lp_norm(v, p)
-    return lpq_norm(v, p, q)
+    """Modulation norm: the L^{p,q} mixed norm of V_window f (q defaults to p),
+    streamed over x-row slabs; equal to the full-array norm of ``stft``."""
+    return _streamed_norm("stft", f, window, p, None if q is None or q == p else q)

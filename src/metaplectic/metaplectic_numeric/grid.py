@@ -17,18 +17,40 @@ one ``GridFunction`` per public result (the constructor copies its input).
 
 Quadrature, norms and inner products all carry the lattice weight, so the
 discrete Parseval identity holds exactly on every grid.
+
+Norms in slabs.  ``slab_norm`` reduces a function that arrives as
+consecutive slabs of axis-0 rows (``row_slabs`` cuts them), so a
+phase-space norm never needs the whole array.  It reproduces the full-array
+floats bit for bit: the mixed norm adds each row's |f|^p into one
+accumulator in row order, as numpy reduces a leading axis, and the plain
+L^p norm sums along numpy's pairwise split (halve the range, round the half
+down to a multiple of 8), calling ``np.sum`` on every piece of that tree
+that lies in one slab.  ``lpq_norm`` is ``slab_norm`` on one slab;
+``lp_norm`` stays the direct full-array oracle.  A slab holds at least
+``SLAB_BYTES`` of complex entries, or all rows: builders that run on slabs
+must round like the full-array code, and numpy computes an expression in
+place (with swapped operands, so a complex product rounds differently) only
+for temporaries of 256 KiB or more.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 #: relative outer-shell mass below which a sampled function counts as decayed
 DECAY_FLAG_LEVEL = 1e-10
+
+#: least bytes of complex entries per slab of rows (the last slab takes the
+#: leftover rows).  numpy elides temporaries of 256 KiB (16384 complex
+#: entries) or more: it runs e.g. ``vals * np.exp(...)`` in place in the
+#: temporary, with the operands swapped, and its complex multiply does not
+#: round commutatively.  A slab below that floor would change bits against
+#: the full array.
+SLAB_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -196,12 +218,16 @@ def form_sum(coef, x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = Non
     return total
 
 
-def lattice_reads(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray, ...]:
+def lattice_reads(
+    shape: tuple[int, ...], a: int, b: int, rows: slice = slice(None)
+) -> tuple[np.ndarray, ...]:
     """Per-axis indices (a (j - h) + b (k - h) + h) mod n of a periodic read.
 
     j runs over the first d axes of the doubled grid (*shape, *shape), k over
-    the last d, and h = n // 2 is the centre of each axis.  The arrays
-    broadcast against the doubled shape; each holds at most n^2 entries.
+    the last d, and h = n // 2 is the centre of each axis.  ``rows`` keeps
+    the j of axis 0 in that slice, the x-rows of one slab.  The arrays
+    broadcast against the doubled shape (with axis 0 cut to ``rows``); each
+    holds at most n^2 entries.
     """
     d = len(shape)
     out = []
@@ -211,7 +237,8 @@ def lattice_reads(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray, .
         idx = h
         for coef, slot in ((a, ax), (b, d + ax)):
             if coef:
-                idx = idx + coef * centred.reshape([n if i == slot else 1 for i in range(2 * d)])
+                pts = centred[rows] if slot == 0 else centred
+                idx = idx + coef * pts.reshape([-1 if i == slot else 1 for i in range(2 * d)])
         out.append(idx % n)
     return tuple(out)
 
@@ -275,26 +302,104 @@ def lpq_norm(f: GridFunction, p: float, q: float, split: int | None = None) -> f
     ``split`` defaults to half the axes (the tensor-slot convention for
     phase-space grids).
     """
-    if p <= 0.0 or q <= 0.0:
-        raise ValueError(f"exponents must be positive, got p={p}, q={q}")
-    d = f.grid.d
-    if split is None:
-        if d % 2 != 0:
-            raise ValueError("mixed norm needs an explicit split for odd-dimensional grids")
-        split = d // 2
-    if not 0 < split < d:
-        raise ValueError(f"split must cut the axes in two nonempty groups, got {split}")
-    mags = np.abs(f.values)
+    return slab_norm((f.values,), f.grid, p, q, split)
+
+
+def row_slabs(grid: Grid) -> list[slice]:
+    """Consecutive slices of axis 0 that cut ``grid`` into slabs of at least
+    ``SLAB_BYTES`` of complex entries; the last one takes the leftover rows,
+    and a grid smaller than one slab is one slab."""
+    row_bytes = 16 * math.prod(grid.shape[1:])
+    per_slab = -(-SLAB_BYTES // row_bytes)
+    n = grid.shape[0]
+    bounds = [k * per_slab for k in range(max(1, n // per_slab))] + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _pairwise_sum(pieces: Iterator[np.ndarray], size: int) -> np.floating:
+    """``np.sum`` of the concatenated 1-D ``pieces`` (``size`` entries), bit for bit.
+
+    numpy sums a contiguous array pairwise: a range of more than 128 entries
+    is split at half its length rounded down to a multiple of 8.  A node of
+    that tree inside one piece is one ``np.sum`` call; a node across a piece
+    boundary is split the same way or, at 128 entries or fewer, gathered.
+    """
+    piece, lo = np.empty(0), 0  # the current piece and its first index
+
+    def node(a: int, b: int):
+        nonlocal piece, lo
+        while a >= lo + piece.size:
+            lo, piece = lo + piece.size, next(pieces)
+        if b <= lo + piece.size:
+            return np.sum(piece[a - lo : b - lo])
+        if b - a > 128:
+            half = (b - a) // 2
+            half -= half % 8
+            return node(a, a + half) + node(a + half, b)
+        parts = [piece[a - lo :]]
+        while b > lo + piece.size:
+            lo, piece = lo + piece.size, next(pieces)
+            parts.append(piece[: b - lo])
+        return np.sum(np.concatenate(parts))
+
+    return node(0, size)
+
+
+def slab_norm(
+    rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None = None,
+    split: int | None = None,
+) -> float:
+    """Norm of the function on ``grid`` whose values arrive as ``rows``:
+    consecutive slabs of axis-0 rows, in order.
+
+    With ``q`` this is the mixed norm of :func:`lpq_norm` (L^p over the
+    first ``split`` axes, default half of them, then L^q); with ``q=None``
+    it is :func:`lp_norm`.  Either float equals the full-array one exactly
+    (see the module docstring), and memory stays at the size of a slab.
+    """
+    d = grid.d
+    if q is None and p <= 0.0:
+        raise ValueError(f"p must be positive, got {p}")
+    if q is not None:
+        if p <= 0.0 or q <= 0.0:
+            raise ValueError(f"exponents must be positive, got p={p}, q={q}")
+        if split is None:
+            if d % 2 != 0:
+                raise ValueError("mixed norm needs an explicit split for odd-dimensional grids")
+            split = d // 2
+        if not 0 < split < d:
+            raise ValueError(f"split must cut the axes in two nonempty groups, got {split}")
+
+    if q is None:
+        if math.isinf(p):
+            return float(np.max([np.abs(s).max(initial=0.0) for s in rows], initial=0.0))
+
+        def powered():
+            for slab in rows:
+                mags = np.abs(slab)
+                yield (mags**p).ravel()
+
+        total = _pairwise_sum(powered(), math.prod(grid.shape))
+        return float((total * grid.weight) ** (1.0 / p))
+
+    outer_shape = grid.shape[split:]
     inner_axes = tuple(range(split))
     w_inner = 1.0
-    for ax in f.grid.axes[:split]:
+    for ax in grid.axes[:split]:
         w_inner *= ax.step
-    w_outer = f.grid.weight / w_inner
+    w_outer = grid.weight / w_inner
 
-    if math.isinf(p):
-        inner = mags.max(axis=inner_axes)
-    else:
-        inner = (np.sum(mags**p, axis=inner_axes) * w_inner) ** (1.0 / p)
+    # each x-point's |f|^p is added in row order, as numpy reduces a
+    # leading axis of a contiguous array
+    acc = np.zeros(outer_shape)
+    for slab in rows:
+        mags = np.abs(slab)
+        if math.isinf(p):
+            np.maximum(acc, mags.max(axis=inner_axes), out=acc)
+            continue
+        for row in (mags**p).reshape((-1,) + outer_shape):
+            acc += row
+    inner = acc if math.isinf(p) else (acc * w_inner) ** (1.0 / p)
     if math.isinf(q):
         return float(inner.max(initial=0.0))
     return float((np.sum(inner**q) * w_outer) ** (1.0 / q))

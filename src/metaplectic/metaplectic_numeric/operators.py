@@ -160,6 +160,20 @@ def _pivoted_lu(L: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, np.nd
     return perm, np.tril(a, -1), dvec, np.triu(a, 1) / dvec[:, None]
 
 
+def _require_matching_axes(perm: list[int], grid: Grid, where: str) -> None:
+    """The permutation stage of the rescaling swaps axes i and perm[i]; the
+    grid it runs on (described by ``where``) must carry the same lattice on
+    both."""
+    for i, p in enumerate(perm):
+        if not grid.axes[p].close_to(grid.axes[i]):
+            a, b = grid.axes[i], grid.axes[p]
+            raise ValueError(
+                f"rescaling permutes grid axes {i + 1} and {p + 1}, which must have equal "
+                f"size and step {where} (got n={a.n}, step={a.step:g} and n={b.n}, "
+                f"step={b.step:g}); an isotropic self-dual grid always has them"
+            )
+
+
 def rescale_apply(L, f: GridFunction) -> GridFunction:
     """|det L|^{1/2} f(L x) for real invertible L, on the function's own grid.
 
@@ -181,8 +195,7 @@ def rescale_apply(L, f: GridFunction) -> GridFunction:
     # g(x) = f(P^T x) is an axis transpose of the samples by the inverse
     # permutation
     if perm != list(range(d)):
-        if not all(f.grid.axes[p].close_to(f.grid.axes[i]) for i, p in enumerate(perm)):
-            raise ValueError("axis permutation requires matching axes")
+        _require_matching_axes(perm, f.grid, "on the input grid")
         out = f.with_values(np.transpose(f.values, np.argsort(perm)))
     else:
         out = f
@@ -320,7 +333,13 @@ def apply_metaplectic(S, f: GridFunction, tol: float | None = None) -> GridFunct
     fact = S if isinstance(S, DJFactorization) else dj_factorize(S, tol)
     if fact.d != f.grid.d:
         raise ValueError(f"matrix acts in dimension {fact.d}, function lives in {f.grid.d}")
-    return run_plan(stage_plan(fact), f)
+    plan = stage_plan(fact)
+    for stage, L in plan:
+        if stage == "rescale":
+            # checked up front, on the grid that the partial FT on J leaves
+            where = f"after the partial Fourier transform on J = {list(fact.J.members)}"
+            _require_matching_axes(_pivoted_lu(L)[0], f.grid.dualized(fact.J.positions()), where)
+    return run_plan(plan, f)
 
 
 def gaussian_apply(S, f: GaussianChirp, tol: float | None = None) -> GaussianChirp:

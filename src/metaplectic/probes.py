@@ -29,12 +29,12 @@ from .metaplectic_numeric import (
     Grid,
     GridFunction,
     apply_metaplectic,
+    distribution_norm,
     lp_norm,
     lpq_norm,
     mp_norm,
     rescale_apply,
     tensor_with_conj,
-    wigner_metaplectic,
 )
 from .symplectic_core import (
     BoundednessCase,
@@ -317,8 +317,7 @@ def norm_equiv_probe(
     ratios = []
     for lam in lambdas:
         f = GaussianChirp.dilated(d, float(lam) ** 2).sample(g)
-        dist = wigner_metaplectic(A, f, window)
-        ratios.append(lpq_norm(dist, p, q) / mp_norm(f, window, p, q))
+        ratios.append(distribution_norm(A, f, window, p, q) / mp_norm(f, window, p, q))
     spread = max(ratios) / min(ratios)
     if spread >= DIVERGENCE_FACTOR:
         verdict = "diverges"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tolerances import rel_invertible, rel_zero, singular_extremes
+from ..tolerances import default_tol, rel_invertible, rel_zero, singular_extremes
 from .classify import is_free, is_symplectic
 from .generators import chirp_block, dilation_block, interchange, multiplier_block, standard_involution
 from .types import DJFactorization, IndexSet, SymplecticMatrix
@@ -34,11 +34,12 @@ MAX_SEARCH_DIM = 12
 SYMMETRY_TOL = 1e-10
 
 
-def dj_compose(f: DJFactorization) -> SymplecticMatrix:
-    """Multiply the four factors V_Q . D_L . V_P^T . Pi_J back together."""
+def dj_compose(f: DJFactorization, tol: float | None = None) -> SymplecticMatrix:
+    """Multiply the four factors V_Q . D_L . V_P^T . Pi_J back together
+    (``tol`` is the invertibility cutoff for L)."""
     prod = (
         chirp_block(f.Q)
-        @ dilation_block(f.L)
+        @ dilation_block(f.L, tol)
         @ multiplier_block(f.P)
         @ interchange(f.J)
     )
@@ -74,11 +75,14 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
     if d > MAX_SEARCH_DIM:
         raise ValueError(f"exhaustive index-set search supports d <= {MAX_SEARCH_DIM}, got d={d}")
     _, scale = singular_extremes(S.mat)
+    # the default is read once per call, not once per subset
+    default = default_tol()
+    search_tol = default if tol is None else tol
     best: IndexSet | None = None
     best_score = -np.inf
     for J in IndexSet.all_subsets(d):
         x = _interchange_x(S, J)
-        if not rel_invertible(x, tol, scale):
+        if not rel_invertible(x, search_tol, scale):
             continue
         score = abs(np.linalg.det(x))
         # strict improvement keeps the first-seen subset on ties, i.e. the
@@ -100,7 +104,7 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
         )
 
     f = DJFactorization(Q=Q, L=L, P=P, J=best)
-    residual = float(np.linalg.norm(dj_compose(f).mat - S.mat))
+    residual = float(np.linalg.norm(dj_compose(f, default).mat - S.mat))
     return DJFactorization(Q=Q, L=L, P=P, J=best, residual=residual)
 
 

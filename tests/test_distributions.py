@@ -6,10 +6,13 @@ agreement bar is roundoff), then against closed forms for Gaussian inputs
 on the central part of the window where periodic wrap is negligible.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from metaplectic.metaplectic_numeric.distributions import (
+    MAX_DISTRIBUTION_POINTS,
     mp_norm,
     rihacek,
     rihacek_projection,
@@ -307,3 +310,31 @@ def test_mp_norm_all_exponents_positive_on_random_data():
     g = _random_function(grid, 31)
     assert mp_norm(f, g, 2.0) > 0.0
     assert mp_norm(f, g, 1.0, np.inf) > 0.0
+
+
+# -- guards ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("builder", [wigner, stft, rihacek, tensor_with_conj])
+def test_full_builders_refuse_oversized_grids_before_allocating(builder):
+    # 128^4 = 2^28 points would be 4.3 GB per complex array
+    grid = Grid.selfdual(2, 128)
+    f = GaussianChirp.standard(2).sample(grid)
+    assert 128**4 > MAX_DISTRIBUTION_POINTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limit is {MAX_DISTRIBUTION_POINTS}"):
+            builder(f, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("projection", [wigner_projection, stft_projection])
+def test_generic_pipeline_names_the_grid_requirement(projection):
+    # on a grid that is not self-dual the partial FT leaves a frequency axis
+    # whose step differs from the space axis the rescaling swaps it with
+    f = GaussianChirp.standard(1).sample(Grid.regular(1, 64, 5.0))
+    with pytest.raises(ValueError, match=r"permutes grid axes 1 and 2.*partial Fourier transform on J"):
+        wigner_metaplectic(projection(1), f, f, force_generic=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metaplectic.metaplectic_numeric import (
+    Axis,
     GaussianChirp,
     Grid,
     GridFunction,
@@ -329,3 +330,18 @@ def test_l2_norm_is_preserved_by_pipeline():
     for seed in (7, 8, 9, 12, 13, 16):
         out = apply_metaplectic(random_symplectic(seed, 1), f)
         assert lp_norm(out, 2.0) == pytest.approx(before, rel=1e-6)
+
+
+def test_apply_metaplectic_names_the_grid_requirement_before_running():
+    # the partial FT on J = {1, 2} leaves axes of unequal step, which the
+    # rescaling stage then swaps
+    grid = Grid((Axis(16, 0.31), Axis(8, 0.7)))
+    f = GaussianChirp.standard(2).sample(grid)
+    with pytest.raises(ValueError, match=r"permutes grid axes 1 and 2.*partial Fourier transform on J"):
+        apply_metaplectic(random_symplectic(2, 2), f)
+
+
+def test_rescale_apply_names_the_grid_requirement():
+    f = GaussianChirp.standard(2).sample(Grid((Axis(16, 0.31), Axis(8, 0.7))))
+    with pytest.raises(ValueError, match=r"permutes grid axes 1 and 2.*equal size and step on the input grid"):
+        rescale_apply(np.array([[0.0, 1.0], [1.0, 0.0]]), f)

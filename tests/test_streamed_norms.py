@@ -1,0 +1,141 @@
+"""Norms of the classical distributions streamed over x-row slabs.
+
+``distribution_norm`` and ``mp_norm`` never build the n^(2d)-point array:
+each slab of rows goes into one accumulator (``grid.slab_norm``).  The
+full-array path is the oracle, and the floats must agree exactly
+(``==``), not to a tolerance: ``lpq_norm`` of the whole distribution for a
+mixed norm, ``lp_norm`` of the whole STFT for ``mp_norm`` with p = q.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from metaplectic.metaplectic_numeric.distributions import (
+    distribution_norm,
+    mp_norm,
+    rihacek,
+    rihacek_projection,
+    stft,
+    stft_projection,
+    wigner,
+    wigner_projection,
+)
+from metaplectic.metaplectic_numeric.grid import (
+    SLAB_BYTES,
+    Axis,
+    Grid,
+    GridFunction,
+    lp_norm,
+    lpq_norm,
+    row_slabs,
+    slab_norm,
+)
+from metaplectic.probes import norm_equiv_probe
+
+INF = math.inf
+
+KINDS = {
+    "wigner": (wigner, wigner_projection),
+    "stft": (stft, stft_projection),
+    "rihacek": (rihacek, rihacek_projection),
+}
+
+GRIDS = {
+    "1d-1024": Grid.selfdual(1, 1024),
+    "1d-1000": Grid((Axis(1000, 0.031),)),
+    "1d-250": Grid((Axis(250, 0.063),)),
+    "2d-32": Grid.selfdual(2, 32),
+    "2d-24x16": Grid((Axis(24, 0.21), Axis(16, 0.37))),
+}
+
+MIXED = [(2.0, 1.0), (1.0, 4.0), (0.5, 3.0), (INF, 2.0), (2.0, INF), (INF, INF)]
+PLAIN = [1.0, 2.0, 3.0, INF]
+
+
+def _random_function(grid, seed):
+    rng = np.random.default_rng(seed)
+    return GridFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_streamed_norm_equals_the_full_array_norm(kind, grid_name):
+    grid = GRIDS[grid_name]
+    builder, projection = KINDS[kind]
+    f, g = _random_function(grid, 1), _random_function(grid, 2)
+    full = builder(f, g)
+    A = projection(grid.d)
+    for p, q in MIXED + [(1.0, 1.0)]:
+        assert distribution_norm(A, f, g, p, q) == lpq_norm(full, p, q), (p, q)
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
+def test_mp_norm_equals_the_full_stft_norm(grid_name):
+    grid = GRIDS[grid_name]
+    f, g = _random_function(grid, 3), _random_function(grid, 4)
+    full = stft(f, g)
+    for p in PLAIN:
+        assert mp_norm(f, g, p) == lp_norm(full, p)
+        assert mp_norm(f, g, p, p) == lp_norm(full, p)
+    for p, q in MIXED:
+        assert mp_norm(f, g, p, q) == lpq_norm(full, p, q)
+
+
+def test_test_grids_cover_several_slabs_and_leftover_rows():
+    doubled = {k: Grid(grid.axes * 2) for k, grid in GRIDS.items()}
+    assert [len(row_slabs(grid)) for grid in doubled.values()] == [4, 3, 1, 4, 1]
+    # 1000 rows of 16000 bytes: 263-row slabs, the last one takes 474 rows
+    assert [s.stop - s.start for s in row_slabs(doubled["1d-1000"])] == [263, 263, 474]
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
+def test_row_slabs_cover_axis_zero_with_slabs_of_at_least_the_floor(grid_name):
+    grid = Grid(GRIDS[grid_name].axes * 2)
+    slabs = row_slabs(grid)
+    row_bytes = 16 * math.prod(grid.shape[1:])
+    assert slabs[0].start == 0 and slabs[-1].stop == grid.shape[0]
+    assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
+    assert len(slabs) == 1 or all((s.stop - s.start) * row_bytes >= SLAB_BYTES for s in slabs)
+
+
+@pytest.mark.parametrize("rows_per_slab", [1, 3, 7, 64, 500])
+def test_slab_norm_of_any_row_cut_equals_the_full_array_norms(rows_per_slab):
+    # the reducer alone: the pairwise split of the plain sum and the row-order
+    # accumulation of the mixed norm do not depend on where slabs are cut
+    grid = Grid((Axis(300, 0.1), Axis(70, 0.2)))
+    f = _random_function(grid, 5)
+    cut = lambda: (f.values[i : i + rows_per_slab] for i in range(0, 300, rows_per_slab))
+    for p in PLAIN + [0.5]:
+        assert slab_norm(cut(), grid, p) == lp_norm(f, p), p
+    for p, q in MIXED:
+        assert slab_norm(cut(), grid, p, q) == lpq_norm(f, p, q), (p, q)
+
+
+def test_slab_norm_checks_exponents_and_split():
+    grid = Grid.selfdual(1, 16)
+    f = _random_function(grid, 6)
+    with pytest.raises(ValueError, match="p must be positive"):
+        slab_norm((f.values,), grid, 0.0)
+    with pytest.raises(ValueError, match="exponents must be positive"):
+        slab_norm((f.values,), grid, 1.0, -1.0)
+    with pytest.raises(ValueError, match="explicit split"):
+        slab_norm((f.values,), grid, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("kind", ["wigner", "rihacek"])
+def test_norm_equiv_probe_peak_memory_stays_bounded(kind):
+    # one lambda on Grid.selfdual(1, 2048): a whole distribution would be
+    # 67 MB, and the full-array probe peaked at 256 MB
+    A = KINDS[kind][1](1)
+    grid = Grid.selfdual(1, 2048)
+    tracemalloc.start()
+    try:
+        report = norm_equiv_probe(A, 2.0, 1.0, lambdas=(1.0,), grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ratios[0] > 0.0
+    assert peak < 32e6

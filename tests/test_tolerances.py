@@ -5,11 +5,20 @@ admissible interchange set, shift-invertibility) ends in the one comparison
 of ``tolerances.py``; these tests pin its boundary conventions directly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from metaplectic import ToleranceAmbiguityError, default_tol
-from metaplectic.symplectic_core import SymplecticMatrix, classify_lp, is_symplectic, multiplier_block
+from metaplectic import ToleranceAmbiguityError, default_tol, tolerances
+from metaplectic.symplectic_core import (
+    SymplecticMatrix,
+    classify_lp,
+    dj_factorize,
+    is_symplectic,
+    multiplier_block,
+    random_symplectic,
+)
 from metaplectic.tolerances import AMBIGUITY_BAND, DEFAULT_TOL, ENV_TOL, rel_invertible, rel_zero
 
 TOL = 1e-9
@@ -114,3 +123,23 @@ def test_non_finite_matrix_fails_the_block_relations():
     assert not is_symplectic(mat)
     with pytest.raises(ValueError, match="not symplectic"):
         SymplecticMatrix(mat)
+
+
+def test_dj_factorize_resolves_the_default_tolerance_once(monkeypatch):
+    # the subset search decides 2^d candidates with one reading of the
+    # environment override, and decides them as an explicit tol would
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    S = random_symplectic(3, 4)
+    explicit = dj_factorize(S, DEFAULT_TOL)
+    monkeypatch.setattr(tolerances, "os", SimpleNamespace(environ=Environ()))
+    fact = dj_factorize(S)
+    assert reads == [ENV_TOL]
+    assert fact.J == explicit.J and fact.residual == explicit.residual
+    for name in ("Q", "L", "P"):
+        assert np.array_equal(getattr(fact, name), getattr(explicit, name))
