@@ -310,9 +310,14 @@ def row_slabs(grid: Grid) -> list[slice]:
     ``SLAB_BYTES`` of complex entries; the last one takes the leftover rows,
     and a grid smaller than one slab is one slab."""
     row_bytes = 16 * math.prod(grid.shape[1:])
-    per_slab = -(-SLAB_BYTES // row_bytes)
-    n = grid.shape[0]
-    bounds = [k * per_slab for k in range(max(1, n // per_slab))] + [n]
+    return row_blocks(grid.shape[0], -(-SLAB_BYTES // row_bytes))
+
+
+def row_blocks(n: int, per_block: int) -> list[slice]:
+    """Consecutive slices of ``range(n)`` with ``per_block`` rows each; the
+    last one takes the leftover rows, and fewer than ``per_block`` rows are
+    one block."""
+    bounds = [k * per_block for k in range(max(1, n // per_block))] + [n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 

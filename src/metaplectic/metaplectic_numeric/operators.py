@@ -22,9 +22,16 @@ quantization adjoint wrap it.  The sampled stages:
                          composed through a pivoted triangular factorization;
 * ``chirp_apply``      — pointwise multiplication by exp(i pi x . Q x).
 
+The dense synthesis of a per-axis scaling is the O(n^2) product of the
+spectrum with the n x n kernel exp(2 pi i a x_k xi_m) * step.  It builds
+that kernel in blocks of output rows (``KERNEL_BLOCK_BYTES`` of complex
+entries each, at least 2 rows), so its memory is a few blocks, not the
+whole kernel (268 MB at n = 4096).  Every kernel entry and every output
+row's dot product is computed as with the whole kernel, so the result is
+bit-equal to it.
+
 ``tf_shift`` shifts in time and frequency (trigonometric interpolation off
-the lattice); ``free_apply_direct`` is the one-integral kernel form for an
-invertible upper-right block, an independent reference.
+the lattice).
 """
 
 from __future__ import annotations
@@ -33,21 +40,29 @@ import math
 
 import numpy as np
 
-from ..symplectic_core import (
-    DJFactorization,
-    IndexSet,
-    SymplecticMatrix,
-    dj_factorize,
-    is_free,
-)
+from ..symplectic_core import DJFactorization, IndexSet, dj_factorize
 from .gaussian import GaussianChirp
-from .grid import Grid, GridFunction, centered_dft, form_sum, partial_dft, partial_idft
+from .grid import (
+    Grid,
+    GridFunction,
+    centered_dft,
+    form_sum,
+    partial_dft,
+    partial_idft,
+    row_blocks,
+)
 
 #: dense per-axis synthesis is O(n^2) per line; keep axes at desk scale
 MAX_DENSE_AXIS = 4096
 
-#: output points per dense block of the direct kernel quadrature
-DIRECT_CHUNK = 1024
+#: bytes of complex kernel entries per block of output rows in the dense
+#: synthesis (8 rows at n = 4096).  Blocks that stay in cache run fastest:
+#: at n = 4096, one BLAS thread on a 2-core Xeon with 2 MiB of L2 per core,
+#: 2-16 rows took 263-271 ms per line, 64 rows 358 ms, 256 rows 425 ms and
+#: the whole kernel 398 ms (medians of 7).  Blocks always hold at least 2
+#: rows: a one-row product goes down BLAS's dot path instead of gemv and
+#: rounds differently.
+KERNEL_BLOCK_BYTES = 512 * 2**10
 
 
 def _as_param(Q, d: int) -> np.ndarray:
@@ -105,6 +120,12 @@ def multiplier_apply(P, f: GridFunction) -> GridFunction:
 def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     """|a|^{1/2} f(a x) along one axis by dense trigonometric synthesis.
 
+    Output point x_k is the spectrum's product with kernel row k,
+    exp(2 pi i a x_k xi_m) * step.  The rows are built and applied in blocks
+    of ``KERNEL_BLOCK_BYTES`` (the leftover rows join the last block, so
+    every block has at least 2 rows), which holds the memory to a few blocks
+    and keeps the result bit-equal to the product with the whole kernel.
+
     The synthesis is periodic in the window: for |a| > 1 the points a x fall
     outside it and read wrapped samples, so periodic replicas of f enter the
     output.  ``decay_ok`` of the result does not detect this.
@@ -118,10 +139,15 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
         return f
     if a == -1.0:  # exact samples of f(-x): index k -> (n - k) mod n
         return f.with_values(np.take(f.values, -np.arange(ax.n) % ax.n, axis=axis))
-    spec = centered_dft(f.values, f.grid, (axis,))
+    spec = np.moveaxis(centered_dft(f.values, f.grid, (axis,)), axis, -1)
     dual = ax.dual()
-    kernel = np.exp(2j * math.pi * np.outer(a * ax.points(), dual.points())) * dual.step
-    vals = np.moveaxis(spec, axis, -1) @ kernel.T
+    a_x, xi = a * ax.points(), dual.points()
+    vals = np.empty(spec.shape, dtype=complex)
+    # the kernel block stays the left operand of ``* dual.step``: an elided
+    # temporary is then multiplied in place with the operands in this order
+    for rows in row_blocks(ax.n, max(2, -(-KERNEL_BLOCK_BYTES // (16 * ax.n)))):
+        kernel = np.exp(2j * math.pi * np.outer(a_x[rows], xi)) * dual.step
+        vals[..., rows] = spec @ kernel.T
     return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 
 
@@ -233,44 +259,6 @@ def tf_shift(f: GridFunction, x0, xi0, tau: float = 0.0) -> GridFunction:
     return GridFunction(grid, values * constant)
 
 
-def free_apply_direct(S: SymplecticMatrix, f: GridFunction) -> GridFunction:
-    """Direct quadrature of the single-integral kernel for invertible B:
-
-        (S f)(x) = |det B|^(-1/2) exp(i pi x . D B^{-1} x)
-                   * int exp(-2 pi i (B^{-1} x) . t) exp(i pi t . B^{-1} A t) f(t) dt.
-
-    O(N^2) in the number of lattice points; independent of the staged
-    pipeline, and used to cross-check it.
-    """
-    if not is_free(S):
-        raise ValueError("direct kernel form requires an invertible upper-right block")
-    d = f.grid.d
-    if S.d != d:
-        raise ValueError(f"matrix acts in dimension {S.d}, function lives in {f.grid.d}")
-    npts = int(np.prod(f.grid.shape))
-    if npts > MAX_DENSE_AXIS * 4:
-        raise ValueError(f"direct kernel quadrature is dense; {npts} points is too many")
-
-    binv = np.linalg.inv(S.B)
-    dbinv = S.D @ binv
-    binva = binv @ S.A
-
-    pts = np.stack(f.grid.meshgrid()).reshape(d, npts).T  # (N, d)
-    fvals = f.values.ravel()
-    inner_quad = np.einsum("ni,ij,nj->n", pts, binva, pts)
-    weights = np.exp(1j * math.pi * inner_quad) * fvals * f.grid.weight
-
-    out = np.empty(npts, dtype=complex)
-    bx = pts @ binv.T  # (N, d): B^{-1} x for each output point
-    for start in range(0, npts, DIRECT_CHUNK):
-        stop = min(start + DIRECT_CHUNK, npts)
-        phase = bx[start:stop] @ pts.T  # (DIRECT_CHUNK, N)
-        out[start:stop] = np.exp(-2j * math.pi * phase) @ weights
-    out_quad = np.einsum("ni,ij,nj->n", pts, dbinv, pts)
-    out *= np.exp(1j * math.pi * out_quad) / math.sqrt(abs(np.linalg.det(S.B)))
-    return f.with_values(out.reshape(f.grid.shape))
-
-
 # -- the stage plan ----------------------------------------------------------
 
 
@@ -299,6 +287,15 @@ _INVERSE = {
 def adjoint_plan(fact: DJFactorization) -> list[tuple[str, object]]:
     """The plan of the adjoint operator: stages reversed, each inverted."""
     return [_INVERSE[stage](param) for stage, param in reversed(stage_plan(fact))]
+
+
+def require_rescale_axes(plan: list[tuple[str, object]], grid: Grid, where: str) -> None:
+    """Check, before ``plan`` runs, that its rescaling stage permutes only
+    matching axes of ``grid``, the grid that stage will run on (described by
+    ``where``), so the error names the grid requirement, not the stage."""
+    for stage, L in plan:
+        if stage == "rescale":
+            _require_matching_axes(_pivoted_lu(L)[0], grid, where)
 
 
 def run_plan(plan: list[tuple[str, object]], f):
@@ -334,11 +331,8 @@ def apply_metaplectic(S, f: GridFunction, tol: float | None = None) -> GridFunct
     if fact.d != f.grid.d:
         raise ValueError(f"matrix acts in dimension {fact.d}, function lives in {f.grid.d}")
     plan = stage_plan(fact)
-    for stage, L in plan:
-        if stage == "rescale":
-            # checked up front, on the grid that the partial FT on J leaves
-            where = f"after the partial Fourier transform on J = {list(fact.J.members)}"
-            _require_matching_axes(_pivoted_lu(L)[0], f.grid.dualized(fact.J.positions()), where)
+    where = f"after the partial Fourier transform on J = {list(fact.J.members)}"
+    require_rescale_axes(plan, f.grid.dualized(fact.J.positions()), where)
     return run_plan(plan, f)
 
 

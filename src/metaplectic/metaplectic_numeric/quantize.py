@@ -27,7 +27,7 @@ import numpy as np
 from ..symplectic_core import SymplecticMatrix, dj_factorize
 from .distributions import classical_kind, wigner_grid
 from .grid import Grid, GridFunction, centered_dft, lattice_reads
-from .operators import adjoint_plan, run_plan
+from .operators import adjoint_plan, require_rescale_axes, run_plan
 
 #: refuse to build dense operators beyond this many signal lattice points
 MAX_OPERATOR_POINTS = 4096
@@ -87,7 +87,11 @@ def opA_build(a: GridFunction, A: SymplecticMatrix) -> np.ndarray:
         tensor_grid = a.grid.dualized(fact.J.positions())
         if not tensor_grid.close_to(Grid(tensor_grid.axes[:d] * 2)):
             raise ValueError("symbol grid is not the distribution's output grid for this matrix")
-        tensor = run_plan(adjoint_plan(fact), a)
+        # the adjoint runs the inverse chirp, then the inverse rescaling, on
+        # the symbol grid
+        plan = adjoint_plan(fact)
+        require_rescale_axes(plan, a.grid, "on the symbol grid")
+        tensor = run_plan(plan, a)
         tensor_vals = tensor.values
         sig = Grid(tensor.grid.axes[:d])
     return sig.weight * tensor_vals.reshape(npts, npts)

@@ -4,7 +4,10 @@ Everything in this module is computed from first principles: dense
 transform matrices, explicit quadrature of defining integrals, and
 closed-form Gaussian integrals.  None of it calls into the package's
 FFT-based fast paths, so agreement between the two is evidence of
-correctness rather than a tautology.
+correctness rather than a tautology.  The one exception is
+``dense_axis_scale``, the whole-kernel form of the per-axis rescaling: it
+shares the package's spectrum so that the blocked synthesis can be held to
+it bit for bit.
 
 Conventions (matching the library's documented ones):
   * centered lattice  x_k = (k - n//2) * step
@@ -14,7 +17,16 @@ Conventions (matching the library's documented ones):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from metaplectic.metaplectic_numeric.grid import GridFunction, centered_dft
+from metaplectic.metaplectic_numeric.operators import MAX_DENSE_AXIS
+from metaplectic.symplectic_core import SymplecticMatrix, is_free
+
+#: output points per dense block of the direct kernel quadrature
+DIRECT_CHUNK = 1024
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +155,64 @@ def free_kernel_matrix(
         + (a / b) * y[None, :] ** 2
     )
     return abs(b) ** -0.5 * step * np.exp(1j * np.pi * phase)
+
+
+def free_apply_direct(S: SymplecticMatrix, f: GridFunction) -> GridFunction:
+    """Direct quadrature of the single-integral kernel for invertible B:
+
+        (S f)(x) = |det B|^(-1/2) exp(i pi x . D B^{-1} x)
+                   * int exp(-2 pi i (B^{-1} x) . t) exp(i pi t . B^{-1} A t) f(t) dt.
+
+    O(N^2) in the number of lattice points; independent of the staged
+    pipeline, and used to cross-check it.
+    """
+    if not is_free(S):
+        raise ValueError("direct kernel form requires an invertible upper-right block")
+    d = f.grid.d
+    if S.d != d:
+        raise ValueError(f"matrix acts in dimension {S.d}, function lives in {f.grid.d}")
+    npts = int(np.prod(f.grid.shape))
+    if npts > MAX_DENSE_AXIS * 4:
+        raise ValueError(f"direct kernel quadrature is dense; {npts} points is too many")
+
+    binv = np.linalg.inv(S.B)
+    dbinv = S.D @ binv
+    binva = binv @ S.A
+
+    pts = np.stack(f.grid.meshgrid()).reshape(d, npts).T  # (N, d)
+    fvals = f.values.ravel()
+    inner_quad = np.einsum("ni,ij,nj->n", pts, binva, pts)
+    weights = np.exp(1j * math.pi * inner_quad) * fvals * f.grid.weight
+
+    out = np.empty(npts, dtype=complex)
+    bx = pts @ binv.T  # (N, d): B^{-1} x for each output point
+    for start in range(0, npts, DIRECT_CHUNK):
+        stop = min(start + DIRECT_CHUNK, npts)
+        phase = bx[start:stop] @ pts.T  # (DIRECT_CHUNK, N)
+        out[start:stop] = np.exp(-2j * math.pi * phase) @ weights
+    out_quad = np.einsum("ni,ij,nj->n", pts, dbinv, pts)
+    out *= np.exp(1j * math.pi * out_quad) / math.sqrt(abs(np.linalg.det(S.B)))
+    return f.with_values(out.reshape(f.grid.shape))
+
+
+# --------------------------------------------------------------------------
+# per-axis rescaling with the whole synthesis kernel
+
+
+def dense_axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
+    """|a|^{1/2} f(a x) along one axis by the product with the whole n x n
+    synthesis kernel exp(2 pi i a x_k xi_m) * step (a != +-1).
+
+    This is the rescaling's dense kernel as one array (its n x n
+    temporaries peak at 512 MB at n = 4096); the package builds it in blocks
+    of rows and must match this bit for bit.
+    """
+    ax = f.grid.axes[axis]
+    spec = centered_dft(f.values, f.grid, (axis,))
+    dual = ax.dual()
+    kernel = np.exp(2j * math.pi * np.outer(a * ax.points(), dual.points())) * dual.step
+    vals = np.moveaxis(spec, axis, -1) @ kernel.T
+    return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Sampled operator stages against closed forms and the dense kernel oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from metaplectic.metaplectic_numeric import operators
 from metaplectic.metaplectic_numeric import (
     Axis,
     GaussianChirp,
@@ -10,7 +13,6 @@ from metaplectic.metaplectic_numeric import (
     GridFunction,
     apply_metaplectic,
     chirp_apply,
-    free_apply_direct,
     full_dft,
     gaussian_apply,
     gaussian_integral,
@@ -34,6 +36,7 @@ from metaplectic.symplectic_core import (
 )
 
 import oracles
+from oracles import free_apply_direct
 
 
 def _sample_chirp(seed, d=1):
@@ -148,6 +151,56 @@ def test_rescale_apply_scalar_axis_matches_closed_form():
     # box, so compare where the scaled argument stays inside
     inside = np.abs(1.7 * x) <= 0.9 * g.axes[0].extent
     assert np.max(np.abs(got.values - expected)[inside]) < 1e-12
+
+
+# the blocked synthesis must reproduce the whole-kernel product bit for bit;
+# CI reruns the tests named "bitwise" with one BLAS thread
+BITWISE_SCALES = (0.37, 1.37, -1.3, -2.4967)
+
+
+def _random_function(grid, seed):
+    rng = np.random.default_rng(seed)
+    return GridFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+
+
+@pytest.mark.parametrize("n", [8, 64, 512, 4096])
+def test_rescale_apply_bitwise_equals_whole_kernel(n):
+    f = _random_function(Grid.selfdual(1, n), n)
+    for a in BITWISE_SCALES:
+        got = rescale_apply([[a]], f).values
+        assert np.array_equal(got, oracles.dense_axis_scale(f, 0, a).values), a
+
+
+def test_rescale_apply_bitwise_equals_whole_kernel_on_each_axis_in_2d():
+    f = _random_function(Grid((Axis(32, 0.21), Axis(24, 0.35))), 2)
+    for a in BITWISE_SCALES:
+        for axis in (0, 1):
+            L = np.eye(2)
+            L[axis, axis] = a
+            got = rescale_apply(L, f).values
+            assert np.array_equal(got, oracles.dense_axis_scale(f, axis, a).values), (a, axis)
+
+
+def test_rescale_apply_bitwise_folds_a_leftover_row(monkeypatch):
+    # 7 rows per block leaves 64 = 9 * 7 + 1: the last row must join the
+    # last block, since a one-row product rounds differently
+    monkeypatch.setattr(operators, "KERNEL_BLOCK_BYTES", 7 * 16 * 64)
+    f = _random_function(Grid.selfdual(1, 64), 7)
+    for a in BITWISE_SCALES:
+        got = rescale_apply([[a]], f).values
+        assert np.array_equal(got, oracles.dense_axis_scale(f, 0, a).values), a
+
+
+def test_rescale_apply_memory_is_a_few_kernel_blocks():
+    # the whole 4096 x 4096 kernel would be three 268 MB temporaries
+    f = GaussianChirp.standard(1).sample(Grid.selfdual(1, 4096))
+    tracemalloc.start()
+    try:
+        rescale_apply([[1.37]], f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_rescale_apply_signed_permutation_is_exact_index_move():

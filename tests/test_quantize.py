@@ -12,6 +12,7 @@ import pytest
 
 from metaplectic.metaplectic_numeric.distributions import (
     rihacek_projection,
+    stft,
     stft_projection,
     wigner,
     wigner_metaplectic,
@@ -133,6 +134,14 @@ def test_generic_symbol_grid_validated():
     a = _random_function(Grid(grid.axes + grid.axes), 8)
     with pytest.raises(ValueError, match="output grid"):
         opA_build(a, rihacek_projection(1))
+
+
+def test_stft_symbol_on_a_grid_that_is_not_self_dual_names_the_grid_requirement():
+    # the symbol sits on the STFT's own output grid, but the adjoint's
+    # rescaling swaps its space and frequency axes, whose steps differ
+    f = GaussianChirp.standard(1).sample(Grid.regular(1, 64, 5.0))
+    with pytest.raises(ValueError, match=r"permutes grid axes 1 and 2.*on the symbol grid"):
+        opA_build(stft(f, f), stft_projection(1))
 
 
 def test_dense_operator_size_guard():
