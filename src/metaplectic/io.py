@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
+import math
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .metaplectic_numeric import Axis, Grid, GridFunction
 from .symplectic_core import DJFactorization, IndexSet
+
+T = TypeVar("T")
 
 
 def _fmt(x: float) -> str:
@@ -34,53 +38,89 @@ class _Lines:
     """Cursor over meaningful lines that remembers file positions."""
 
     def __init__(self, text: str):
+        raw_lines = text.splitlines()
         self.items = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(raw_lines, start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             self.items.append((lineno, stripped))
         self.pos = 0
+        #: the line a truncated input is missing
+        self.end = len(raw_lines) + 1
+
+    def ended(self, expect: str | None = None) -> ValueError:
+        """The end-of-input error; it names the line the input stops before."""
+        return ValueError(
+            f"line {self.end}: unexpected end of input" + (f" (expected {expect!r})" if expect else "")
+        )
 
     def next(self, expect: str | None = None) -> tuple[int, str]:
         if self.pos >= len(self.items):
-            raise ValueError("unexpected end of input" + (f" (expected {expect!r})" if expect else ""))
+            raise self.ended(expect)
         item = self.items[self.pos]
         self.pos += 1
         return item
 
-    def take(self, keyword: str) -> list[str]:
+    def take(self, keyword: str, convert: Callable[[list[str]], T]) -> T:
+        """``convert`` of the fields after ``keyword`` on the next line; every
+        error names that line."""
         lineno, line = self.next(expect=keyword)
         parts = line.split()
         if parts[0] != keyword:
             raise ValueError(f"line {lineno}: expected {keyword!r}, got {parts[0]!r}")
-        return parts[1:]
+        try:
+            return convert(parts[1:])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
 
     def done(self) -> bool:
         return self.pos >= len(self.items)
 
 
-def _take_int(lines: _Lines, keyword: str) -> int:
-    parts = lines.take(keyword)
+def _dimension(parts: list[str]) -> int:
     if len(parts) != 1:
-        raise ValueError(f"{keyword} line must carry exactly one integer")
+        raise ValueError("d line must carry exactly one integer")
     try:
-        return int(parts[0])
+        d = int(parts[0])
     except ValueError:
-        raise ValueError(f"{keyword} line must carry an integer, got {parts[0]!r}") from None
+        raise ValueError(f"d line must carry an integer, got {parts[0]!r}") from None
+    if d <= 0:
+        raise ValueError(f"d must be positive, got {d}")
+    return d
+
+
+def _axis(parts: list[str]) -> Axis:
+    if len(parts) != 2:
+        raise ValueError("axis line must carry n and step")
+    return Axis(int(parts[0]), float(parts[1]))
+
+
+def _members(parts: list[str]) -> tuple[int, ...]:
+    if parts == ["-"]:
+        return ()
+    try:
+        return tuple(int(v) for v in parts)
+    except ValueError:
+        raise ValueError("subset entries must be integers (or a single '-')") from None
+
+
+def _residual(parts: list[str]) -> float:
+    if len(parts) != 1:
+        raise ValueError("residual line must carry one number")
+    return float(parts[0])
 
 
 def _take_row(lines: _Lines, width: int) -> list[float]:
-    lineno, line = lines.next(expect="row")
-    parts = line.split()
-    if parts[0] != "row":
-        raise ValueError(f"line {lineno}: expected a row line, got {parts[0]!r}")
-    if len(parts) - 1 != width:
-        raise ValueError(f"line {lineno}: expected {width} entries, got {len(parts) - 1}")
-    try:
-        return [float(v) for v in parts[1:]]
-    except ValueError:
-        raise ValueError(f"line {lineno}: row entries must be numbers") from None
+    def convert(parts: list[str]) -> list[float]:
+        if len(parts) != width:
+            raise ValueError(f"expected {width} entries, got {len(parts)}")
+        try:
+            return [float(v) for v in parts]
+        except ValueError:
+            raise ValueError("row entries must be numbers") from None
+
+    return lines.take("row", convert)
 
 
 def _check_header(lines: _Lines, kind: str) -> None:
@@ -112,9 +152,7 @@ def parse_matrix(text: str) -> np.ndarray:
     """
     lines = _Lines(text)
     _check_header(lines, "symplectic-matrix")
-    d = _take_int(lines, "d")
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
+    d = lines.take("d", _dimension)
     if not lines.done() and lines.items[lines.pos][1].split()[0] == "label":
         lines.next()
     rows = [_take_row(lines, 2 * d) for _ in range(2 * d)]
@@ -140,20 +178,16 @@ def write_grid_function(f: GridFunction) -> str:
 def parse_grid_function(text: str) -> GridFunction:
     lines = _Lines(text)
     _check_header(lines, "grid-function")
-    d = _take_int(lines, "d")
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
-    axes = []
-    for _ in range(d):
-        parts = lines.take("axis")
-        if len(parts) != 2:
-            raise ValueError("axis line must carry n and step")
-        axes.append(Axis(int(parts[0]), float(parts[1])))
+    d = lines.take("d", _dimension)
+    axes = tuple(lines.take("axis", _axis) for _ in range(d))
     marker_line, marker = lines.next(expect="values")
     if marker != "values":
         raise ValueError(f"line {marker_line}: expected the values marker, got {marker!r}")
-    grid = Grid(tuple(axes))
-    count = int(np.prod(grid.shape))
+    grid = Grid(axes)
+    count = math.prod(grid.shape)
+    # the header alone may declare more samples than memory holds
+    if count > len(lines.items) - lines.pos:
+        raise lines.ended("a value line")
     flat = np.empty(count, dtype=complex)
     for i in range(count):
         lineno, line = lines.next(expect="a value line")
@@ -192,21 +226,9 @@ def write_dj(fact: DJFactorization) -> str:
 def parse_dj(text: str) -> DJFactorization:
     lines = _Lines(text)
     _check_header(lines, "dj-factorization")
-    d = _take_int(lines, "d")
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
-    parts = lines.take("subset")
-    if parts == ["-"]:
-        members: tuple[int, ...] = ()
-    else:
-        try:
-            members = tuple(int(v) for v in parts)
-        except ValueError:
-            raise ValueError("subset entries must be integers (or a single '-')") from None
-    parts = lines.take("residual")
-    if len(parts) != 1:
-        raise ValueError("residual line must carry one number")
-    residual = float(parts[0])
+    d = lines.take("d", _dimension)
+    J = lines.take("subset", lambda parts: IndexSet.of(d, _members(parts)))
+    residual = lines.take("residual", _residual)
     mats = {}
     for name in ("Q", "L", "P"):
         lineno, line = lines.next(expect=name)
@@ -216,9 +238,7 @@ def parse_dj(text: str) -> DJFactorization:
     if not lines.done():
         lineno, line = lines.next()
         raise ValueError(f"line {lineno}: trailing content {line!r}")
-    return DJFactorization(
-        Q=mats["Q"], L=mats["L"], P=mats["P"], J=IndexSet.of(d, members), residual=residual
-    )
+    return DJFactorization(Q=mats["Q"], L=mats["L"], P=mats["P"], J=J, residual=residual)
 
 
 # -- probe reports and CSV export ----------------------------------------------

@@ -4,12 +4,9 @@ from .grid import (
     Axis,
     Grid,
     GridFunction,
-    full_dft,
-    full_idft,
     herm_inner,
     lp_norm,
     lpq_norm,
-    outer,
     partial_dft,
     partial_idft,
     phase_align_distance,
@@ -46,8 +43,6 @@ __all__ = [
     "apply_metaplectic",
     "chirp_apply",
     "distribution_norm",
-    "full_dft",
-    "full_idft",
     "gaussian_apply",
     "gaussian_integral",
     "herm_inner",
@@ -57,7 +52,6 @@ __all__ = [
     "multiplier_apply",
     "opA_apply",
     "opA_build",
-    "outer",
     "partial_dft",
     "partial_ft",
     "partial_idft",

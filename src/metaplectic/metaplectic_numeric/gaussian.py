@@ -211,7 +211,3 @@ class GaussianChirp:
             * np.exp(1j * math.pi * quad - 2j * math.pi * complex(self.b @ x0))
         )
         return GaussianChirp(gamma, self.M, self.b - self.M @ x0 + xi0)
-
-    def conj(self) -> "GaussianChirp":
-        """Complex conjugate (still a Gaussian chirp: M -> -conj(M), b -> -conj(b))."""
-        return GaussianChirp(np.conj(self.gamma), -np.conj(self.M), -np.conj(self.b))

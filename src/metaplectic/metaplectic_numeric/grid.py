@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,8 +77,8 @@ class Axis:
     def dual(self) -> "Axis":
         return Axis(self.n, 1.0 / (self.n * self.step))
 
-    def close_to(self, other: "Axis", rtol: float = 1e-9) -> bool:
-        return self.n == other.n and math.isclose(self.step, other.step, rel_tol=rtol)
+    def close_to(self, other: "Axis") -> bool:
+        return self.n == other.n and math.isclose(self.step, other.step, rel_tol=1e-9)
 
     @property
     def is_selfdual(self) -> bool:
@@ -148,10 +148,8 @@ class Grid:
         which = set(axes)
         return Grid(tuple(ax.dual() if i in which else ax for i, ax in enumerate(self.axes)))
 
-    def close_to(self, other: "Grid", rtol: float = 1e-9) -> bool:
-        return self.d == other.d and all(
-            a.close_to(b, rtol) for a, b in zip(self.axes, other.axes)
-        )
+    def close_to(self, other: "Grid") -> bool:
+        return self.d == other.d and all(a.close_to(b) for a, b in zip(self.axes, other.axes))
 
 
 class GridFunction:
@@ -168,13 +166,8 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def sample(cls, grid: Grid, fn: Callable[..., np.ndarray]) -> "GridFunction":
-        """Sample ``fn(x1, ..., xd)`` on the lattice (vectorized over meshgrids)."""
-        return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=complex))
-
-    def with_values(self, values: np.ndarray, grid: Grid | None = None) -> "GridFunction":
-        return GridFunction(self.grid if grid is None else grid, values)
+    def with_values(self, values: np.ndarray) -> "GridFunction":
+        return GridFunction(self.grid, values)
 
     @property
     def decay_ok(self) -> bool:
@@ -273,14 +266,6 @@ def partial_dft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
 def partial_idft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
     """Inverse of :func:`partial_dft` along the given axes (conjugate kernel)."""
     return GridFunction(f.grid.dualized(axes), centered_dft(f.values, f.grid, axes, inverse=True))
-
-
-def full_dft(f: GridFunction) -> GridFunction:
-    return partial_dft(f, tuple(range(f.grid.d)))
-
-
-def full_idft(f: GridFunction) -> GridFunction:
-    return partial_idft(f, tuple(range(f.grid.d)))
 
 
 # -- norms and inner products ----------------------------------------------
@@ -430,10 +415,3 @@ def phase_align_distance(f: GridFunction, g: GridFunction) -> float:
     overlap = abs(herm_inner(f, g))
     gap = norm_f**2 + norm_g**2 - 2.0 * overlap
     return math.sqrt(max(gap, 0.0)) / norm_g
-
-
-def outer(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Tensor product f (x) g on the concatenated grid."""
-    grid = Grid(f.grid.axes + g.grid.axes)
-    vals = np.multiply.outer(f.values, g.values)
-    return GridFunction(grid, vals)

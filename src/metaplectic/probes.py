@@ -31,10 +31,7 @@ from .metaplectic_numeric import (
     apply_metaplectic,
     distribution_norm,
     lp_norm,
-    lpq_norm,
     mp_norm,
-    rescale_apply,
-    tensor_with_conj,
 )
 from .symplectic_core import (
     BoundednessCase,
@@ -57,7 +54,6 @@ __all__ = [
     "FLATNESS_FACTOR",
     "ProbeReport",
     "beckner_probe",
-    "mixed_norm_check",
     "norm_equiv_probe",
     "quasi_isometry_probe",
     "unbounded_probe",
@@ -330,31 +326,5 @@ def norm_equiv_probe(
         parameters={"p": p, "q": q, "d": d, "n": g.axes[0].n, "spread": spread},
         ratios=tuple(ratios),
         reference=None,
-        verdict=verdict,
-    )
-
-
-def mixed_norm_check(M, f: GridFunction, g: GridFunction, p: float, q: float) -> ProbeReport:
-    """Measure ||T_M (f (x) conj g)||_{p,q} against ||f||_p ||g||_q.
-
-    The substitution T_M is the rescaling stage on the doubled grid.  The
-    product form holds for p = q and unimodular det M, and fails in general
-    for p != q (the inner/outer integration order does not commute with the
-    substitution); this check reports the measured ratio either way.
-    """
-    d = f.grid.d
-    M = np.asarray(M, dtype=float)
-    if M.shape != (2 * d, 2 * d):
-        raise ValueError(f"substitution matrix must be {2 * d}x{2 * d}, got {M.shape}")
-    h = tensor_with_conj(f, g)
-    u = rescale_apply(M, h)
-    denom = lp_norm(f, p) * lp_norm(g, q)
-    ratio = lpq_norm(u, p, q) / denom
-    verdict = "converges" if abs(ratio - 1.0) <= 1e-4 else "diverges"
-    return ProbeReport(
-        probe="mixed-norm",
-        parameters={"p": p, "q": q, "d": d, "det": float(np.linalg.det(M))},
-        ratios=(ratio,),
-        reference=1.0,
         verdict=verdict,
     )

@@ -10,7 +10,6 @@ from .types import (
 from .generators import (
     chirp_block,
     dilation_block,
-    generator,
     interchange,
     multiplier_block,
     random_symplectic,
@@ -28,12 +27,10 @@ from .classify import (
 from .factorize import (
     dj_compose,
     dj_factorize,
-    free_compose,
     free_factorize,
-    lower_tri_alternate,
     lower_tri_factorize,
 )
-from .identities import free_block_test, redox_split, unipotent_inverse
+from .identities import free_block_test, redox_split
 from .shiftinv import (
     WignerSplit,
     admissible_shift_range,
@@ -60,13 +57,10 @@ __all__ = [
     "dj_compose",
     "dj_factorize",
     "free_block_test",
-    "free_compose",
     "free_factorize",
-    "generator",
     "interchange",
     "is_free",
     "is_symplectic",
-    "lower_tri_alternate",
     "lower_tri_factorize",
     "multiplier_block",
     "random_symplectic",
@@ -76,6 +70,5 @@ __all__ = [
     "shift_submatrix",
     "standard_involution",
     "symplectic_residual",
-    "unipotent_inverse",
     "wigner_split",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..tolerances import default_tol, rel_invertible, rel_zero, singular_extremes
 from .classify import is_free, is_symplectic
-from .generators import chirp_block, dilation_block, interchange, multiplier_block, standard_involution
+from .generators import chirp_block, dilation_block, interchange, multiplier_block
 from .types import DJFactorization, IndexSet, SymplecticMatrix
 
 #: exhaustive subset search is O(2^d); keep it at desk scale
@@ -126,42 +126,13 @@ def free_factorize(S: SymplecticMatrix, tol: float | None = None) -> tuple[np.nd
     return q1, l1, p1
 
 
-def free_compose(q1: np.ndarray, l1: np.ndarray, p1: np.ndarray) -> SymplecticMatrix:
-    """Multiply the free-case factors V_{Q1} . D_{L1} . Pi_full . V_{P1}."""
-    d = q1.shape[0]
-    return (
-        chirp_block(q1)
-        @ dilation_block(l1)
-        @ standard_involution(d)
-        @ chirp_block(p1)
-    )
-
-
-def _require_lower_tri(S: SymplecticMatrix, tol: float | None) -> None:
-    _, scale = singular_extremes(S.mat)
-    if not rel_zero(S.B, tol, scale):
-        raise ValueError("lower-triangular factorization requires a vanishing upper-right block")
-
-
 def lower_tri_factorize(S: SymplecticMatrix, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Two-generator form for B = 0:
 
         S = V_Q . D_L        with Q = C A^{-1}, L = A^{-1}.
-
-    The same data also gives the reversed-order form S = D_{A^{-1}} . V_{A^T C}
-    (see :func:`lower_tri_alternate`).
     """
-    _require_lower_tri(S, tol)
+    _, scale = singular_extremes(S.mat)
+    if not rel_zero(S.B, tol, scale):
+        raise ValueError("lower-triangular factorization requires a vanishing upper-right block")
     ainv = np.linalg.inv(S.A)
     return S.C @ ainv, ainv
-
-
-def lower_tri_alternate(S: SymplecticMatrix, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Reversed-order two-generator form for B = 0:
-
-        S = D_{A^{-1}} . V_{A^T C}
-
-    returning (L, P) = (A^{-1}, A^T C).
-    """
-    _require_lower_tri(S, tol)
-    return np.linalg.inv(S.A), S.A.T @ S.C

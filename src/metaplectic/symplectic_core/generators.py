@@ -66,31 +66,17 @@ def standard_involution(d: int) -> SymplecticMatrix:
     return interchange(IndexSet.full(d))
 
 
-_KINDS = {"chirp": chirp_block, "multiplier": multiplier_block, "dilation": dilation_block}
-
-
-def generator(kind: str, param) -> SymplecticMatrix:
-    """Dispatch on ``kind`` in {'chirp', 'multiplier', 'dilation'}."""
-    try:
-        build = _KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown generator kind {kind!r}; expected one of {sorted(_KINDS)}") from None
-    return build(param)
-
-
-def random_symplectic(seed: int, d: int, n_factors: int = 10) -> SymplecticMatrix:
+def random_symplectic(seed: int, d: int) -> SymplecticMatrix:
     """Deterministic random product of generators.
 
-    Draws ``n_factors`` factors uniformly from the four generator families
+    Draws ten factors uniformly from the four generator families
     with well-conditioned parameters, so that products stay at desk scale.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    if n_factors < 1:
-        raise ValueError(f"n_factors must be >= 1, got {n_factors}")
     rng = np.random.default_rng(seed)
     mat = np.eye(2 * d)
-    for _ in range(n_factors):
+    for _ in range(10):
         kind = rng.integers(0, 4)
         if kind == 0 or kind == 1:
             w = rng.uniform(-1.0, 1.0, size=(d, d))

@@ -67,11 +67,3 @@ def redox_split(
     dil = dilation_block(np.eye(J.d) + pjc @ P @ pj)
     lower = chirp_block(-pj @ P @ pj)
     return conjugated, (upper, dil, lower)
-
-
-def unipotent_inverse(P, J: IndexSet) -> np.ndarray:
-    """Closed-form inverse of I + I_{J^c} P I_J, namely I - I_{J^c} P I_J."""
-    P = np.asarray(P, dtype=float)
-    pj = J.projector()
-    pjc = J.complement().projector()
-    return np.eye(J.d) - pjc @ P @ pj

@@ -94,9 +94,6 @@ class SymplecticMatrix:
 
     # -- misc ------------------------------------------------------------
 
-    def residual(self) -> float:
-        return symplectic_residual(self.mat)
-
     def __repr__(self) -> str:
         return f"SymplecticMatrix(d={self.d})"
 
@@ -128,10 +125,6 @@ class IndexSet:
     @classmethod
     def full(cls, d: int) -> "IndexSet":
         return cls(d, tuple(range(1, d + 1)))
-
-    @classmethod
-    def empty(cls, d: int) -> "IndexSet":
-        return cls(d, ())
 
     def complement(self) -> "IndexSet":
         return IndexSet(self.d, tuple(j for j in range(1, self.d + 1) if j not in self.members))

@@ -114,12 +114,12 @@ def rel_zero(
     return _verdict(smax, tol, 1.0 if scale is None else scale, what, below=True)
 
 
-def require_symmetric(mat: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
+def require_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     """Validate approximate symmetry and return the matrix as float array."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if float(np.abs(mat - mat.T).max(initial=0.0)) > tol * scale:
+    if float(np.abs(mat - mat.T).max(initial=0.0)) > 1e-8 * scale:
         raise ValueError(f"{name} must be symmetric")
     return mat

@@ -131,6 +131,15 @@ def test_sample_then_apply_preserves_l2(tmp_path, capsys):
     assert transformed.grid.shape == (128,)
 
 
+def test_apply_rejects_a_header_larger_than_the_file(tmp_path, capsys):
+    # 4e6 x 4e6 declared samples would be 233 TiB; the file holds one line
+    sig = tmp_path / "huge.txt"
+    sig.write_text("grid-function v1\nd 2\naxis 4000000 1\naxis 4000000 1\nvalues\n0 0\n")
+    mat = _matrix_file(tmp_path, standard_involution(2).mat)
+    assert main(["apply", mat, str(sig)]) == 2
+    assert "line 7: unexpected end of input" in capsys.readouterr().err
+
+
 def test_sample_reports_poor_decay(tmp_path, capsys):
     sig = tmp_path / "wide.txt"
     assert main(["sample", "--d", "1", "--n", "16", "--lam", "1e-6", "--out", str(sig)]) == 0

@@ -122,6 +122,40 @@ def test_grid_function_parse_rejects_missing_values():
         parse_grid_function(text)
 
 
+GRID_1D = "grid-function v1\nd 1\n"
+DJ_1D = "dj-factorization v1\nd 1\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_grid_function, GRID_1D + "axis abc 0.5\n"),
+        (parse_grid_function, GRID_1D + "axis 3 0.5\n"),
+        (parse_grid_function, GRID_1D + "axis 4\n"),
+        (parse_grid_function, GRID_1D + "axis 4 -1\n"),
+        (parse_grid_function, "grid-function v1\nd x\n"),
+        (parse_matrix, "symplectic-matrix v1\nd x\n"),
+        (parse_dj, "dj-factorization v1\nd x\n"),
+        (parse_dj, DJ_1D + "subset -\nresidual abc\n"),
+        (parse_dj, DJ_1D + "subset 3\nresidual 0.0\n"),
+    ],
+    ids=[
+        "axis-n-not-int",
+        "axis-n-odd",
+        "axis-without-step",
+        "axis-step-negative",
+        "grid-function-d-not-int",
+        "matrix-d-not-int",
+        "dj-d-not-int",
+        "residual-not-float",
+        "subset-out-of-range",
+    ],
+)
+def test_parse_errors_name_their_line(parse, text):
+    with pytest.raises(ValueError, match=r"line \d+"):
+        parse(text)
+
+
 # -- factorization reports ---------------------------------------------------------
 
 

@@ -11,7 +11,6 @@ from metaplectic.symplectic_core import (
     chirp_block,
     dilation_block,
     free_block_test,
-    generator,
     interchange,
     is_symplectic,
     multiplier_block,
@@ -19,7 +18,6 @@ from metaplectic.symplectic_core import (
     redox_split,
     standard_involution,
     symplectic_residual,
-    unipotent_inverse,
 )
 
 
@@ -73,15 +71,6 @@ def test_interchange_inverse_is_transpose():
 def test_standard_involution_squares_to_minus_identity():
     j = standard_involution(3)
     assert np.array_equal(j.mat @ j.mat, -np.eye(6))
-
-
-def test_generator_dispatch_and_unknown_kind():
-    p = np.array([[2.0]])
-    assert np.array_equal(generator("chirp", p).mat, chirp_block(p).mat)
-    assert np.array_equal(generator("multiplier", p).mat, multiplier_block(p).mat)
-    assert np.array_equal(generator("dilation", p).mat, dilation_block(p).mat)
-    with pytest.raises(ValueError, match="unknown generator kind"):
-        generator("twist", p)
 
 
 def test_symplectic_matrix_rejects_non_symplectic():
@@ -160,7 +149,7 @@ def test_unipotent_inverse_identity(seed, d, pick):
     subsets = list(IndexSet.all_subsets(d))
     j = subsets[pick % len(subsets)]
     m = np.eye(d) + j.complement().projector() @ p @ j.projector()
-    inv = unipotent_inverse(p, j)
+    inv = np.eye(d) - j.complement().projector() @ p @ j.projector()
     assert np.max(np.abs(m @ inv - np.eye(d))) < 1e-12
     assert np.max(np.abs(inv @ m - np.eye(d))) < 1e-12
 
