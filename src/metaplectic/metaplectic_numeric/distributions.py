@@ -23,11 +23,23 @@ with all rows, which ``MAX_DISTRIBUTION_POINTS`` caps; ``distribution_norm``
 and ``mp_norm`` call it slab by slab (``grid.row_slabs``: at least
 ``grid.SLAB_BYTES`` of entries per slab, leftover rows in the last) and
 stream the slabs into ``grid.slab_norm``, so their memory is one slab
-instead of n^(2d) points.  The floats equal the full-array norms exactly: a
-row's values do not depend on the slab around it as long as no slab is
-smaller than numpy's 256 KiB temporary-elision floor, under which a
-complex product would run out of place with its operands in the other
-order, and round differently.
+instead of n^(2d) points.
+
+The Wigner and STFT rows read the signals through read-only strided views:
+every read is a Toeplitz or Hankel pattern in (x-row j, column k), so once
+the input shift of the transform is folded into the column order one
+``as_strided`` view of the signal tiled three times per axis serves it, with
+no index array and no shift copy, and ``grid.shifted_dft`` transforms the
+product.
+
+The floats equal the full-array norms exactly: a row's values do not depend
+on the slab around it.  The 4 MiB slab floor still matters for that.  Below
+numpy's 256 KiB temporary-elision size an expression such as the Rihaczek
+rows' ``vals * np.exp(...)`` runs out of place, with its operands in the
+other order, and a complex product rounds differently.  The Wigner and STFT
+products are written as ``np.multiply(f_view, conj_g)``, so their operand
+order is fixed, and their ``(2.0**d) *`` and transform scalings multiply by
+a real number, which rounds the same in either order.
 """
 
 from __future__ import annotations
@@ -43,8 +55,8 @@ from ..symplectic_core import (
     dilation_block,
     interchange,
 )
-from .grid import Axis, Grid, GridFunction, centered_dft, form_sum, lattice_reads
-from .grid import lpq_norm, row_slabs, slab_norm
+from .grid import Axis, Grid, GridFunction, centered_dft, form_sum
+from .grid import lpq_norm, row_slabs, shifted_dft, slab_norm
 from .operators import apply_metaplectic
 
 
@@ -66,16 +78,42 @@ def _check_points(what: str, npts: int) -> None:
         )
 
 
+def _periodic_reads(values: np.ndarray):
+    """``read(rows, sj, sk)``: the read-only view V[j, k] = values[(sj j + sk k)
+    mod n] per axis (signs sj, sk = +-1) on the x-rows ``rows`` of the doubled
+    grid (*shape, *shape), with no index array.
+
+    It is a strided view of ``values`` tiled three times along every axis
+    (entry n + m of an axis holds values[m mod n]), built once here.
+    """
+    shape = values.shape
+    tiled = np.tile(values, (3,) * values.ndim)
+
+    def read(rows: slice, sj: int, sk: int) -> np.ndarray:
+        start, stop, _ = rows.indices(shape[0])
+        corner = tuple(
+            slice(n + (sj * start if ax == 0 else 0), None) for ax, n in enumerate(shape)
+        )
+        return np.lib.stride_tricks.as_strided(
+            tiled[corner],
+            (stop - start,) + shape[1:] + shape,
+            tuple(sj * s for s in tiled.strides) + tuple(sk * s for s in tiled.strides),
+            writeable=False,
+        )
+
+    return read
+
+
 def _wigner_rows(f: GridFunction, g: GridFunction):
     d = f.grid.d
-    shape = f.grid.shape
     doubled = Grid(f.grid.axes + f.grid.axes)
+    f_at, g_at = _periodic_reads(f.values), _periodic_reads(g.values)
 
     def build(rows: slice) -> np.ndarray:
-        paired = f.values[lattice_reads(shape, 1, 1, rows)] * np.conj(
-            g.values[lattice_reads(shape, 1, -1, rows)]
-        )
-        spectral = centered_dft(paired, doubled, tuple(range(d, 2 * d)))
+        # f(x + u) conj(g(x - u)) with the u axes already in FFT order:
+        # f at (j + k) mod n and g at (j - k) mod n
+        paired = np.multiply(f_at(rows, 1, 1), np.conj(g_at(rows, 1, -1)))
+        spectral = shifted_dft(paired, doubled, tuple(range(d, 2 * d)))
         return (2.0**d) * spectral
 
     return wigner_grid(f.grid), build
@@ -83,16 +121,16 @@ def _wigner_rows(f: GridFunction, g: GridFunction):
 
 def _stft_rows(f: GridFunction, g: GridFunction):
     d = f.grid.d
-    shape = f.grid.shape
     freq = tuple(range(d, 2 * d))
     doubled = Grid(f.grid.axes + f.grid.axes)
+    f_shifted = np.fft.ifftshift(f.values)
+    g_at = _periodic_reads(g.values)
 
     def build(rows: slice) -> np.ndarray:
-        # gather V(x, t) = f(t) conj(g(t - x)) with exact periodic index reads
-        gathered = f.values[lattice_reads(shape, 0, 1, rows)] * np.conj(
-            g.values[lattice_reads(shape, -1, 1, rows)]
-        )
-        return centered_dft(gathered, doubled, freq)
+        # V(x, t) = f(t) conj(g(t - x)) with the t axes already in FFT order:
+        # g at (k - j) mod n
+        gathered = np.multiply(f_shifted, np.conj(g_at(rows, -1, 1)))
+        return shifted_dft(gathered, doubled, freq)
 
     return doubled.dualized(freq), build
 

@@ -11,9 +11,14 @@ axis is again centered, with step 1 / (n * step).  A grid whose frequency
 lattice coincides with its space lattice (n * step^2 = 1, i.e. n = 4 T^2 for
 half-width T) is called self-dual; transforms then map a grid to itself.
 
-``centered_dft`` is the one transform loop.  It works on plain arrays, so
-the numeric layer keeps its intermediates as arrays and follows one rule:
-one ``GridFunction`` per public result (the constructor copies its input).
+``centered_dft`` is the one transform loop.  It shifts the input into FFT
+order on every transformed axis at once and enters ``shifted_dft``, which
+per axis runs the FFT and writes the two swapped half-blocks times the
+lattice scale in one pass (the output shift; every axis length is even).
+Callers whose samples are already in FFT order, like the distribution rows,
+enter ``shifted_dft`` directly.  Both work on plain arrays, so the numeric
+layer keeps its intermediates as arrays and follows one rule: one
+``GridFunction`` per public result (the constructor copies its input).
 
 Quadrature, norms and inner products all carry the lattice weight, so the
 discrete Parseval identity holds exactly on every grid.
@@ -63,8 +68,8 @@ class Axis:
     def __post_init__(self):
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"axis needs an even number of points >= 2, got {self.n}")
-        if not self.step > 0.0:
-            raise ValueError(f"axis step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"axis step must be positive and finite, got {self.step}")
 
     def points(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.step
@@ -211,16 +216,14 @@ def form_sum(coef, x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = Non
     return total
 
 
-def lattice_reads(
-    shape: tuple[int, ...], a: int, b: int, rows: slice = slice(None)
-) -> tuple[np.ndarray, ...]:
+def lattice_reads(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray, ...]:
     """Per-axis indices (a (j - h) + b (k - h) + h) mod n of a periodic read.
 
     j runs over the first d axes of the doubled grid (*shape, *shape), k over
-    the last d, and h = n // 2 is the centre of each axis.  ``rows`` keeps
-    the j of axis 0 in that slice, the x-rows of one slab.  The arrays
-    broadcast against the doubled shape (with axis 0 cut to ``rows``); each
-    holds at most n^2 entries.
+    the last d, and h = n // 2 is the centre of each axis.  The arrays
+    broadcast against the doubled shape; each holds at most n^2 entries.
+    The one caller is the two-to-one scatter of ``quantize._wigner_adjoint``;
+    the distribution rows read the signal through strided views instead.
     """
     d = len(shape)
     out = []
@@ -230,8 +233,7 @@ def lattice_reads(
         idx = h
         for coef, slot in ((a, ax), (b, d + ax)):
             if coef:
-                pts = centred[rows] if slot == 0 else centred
-                idx = idx + coef * pts.reshape([-1 if i == slot else 1 for i in range(2 * d)])
+                idx = idx + coef * centred.reshape([-1 if i == slot else 1 for i in range(2 * d)])
         out.append(idx % n)
     return tuple(out)
 
@@ -245,12 +247,30 @@ def centered_dft(
     """Centered Fourier integral of samples on ``grid`` along the given 0-based
     axes (conjugate kernel if ``inverse``); the result lives on the grid with
     those axes dualized."""
+    axes = tuple(axes)
+    return shifted_dft(np.fft.ifftshift(values, axes=axes), grid, axes, inverse)
+
+
+def shifted_dft(
+    values: np.ndarray, grid: Grid, axes: Sequence[int], inverse: bool = False
+) -> np.ndarray:
+    """:func:`centered_dft` of samples that are already in FFT order (the
+    input shift done) on ``axes``.
+
+    Each axis runs one FFT, then writes its two half-blocks, times the
+    lattice scale, swapped into one fresh array: every axis length is even,
+    so that is the output shift and the scaling in one pass.
+    """
     transform = np.fft.ifft if inverse else np.fft.fft
     for ax in axes:
         n, step = grid.axes[ax].n, grid.axes[ax].step
-        values = np.fft.fftshift(
-            transform(np.fft.ifftshift(values, axes=ax), axis=ax), axes=ax
-        ) * (n * step if inverse else step)
+        scale = n * step if inverse else step
+        spec = transform(values, axis=ax)
+        values = np.empty(spec.shape, dtype=spec.dtype)
+        low = (slice(None),) * ax + (slice(None, n // 2),)
+        high = (slice(None),) * ax + (slice(n // 2, None),)
+        np.multiply(spec[high], scale, out=values[low])
+        np.multiply(spec[low], scale, out=values[high])
     return values
 
 
@@ -332,7 +352,11 @@ def _pairwise_sum(pieces: Iterator[np.ndarray], size: int) -> np.floating:
             parts.append(piece[: b - lo])
         return np.sum(np.concatenate(parts))
 
-    return node(0, size)
+    total = node(0, size)
+    # node refers to itself through its closure cell, a cycle that would keep
+    # the last slab alive until the next garbage collection
+    del node
+    return total
 
 
 def slab_norm(

@@ -4,10 +4,12 @@ Everything in this module is computed from first principles: dense
 transform matrices, explicit quadrature of defining integrals, and
 closed-form Gaussian integrals.  None of it calls into the package's
 FFT-based fast paths, so agreement between the two is evidence of
-correctness rather than a tautology.  The one exception is
-``dense_axis_scale``, the whole-kernel form of the per-axis rescaling: it
-shares the package's spectrum so that the blocked synthesis can be held to
-it bit for bit.
+correctness rather than a tautology.  The exceptions are the slow exact
+forms that a fast path must match bit for bit: ``dense_axis_scale``, the
+whole-kernel form of the per-axis rescaling, which shares the package's
+spectrum; ``looped_centered_dft``, the transform as one shift, FFT, shift
+and scaling per axis; and ``gathered_rows``, the Wigner and STFT rows by
+index gathers.
 
 Conventions (matching the library's documented ones):
   * centered lattice  x_k = (k - n//2) * step
@@ -21,7 +23,7 @@ import math
 
 import numpy as np
 
-from metaplectic.metaplectic_numeric.grid import GridFunction, centered_dft
+from metaplectic.metaplectic_numeric.grid import Grid, GridFunction, centered_dft
 from metaplectic.metaplectic_numeric.operators import MAX_DENSE_AXIS
 from metaplectic.symplectic_core import SymplecticMatrix, is_free
 
@@ -213,6 +215,65 @@ def dense_axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     kernel = np.exp(2j * math.pi * np.outer(a * ax.points(), dual.points())) * dual.step
     vals = np.moveaxis(spec, axis, -1) @ kernel.T
     return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
+
+
+# --------------------------------------------------------------------------
+# the centered transform and the distribution rows, the slow exact way
+
+
+def looped_centered_dft(
+    values: np.ndarray, grid: Grid, axes, inverse: bool = False
+) -> np.ndarray:
+    """The centered Fourier integral as one loop per axis: ifftshift, FFT,
+    fftshift, then the lattice scale (``step``, or ``n * step`` if
+    ``inverse``)."""
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for ax in axes:
+        n, step = grid.axes[ax].n, grid.axes[ax].step
+        values = np.fft.fftshift(
+            transform(np.fft.ifftshift(values, axes=ax), axis=ax), axes=ax
+        ) * (n * step if inverse else step)
+    return values
+
+
+def _gather_index(shape, a: int, b: int, rows: slice):
+    """Per-axis int64 indices (a (j - h) + b (k - h) + h) mod n on the doubled
+    grid (*shape, *shape), with the j of axis 0 cut to ``rows``."""
+    d = len(shape)
+    out = []
+    for ax, n in enumerate(shape):
+        h = n // 2
+        centred = np.arange(n) - h
+        idx = h
+        for coef, slot in ((a, ax), (b, d + ax)):
+            if coef:
+                pts = centred[rows] if slot == 0 else centred
+                idx = idx + coef * pts.reshape([-1 if i == slot else 1 for i in range(2 * d)])
+        out.append(idx % n)
+    return tuple(out)
+
+
+def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> np.ndarray:
+    """Values of ``wigner(f, g)`` (``kind="wigner"``) or ``stft(f, g)``
+    (``kind="stft"``) on the x-rows ``rows``: fancy-index gathers of
+    f(x + u) conj(g(x - u)), or of f(t) conj(g(t - x)), then
+    :func:`looped_centered_dft` over the second slot."""
+    shape = f.grid.shape
+    d = len(shape)
+    doubled = Grid(f.grid.axes + f.grid.axes)
+    freq = tuple(range(d, 2 * d))
+    if kind == "wigner":
+        paired = f.values[_gather_index(shape, 1, 1, rows)] * np.conj(
+            g.values[_gather_index(shape, 1, -1, rows)]
+        )
+        spectral = looped_centered_dft(paired, doubled, freq)
+        return (2.0**d) * spectral
+    if kind == "stft":
+        gathered = f.values[_gather_index(shape, 0, 1, rows)] * np.conj(
+            g.values[_gather_index(shape, -1, 1, rows)]
+        )
+        return looped_centered_dft(gathered, doubled, freq)
+    raise ValueError(f"no gathered rows for {kind!r}")
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ are part of the contract (0 success, 2 invalid input, 3 tolerance
 ambiguity; output byte-stable across repeated runs).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,23 @@ def test_apply_rejects_a_header_larger_than_the_file(tmp_path, capsys):
     mat = _matrix_file(tmp_path, standard_involution(2).mat)
     assert main(["apply", mat, str(sig)]) == 2
     assert "line 7: unexpected end of input" in capsys.readouterr().err
+
+
+def test_apply_rejects_an_infinite_axis_step(tmp_path, capsys):
+    # the step's dual would be 0; the error names the axis line instead
+    sig = tmp_path / "inf.txt"
+    sig.write_text("grid-function v1\nd 1\naxis 4 inf\nvalues\n" + "1 0\n" * 4)
+    mat = _matrix_file(tmp_path, standard_involution(1).mat)
+    assert main(["apply", mat, str(sig)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"line \d+: axis step must be positive and finite, got inf", err)
+
+
+def test_sample_rejects_an_infinite_extent(tmp_path, capsys):
+    out = tmp_path / "sig.txt"
+    assert main(["sample", "--d", "1", "--n", "8", "--extent", "inf", "--out", str(out)]) == 2
+    assert "positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_reports_poor_decay(tmp_path, capsys):

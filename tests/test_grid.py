@@ -1,5 +1,7 @@
 """Sampling grids, centered transforms, and lattice norms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,13 @@ def test_axis_validation():
         Axis(0, 0.5)
     with pytest.raises(ValueError):
         Axis(8, 0.0)
+
+
+def test_axis_rejects_an_infinite_step():
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        Axis(4, math.inf)
+    with pytest.raises(ValueError, match="got nan"):
+        Axis(4, math.nan)
 
 
 def test_grid_constructors():

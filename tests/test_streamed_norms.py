@@ -7,6 +7,7 @@ full-array path is the oracle, and the floats must agree exactly
 mixed norm, ``lp_norm`` of the whole STFT for ``mp_norm`` with p = q.
 """
 
+import gc
 import math
 import tracemalloc
 
@@ -139,3 +140,17 @@ def test_norm_equiv_probe_peak_memory_stays_bounded(kind):
         tracemalloc.stop()
     assert report.ratios[0] > 0.0
     assert peak < 32e6
+
+
+def test_plain_streamed_norm_leaves_no_reference_cycle():
+    # a cycle through the pairwise-sum closure kept the last slab (8 MiB at
+    # n=4096) alive until the next garbage collection
+    grid = GRIDS["1d-1024"]
+    f, g = _random_function(grid, 8), _random_function(grid, 9)
+    gc.collect()
+    gc.disable()
+    try:
+        mp_norm(f, g, 1.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
