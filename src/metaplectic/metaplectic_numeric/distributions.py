@@ -38,8 +38,9 @@ numpy's 256 KiB temporary-elision size an expression such as the Rihaczek
 rows' ``vals * np.exp(...)`` runs out of place, with its operands in the
 other order, and a complex product rounds differently.  The Wigner and STFT
 products are written as ``np.multiply(f_view, conj_g)``, so their operand
-order is fixed, and their ``(2.0**d) *`` and transform scalings multiply by
-a real number, which rounds the same in either order.
+order is fixed.  Their scalings (the transform's, and the Wigner rows'
+2^d, done in place) multiply by a real number, which rounds the same in
+either operand order.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def _wigner_rows(f: GridFunction, g: GridFunction):
         # f at (j + k) mod n and g at (j - k) mod n
         paired = np.multiply(f_at(rows, 1, 1), np.conj(g_at(rows, 1, -1)))
         spectral = shifted_dft(paired, doubled, tuple(range(d, 2 * d)))
-        return (2.0**d) * spectral
+        spectral *= 2.0**d
+        return spectral
 
     return wigner_grid(f.grid), build
 
