@@ -77,6 +77,12 @@ class _Lines:
     def done(self) -> bool:
         return self.pos >= len(self.items)
 
+    def finish(self) -> None:
+        """Reject any meaningful line left after the last expected one."""
+        if not self.done():
+            lineno, line = self.next()
+            raise ValueError(f"line {lineno}: trailing content {line!r}")
+
 
 def _dimension(parts: list[str]) -> int:
     if len(parts) != 1:
@@ -156,9 +162,7 @@ def parse_matrix(text: str) -> np.ndarray:
     if not lines.done() and lines.items[lines.pos][1].split()[0] == "label":
         lines.next()
     rows = [_take_row(lines, 2 * d) for _ in range(2 * d)]
-    if not lines.done():
-        lineno, line = lines.next()
-        raise ValueError(f"line {lineno}: trailing content {line!r}")
+    lines.finish()
     return np.array(rows, dtype=float)
 
 
@@ -198,9 +202,7 @@ def parse_grid_function(text: str) -> GridFunction:
             flat[i] = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ValueError(f"line {lineno}: value entries must be numbers") from None
-    if not lines.done():
-        lineno, line = lines.next()
-        raise ValueError(f"line {lineno}: trailing content {line!r}")
+    lines.finish()
     return GridFunction(grid, flat.reshape(grid.shape))
 
 
@@ -235,9 +237,7 @@ def parse_dj(text: str) -> DJFactorization:
         if line != name:
             raise ValueError(f"line {lineno}: expected section {name!r}, got {line!r}")
         mats[name] = np.array([_take_row(lines, d) for _ in range(d)])
-    if not lines.done():
-        lineno, line = lines.next()
-        raise ValueError(f"line {lineno}: trailing content {line!r}")
+    lines.finish()
     return DJFactorization(Q=mats["Q"], L=mats["L"], P=mats["P"], J=J, residual=residual)
 
 

@@ -11,11 +11,10 @@ from .grid import (
     partial_idft,
     phase_align_distance,
 )
-from .gaussian import GaussianChirp, gaussian_integral
+from .gaussian import GaussianChirp
 from .operators import (
     apply_metaplectic,
     chirp_apply,
-    gaussian_apply,
     multiplier_apply,
     partial_ft,
     rescale_apply,
@@ -43,8 +42,6 @@ __all__ = [
     "apply_metaplectic",
     "chirp_apply",
     "distribution_norm",
-    "gaussian_apply",
-    "gaussian_integral",
     "herm_inner",
     "lp_norm",
     "lpq_norm",

@@ -1,4 +1,4 @@
-"""Gaussian chirps with closed-form transforms.
+"""Gaussian chirps: the decaying test signals of the probes and the CLI.
 
 A Gaussian chirp is
 
@@ -6,11 +6,13 @@ A Gaussian chirp is
 
 with complex symmetric M whose imaginary part is positive definite, complex
 b, and complex amplitude gamma.  The class is closed under every operator
-stage used in this package (quadratic chirp multiplication, rescaling, full
-and partial Fourier transforms, Fourier-side multipliers, time-frequency
-shifts), each realized exactly on the parameters; L^p norms and L^2 inner
-products have closed forms.  These exact values are what the sampled
-operators are tested against.
+stage used in this package, each realized exactly on the parameters.  This
+module keeps the stages the probes and the CLI build their inputs with
+(quadratic chirp multiplication, partial Fourier transforms and
+time-frequency shifts); the other closed forms (rescaling, multipliers, the
+full transform, L^p norms, L^2 inner products and the closed-form
+interpreter of a stage plan) live with the test oracles in
+``tests/oracles.py``, where the sampled operators are checked against them.
 
 Square-root branches are taken principal, so the tracked gamma is exact up to
 a possible global sign; comparisons of sampled data against chirps should be
@@ -25,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..tolerances import rel_invertible
 from .grid import Grid, GridFunction, form_sum
 
 
@@ -38,20 +39,6 @@ def _as_matrix(M, d: int | None = None) -> np.ndarray:
     if not np.allclose(M, M.T, atol=1e-12 * max(1.0, float(np.abs(M).max()))):
         raise ValueError("quadratic form matrix must be symmetric")
     return M
-
-
-def gaussian_integral(M, b) -> complex:
-    """Closed form of the absolutely convergent integral
-    int exp(i pi x . M x + 2 pi i b . x) dx = det(-iM)^(-1/2) exp(-i pi b . M^{-1} b),
-    for complex symmetric M with positive definite imaginary part."""
-    M = _as_matrix(M)
-    b = np.atleast_1d(np.asarray(b, dtype=complex))
-    imag_eigs = np.linalg.eigvalsh(M.imag)
-    if imag_eigs.min() <= 0.0:
-        raise ValueError("integral diverges: Im M must be positive definite")
-    det = complex(np.linalg.det(-1j * M))
-    quad = complex(b @ np.linalg.solve(M, b))
-    return det ** (-0.5) * np.exp(-1j * math.pi * quad)
 
 
 @dataclass(frozen=True)
@@ -110,45 +97,12 @@ class GaussianChirp:
             raise ValueError(f"grid dimension {grid.d} does not match chirp dimension {self.d}")
         return GridFunction(grid, self(*grid.open_mesh()))
 
-    # -- closed-form functionals ---------------------------------------------
-
-    def lp_norm(self, p: float) -> float:
-        """||f||_p = |gamma| det(p Im M)^(-1/(2p)) exp(pi beta . (Im M)^{-1} beta),
-        with beta = Im b; the p = inf limit is the peak modulus."""
-        if p <= 0.0:
-            raise ValueError(f"p must be positive, got {p}")
-        a = self.M.imag
-        beta = self.b.imag
-        peak_shift = math.exp(math.pi * float(beta @ np.linalg.solve(a, beta)))
-        if math.isinf(p):
-            return abs(self.gamma) * peak_shift
-        det = float(np.linalg.det(p * a))
-        return abs(self.gamma) * det ** (-1.0 / (2.0 * p)) * peak_shift
-
-    def l2_inner(self, other: "GaussianChirp") -> complex:
-        """<f, g> = int f conj(g)."""
-        return (
-            self.gamma
-            * np.conj(other.gamma)
-            * gaussian_integral(self.M - np.conj(other.M), self.b - np.conj(other.b))
-        )
-
     # -- operator stages -----------------------------------------------------
 
     def chirp(self, Q) -> "GaussianChirp":
         """Multiply by exp(i pi x . Q x) for real symmetric Q."""
         Q = _as_matrix(Q, self.d)
         return GaussianChirp(self.gamma, self.M + Q.real, self.b)
-
-    def rescale(self, L) -> "GaussianChirp":
-        """|det L|^{1/2} f(L x) for real invertible L."""
-        L = np.atleast_2d(np.asarray(L, dtype=float))
-        if not rel_invertible(L):
-            raise ValueError("rescaling matrix must be invertible")
-        det = np.linalg.det(L)
-        return GaussianChirp(
-            self.gamma * math.sqrt(abs(det)), L.T @ self.M @ L, L.T @ self.b
-        )
 
     def partial_ft(self, positions: Sequence[int], inverse: bool = False) -> "GaussianChirp":
         """Fourier transform in the coordinates at the given 0-based positions.
@@ -190,14 +144,6 @@ class GaussianChirp:
             m_new[np.ix_(cc, cc)] = mcc - mjc.T @ cross
             b_new[cc] = bc - mjc.T @ (w @ bj)
         return GaussianChirp(gamma, m_new, b_new)
-
-    def full_ft(self, inverse: bool = False) -> "GaussianChirp":
-        return self.partial_ft(range(self.d), inverse=inverse)
-
-    def multiplier(self, P) -> "GaussianChirp":
-        """Fourier-side quadratic multiplier: FT, multiply exp(-i pi xi . P xi), inverse FT."""
-        P = _as_matrix(P, self.d)
-        return self.full_ft().chirp(-P.real).full_ft(inverse=True)
 
     def tf_shift(self, x0, xi0, tau: float = 0.0) -> "GaussianChirp":
         """Time-frequency shift: e^{2 pi i tau} e^{-i pi xi0.x0} e^{2 pi i xi0.t} f(t - x0)."""

@@ -110,8 +110,8 @@ class Grid:
             raise ValueError(f"dimension must be positive, got {d}")
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"samples per axis must be a power of two >= 8, got {n}")
-        if not extent > 0.0:
-            raise ValueError(f"extent must be positive, got {extent}")
+        if not (math.isfinite(extent) and extent > 0.0):
+            raise ValueError(f"extent must be positive and finite, got {extent}")
         return cls((Axis(n, 2.0 * extent / n),) * d)
 
     @classmethod

@@ -9,9 +9,8 @@ up to one global unimodular constant, as the stages
 ``stage_plan`` compiles a factorization into that list of ``(stage, param)``
 pairs without the identity stages (J empty, P = 0, L = I, Q = 0), and
 ``adjoint_plan`` reverses it with inverted stages.  ``run_plan`` interprets a
-plan on sampled functions or, through its closed-form methods, on a
-``GaussianChirp``; ``apply_metaplectic``, ``gaussian_apply`` and the
-quantization adjoint wrap it.  The sampled stages:
+plan on sampled functions; ``apply_metaplectic`` and the quantization adjoint
+wrap it.  The stages:
 
 * ``partial_ft``       — centered DFT on a subset of axes (exact quadrature);
 * ``multiplier_apply`` — full DFT, multiply by exp(-i pi xi . P xi), inverse
@@ -41,7 +40,6 @@ import math
 import numpy as np
 
 from ..symplectic_core import DJFactorization, IndexSet, dj_factorize
-from .gaussian import GaussianChirp
 from .grid import (
     Grid,
     GridFunction,
@@ -298,17 +296,11 @@ def require_rescale_axes(plan: list[tuple[str, object]], grid: Grid, where: str)
             _require_matching_axes(_pivoted_lu(L)[0], grid, where)
 
 
-def run_plan(plan: list[tuple[str, object]], f):
-    """Interpret a plan on a GridFunction (sampled stages) or a GaussianChirp
-    (closed-form stages).  Sampled stages are called by their module-level
-    names, looked up at call time."""
+def run_plan(plan: list[tuple[str, object]], f: GridFunction) -> GridFunction:
+    """Interpret a plan on sampled functions.  The stages are called by their
+    module-level names, looked up at call time."""
     for stage, param in plan:
-        if isinstance(f, GaussianChirp):
-            if stage in ("ft", "ift"):
-                f = f.partial_ft(tuple(param.positions()), inverse=stage == "ift")
-            else:
-                f = getattr(f, stage)(param)
-        elif stage == "ft":
+        if stage == "ft":
             f = partial_ft(f, param)
         elif stage == "ift":
             f = partial_idft(f, tuple(param.positions()))
@@ -334,11 +326,3 @@ def apply_metaplectic(S, f: GridFunction, tol: float | None = None) -> GridFunct
     where = f"after the partial Fourier transform on J = {list(fact.J.members)}"
     require_rescale_axes(plan, f.grid.dualized(fact.J.positions()), where)
     return run_plan(plan, f)
-
-
-def gaussian_apply(S, f: GaussianChirp, tol: float | None = None) -> GaussianChirp:
-    """Run the factorization of S through the closed-form Gaussian-chirp rules."""
-    fact = S if isinstance(S, DJFactorization) else dj_factorize(S, tol)
-    if fact.d != f.d:
-        raise ValueError(f"matrix acts in dimension {fact.d}, chirp lives in {f.d}")
-    return run_plan(stage_plan(fact), f)

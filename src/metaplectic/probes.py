@@ -94,6 +94,16 @@ def _ratio(out: GridFunction, f: GridFunction, p: float, q: float) -> float:
     return lp_norm(out, q) / lp_norm(f, p)
 
 
+def _spread_verdict(spread: float) -> str:
+    """``diverges`` from DIVERGENCE_FACTOR up, ``bounded`` up to
+    FLATNESS_FACTOR, ``inconclusive`` in between (and for NaN)."""
+    if spread >= DIVERGENCE_FACTOR:
+        return "diverges"
+    if spread <= FLATNESS_FACTOR:
+        return "bounded"
+    return "inconclusive"
+
+
 def beckner_probe(
     S,
     p: float,
@@ -261,14 +271,7 @@ def unbounded_probe(
                 best_growth = growth
                 best_ratios = tuple(ratios)
     if best_growth is None:
-        verdict = "inconclusive"
         best_growth = math.nan
-    elif best_growth >= DIVERGENCE_FACTOR:
-        verdict = "diverges"
-    elif best_growth <= FLATNESS_FACTOR:
-        verdict = "bounded"
-    else:
-        verdict = "inconclusive"
     return ProbeReport(
         probe="unbounded-witness",
         parameters={
@@ -281,7 +284,7 @@ def unbounded_probe(
         },
         ratios=best_ratios,
         reference=None,
-        verdict=verdict,
+        verdict=_spread_verdict(best_growth),
     )
 
 
@@ -315,16 +318,10 @@ def norm_equiv_probe(
         f = GaussianChirp.dilated(d, float(lam) ** 2).sample(g)
         ratios.append(distribution_norm(A, f, window, p, q) / mp_norm(f, window, p, q))
     spread = max(ratios) / min(ratios)
-    if spread >= DIVERGENCE_FACTOR:
-        verdict = "diverges"
-    elif spread <= FLATNESS_FACTOR:
-        verdict = "bounded"
-    else:
-        verdict = "inconclusive"
     return ProbeReport(
         probe="norm-equivalence",
         parameters={"p": p, "q": q, "d": d, "n": g.axes[0].n, "spread": spread},
         ratios=tuple(ratios),
         reference=None,
-        verdict=verdict,
+        verdict=_spread_verdict(spread),
     )

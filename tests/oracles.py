@@ -11,6 +11,12 @@ spectrum; ``looped_centered_dft``, the transform as one shift, FFT, shift
 and scaling per axis; and ``gathered_rows``, the Wigner and STFT rows by
 index gathers.
 
+The Gaussian-chirp closed forms are the exact reference for the sampled
+stages: ``gaussian_integral``, the chirp's L^p norm and L^2 inner product,
+its rescaling, full transform and Fourier multiplier, and
+``closed_form_plan``, the interpreter that runs a stage plan on a
+``GaussianChirp`` through them (``gaussian_apply`` factorizes first).
+
 Conventions (matching the library's documented ones):
   * centered lattice  x_k = (k - n//2) * step
   * dual step         1 / (n * step)
@@ -23,9 +29,11 @@ import math
 
 import numpy as np
 
+from metaplectic.metaplectic_numeric.gaussian import GaussianChirp
 from metaplectic.metaplectic_numeric.grid import Grid, GridFunction, centered_dft
-from metaplectic.metaplectic_numeric.operators import MAX_DENSE_AXIS
-from metaplectic.symplectic_core import SymplecticMatrix, is_free
+from metaplectic.metaplectic_numeric.operators import MAX_DENSE_AXIS, stage_plan
+from metaplectic.symplectic_core import SymplecticMatrix, dj_factorize, is_free
+from metaplectic.tolerances import rel_invertible
 
 #: output points per dense block of the direct kernel quadrature
 DIRECT_CHUNK = 1024
@@ -317,6 +325,86 @@ def stft_dilated_gauss_abs(lam: float, x, xi):
         * np.exp(-np.pi * lam * x**2 / (1.0 + lam))
         * np.exp(-np.pi * xi**2 / (1.0 + lam))
     )
+
+
+# --------------------------------------------------------------------------
+# Gaussian-chirp closed forms and the closed-form stage interpreter
+
+
+def gaussian_integral(M, b) -> complex:
+    """Closed form of the absolutely convergent integral
+    int exp(i pi x . M x + 2 pi i b . x) dx = det(-iM)^(-1/2) exp(-i pi b . M^{-1} b),
+    for complex symmetric M with positive definite imaginary part."""
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    b = np.atleast_1d(np.asarray(b, dtype=complex))
+    if np.linalg.eigvalsh(M.imag).min() <= 0.0:
+        raise ValueError("integral diverges: Im M must be positive definite")
+    det = complex(np.linalg.det(-1j * M))
+    quad = complex(b @ np.linalg.solve(M, b))
+    return det ** (-0.5) * np.exp(-1j * math.pi * quad)
+
+
+def chirp_lp_norm(c: GaussianChirp, p: float) -> float:
+    """||c||_p = |gamma| det(p Im M)^(-1/(2p)) exp(pi beta . (Im M)^{-1} beta),
+    with beta = Im b; the p = inf limit is the peak modulus."""
+    if p <= 0.0:
+        raise ValueError(f"p must be positive, got {p}")
+    a = c.M.imag
+    beta = c.b.imag
+    peak_shift = math.exp(math.pi * float(beta @ np.linalg.solve(a, beta)))
+    if math.isinf(p):
+        return abs(c.gamma) * peak_shift
+    det = float(np.linalg.det(p * a))
+    return abs(c.gamma) * det ** (-1.0 / (2.0 * p)) * peak_shift
+
+
+def chirp_l2_inner(c: GaussianChirp, other: GaussianChirp) -> complex:
+    """<c, other> = int c conj(other)."""
+    return (
+        c.gamma
+        * np.conj(other.gamma)
+        * gaussian_integral(c.M - np.conj(other.M), c.b - np.conj(other.b))
+    )
+
+
+def chirp_rescale(c: GaussianChirp, L) -> GaussianChirp:
+    """|det L|^{1/2} c(L x) for real invertible L."""
+    L = np.atleast_2d(np.asarray(L, dtype=float))
+    if not rel_invertible(L):
+        raise ValueError("rescaling matrix must be invertible")
+    det = np.linalg.det(L)
+    return GaussianChirp(c.gamma * math.sqrt(abs(det)), L.T @ c.M @ L, L.T @ c.b)
+
+
+def chirp_full_ft(c: GaussianChirp, inverse: bool = False) -> GaussianChirp:
+    return c.partial_ft(range(c.d), inverse=inverse)
+
+
+def chirp_multiplier(c: GaussianChirp, P) -> GaussianChirp:
+    """Fourier-side quadratic multiplier: FT, multiply exp(-i pi xi . P xi), inverse FT."""
+    return chirp_full_ft(chirp_full_ft(c).chirp(-np.real(P)), inverse=True)
+
+
+_CLOSED_FORM_STAGES = {
+    "ft": lambda c, J: c.partial_ft(tuple(J.positions())),
+    "ift": lambda c, J: c.partial_ft(tuple(J.positions()), inverse=True),
+    "multiplier": chirp_multiplier,
+    "rescale": chirp_rescale,
+    "chirp": GaussianChirp.chirp,
+}
+
+
+def closed_form_plan(plan, c: GaussianChirp) -> GaussianChirp:
+    """Interpret a stage plan (``operators.stage_plan`` or ``adjoint_plan``)
+    on a Gaussian chirp, each stage exactly on its parameters."""
+    for stage, param in plan:
+        c = _CLOSED_FORM_STAGES[stage](c, param)
+    return c
+
+
+def gaussian_apply(S, c: GaussianChirp) -> GaussianChirp:
+    """Run the factorization of S through the closed-form stages."""
+    return closed_form_plan(stage_plan(dj_factorize(S)), c)
 
 
 # --------------------------------------------------------------------------

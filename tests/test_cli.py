@@ -155,7 +155,7 @@ def test_apply_rejects_an_infinite_axis_step(tmp_path, capsys):
 def test_sample_rejects_an_infinite_extent(tmp_path, capsys):
     out = tmp_path / "sig.txt"
     assert main(["sample", "--d", "1", "--n", "8", "--extent", "inf", "--out", str(out)]) == 2
-    assert "positive and finite, got inf" in capsys.readouterr().err
+    assert "extent must be positive and finite, got inf" in capsys.readouterr().err
     assert not out.exists()
 
 

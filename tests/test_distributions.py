@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from metaplectic.metaplectic_numeric import GaussianChirp
 from metaplectic.metaplectic_numeric.distributions import (
     MAX_DISTRIBUTION_POINTS,
     mp_norm,
@@ -29,7 +30,6 @@ from metaplectic.metaplectic_numeric.grid import (
     herm_inner,
     lp_norm,
 )
-from metaplectic.metaplectic_numeric.operators import GaussianChirp
 
 from oracles import (
     gauss_lp_norm,

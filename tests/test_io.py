@@ -73,10 +73,19 @@ def test_matrix_parse_rejects_bad_header():
         parse_matrix("grid-function v1\nd 1\n")
 
 
-def test_matrix_parse_rejects_trailing_content():
-    text = write_matrix(np.eye(2)) + "row 1.0 0.0\n"
+@pytest.mark.parametrize(
+    "written, parse",
+    [
+        (lambda: write_matrix(np.eye(2)), parse_matrix),
+        (lambda: write_grid_function(GridFunction(Grid((Axis(4, 0.5),)), np.ones(4))), parse_grid_function),
+        (lambda: write_dj(dj_factorize(random_symplectic(3, 1))), parse_dj),
+    ],
+    ids=["matrix", "grid-function", "dj"],
+)
+def test_matrix_parse_rejects_trailing_content(written, parse):
+    text = written() + "row 1.0 0.0\n"
     with pytest.raises(ValueError, match="trailing content"):
-        parse_matrix(text)
+        parse(text)
 
 
 def test_matrix_parse_rejects_truncated_input():

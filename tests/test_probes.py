@@ -26,6 +26,7 @@ from metaplectic.metaplectic_numeric.distributions import (
 )
 from metaplectic.probes import (
     ProbeReport,
+    _spread_verdict,
     beckner_probe,
     norm_equiv_probe,
     quasi_isometry_probe,
@@ -48,6 +49,16 @@ SINGULAR_B = np.array(
 def test_probe_report_spread():
     r = ProbeReport("x", {}, (2.0, 4.0, 3.0), None, "bounded")
     assert r.spread == 2.0
+
+
+@pytest.mark.parametrize(
+    "spread, verdict",
+    [(10.0, "diverges"), (2.0, "bounded"), (2.0000010314, "inconclusive"), (5.0, "inconclusive")],
+)
+def test_spread_verdict_boundaries(spread, verdict):
+    # both cutoffs are inclusive; 2.0000010314 is the measured Rihaczek
+    # spread that sits just above the flatness cutoff
+    assert _spread_verdict(spread) == verdict
     assert ProbeReport("x", {}, (), None, "inconclusive").spread == 1.0
 
 

@@ -10,6 +10,7 @@ an O(n^4) brute-force matrix oracle on a tiny grid.
 import numpy as np
 import pytest
 
+from metaplectic.metaplectic_numeric import GaussianChirp
 from metaplectic.metaplectic_numeric.distributions import (
     rihacek_projection,
     stft,
@@ -19,7 +20,6 @@ from metaplectic.metaplectic_numeric.distributions import (
     wigner_projection,
 )
 from metaplectic.metaplectic_numeric.grid import Axis, Grid, GridFunction, herm_inner
-from metaplectic.metaplectic_numeric.operators import GaussianChirp
 from metaplectic.metaplectic_numeric.quantize import (
     MAX_OPERATOR_POINTS,
     opA_apply,
