@@ -113,7 +113,8 @@ def _wigner_rows(f: GridFunction, g: GridFunction):
     def build(rows: slice) -> np.ndarray:
         # f(x + u) conj(g(x - u)) with the u axes already in FFT order:
         # f at (j + k) mod n and g at (j - k) mod n
-        paired = np.multiply(f_at(rows, 1, 1), np.conj(g_at(rows, 1, -1)))
+        paired = np.conj(g_at(rows, 1, -1))
+        np.multiply(f_at(rows, 1, 1), paired, out=paired)
         spectral = shifted_dft(paired, doubled, tuple(range(d, 2 * d)))
         spectral *= 2.0**d
         return spectral
@@ -131,7 +132,8 @@ def _stft_rows(f: GridFunction, g: GridFunction):
     def build(rows: slice) -> np.ndarray:
         # V(x, t) = f(t) conj(g(t - x)) with the t axes already in FFT order:
         # g at (k - j) mod n
-        gathered = np.multiply(f_shifted, np.conj(g_at(rows, -1, 1)))
+        gathered = np.conj(g_at(rows, -1, 1))
+        np.multiply(f_shifted, gathered, out=gathered)
         return shifted_dft(gathered, doubled, freq)
 
     return doubled.dualized(freq), build
@@ -212,9 +214,7 @@ def tensor_with_conj(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(grid, np.multiply.outer(f.values, np.conj(g.values)))
 
 
-def wigner_metaplectic(
-    A: SymplecticMatrix, f: GridFunction, g: GridFunction, force_generic: bool = False
-) -> GridFunction:
+def wigner_metaplectic(A: SymplecticMatrix, f: GridFunction, g: GridFunction) -> GridFunction:
     """Distribution attached to an arbitrary matrix A in Sp(2d):
     the operator projecting to A applied to f (x) conj(g).
 
@@ -222,12 +222,12 @@ def wigner_metaplectic(
     equals one of the three classical projection matrices below (to 1e-12),
     the dedicated implementation is used instead: it pins the classical phase
     exactly and avoids the dense rescaling stage, whose cost grows like the
-    cube of the axis length.  Pass ``force_generic=True`` to bypass that
-    shortcut; note the generic output may sit on a different (coarser)
-    frequency lattice than the dedicated one.
+    cube of the axis length.  The generic pipeline itself is
+    ``apply_metaplectic(A, tensor_with_conj(f, g))``; its output may sit on a
+    different (coarser) frequency lattice than the dedicated one.
     """
     _check_phase_space(A, f)
-    kind = None if force_generic else classical_kind(A)
+    kind = classical_kind(A)
     if kind is not None:
         return _whole(kind, f, g)
     return apply_metaplectic(A, tensor_with_conj(f, g))

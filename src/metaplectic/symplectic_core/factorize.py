@@ -8,8 +8,10 @@ with V_Q = [[I,0],[Q,I]], D_L = [[inv(L),0],[0,L^T]], V_P^T = [[I,P],[0,I]]
 and Pi_J the partial interchange.  The index set J is found by exhaustive
 search (d <= 12): J is admissible exactly when X(J) = A I_{J^c} + B I_J is
 invertible, and among admissible sets we keep the best conditioned one
-(largest |det X|, ties broken toward smaller cardinality, then
-lexicographically).  Given J the parameters are forced:
+(largest |det X|).  Each cardinality gets one stack of X(J), one verdict
+and one determinant; ties keep the first maximum, so the smaller
+cardinality wins, then the lexicographically least set.  Given J the
+parameters are forced:
 
     L = X^{-1},   P = X^{-1} (B I_{J^c} - A I_J),   Q = (C I_{J^c} + D I_J) X^{-1}.
 
@@ -46,22 +48,6 @@ def dj_compose(f: DJFactorization, tol: float | None = None) -> SymplecticMatrix
     return prod
 
 
-def _interchange_x(S: SymplecticMatrix, J: IndexSet) -> np.ndarray:
-    """X(J) = A I_{J^c} + B I_J; J is admissible exactly when X(J) is invertible."""
-    return S.A @ J.complement().projector() + S.B @ J.projector()
-
-
-def _solve_for_subset(S: SymplecticMatrix, J: IndexSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve for (Q, L, P) given the interchange index set J."""
-    pj = J.projector()
-    pjc = J.complement().projector()
-    xinv = np.linalg.inv(_interchange_x(S, J))
-    L = xinv
-    P = xinv @ (S.B @ pjc - S.A @ pj)
-    Q = (S.C @ pjc + S.D @ pj) @ xinv
-    return Q, L, P
-
-
 def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorization:
     """Factor S = V_Q . D_L . V_P^T . Pi_J with an exhaustively chosen J.
 
@@ -75,25 +61,28 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
     if d > MAX_SEARCH_DIM:
         raise ValueError(f"exhaustive index-set search supports d <= {MAX_SEARCH_DIM}, got d={d}")
     _, scale = singular_extremes(S.mat)
-    # the default is read once per call, not once per subset
+    # the default is read once per call, not once per subset size
     default = default_tol()
     search_tol = default if tol is None else tol
-    best: IndexSet | None = None
     best_score = -np.inf
-    for J in IndexSet.all_subsets(d):
-        x = _interchange_x(S, J)
-        if not rel_invertible(x, search_tol, scale):
-            continue
-        score = abs(np.linalg.det(x))
-        # strict improvement keeps the first-seen subset on ties, i.e. the
-        # smallest cardinality and then lexicographically least one
-        if score > best_score:
-            best_score = score
-            best = J
-    if best is None:
+    for size in range(d + 1):
+        masks = IndexSet.size_masks(d, size)
+        # X(J) takes column j from B if j is in J, else from A; += 0.0 turns
+        # each -0.0 into the +0.0 that the projector products gave
+        xs = np.where(masks[:, None, :], S.B, S.A)
+        xs += 0.0
+        scores = np.where(rel_invertible(xs, search_tol, scale), np.abs(np.linalg.det(xs)), -np.inf)
+        k = int(np.argmax(scores))  # the first maximum; a strict > across sizes
+        if scores[k] > best_score:
+            best_score, mask, x = scores[k], masks[k], xs[k].copy()
+        del xs  # one size's stack at a time: at most about 1 MB at d=12
+    if best_score == -np.inf:
         # cannot happen for a true symplectic matrix; guard anyway
         raise ValueError("no admissible index set found; matrix is too far from symplectic")
-    Q, L, P = _solve_for_subset(S, best)
+    L = np.linalg.inv(x)
+    P = L @ (np.where(mask, -S.A, S.B) + 0.0)
+    Q = (np.where(mask, S.D, S.C) + 0.0) @ L
+    best = IndexSet(d, tuple(np.flatnonzero(mask) + 1))
 
     sym_scale = max(1.0, float(np.abs(Q).max()), float(np.abs(P).max()))
     asym = max(float(np.abs(Q - Q.T).max()), float(np.abs(P - P.T).max()))

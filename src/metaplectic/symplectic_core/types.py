@@ -134,10 +134,7 @@ class IndexSet:
         return np.array([j - 1 for j in self.members], dtype=int)
 
     def mask(self) -> np.ndarray:
-        m = np.zeros(self.d, dtype=bool)
-        for j in self.members:
-            m[j - 1] = True
-        return m
+        return np.isin(np.arange(1, self.d + 1), self.members)
 
     def projector(self) -> np.ndarray:
         """Diagonal 0/1 matrix selecting the member coordinates."""
@@ -153,11 +150,20 @@ class IndexSet:
         return j in self.members
 
     @staticmethod
+    def size_masks(d: int, size: int) -> np.ndarray:
+        """The (C(d, size), d) boolean masks of the subsets of one cardinality,
+        in lexicographic order of their members."""
+        combos = np.array(list(itertools.combinations(range(d), size)), dtype=int)
+        masks = np.zeros((len(combos), d), dtype=bool)
+        np.put_along_axis(masks, combos.reshape(len(combos), size), True, axis=1)
+        return masks
+
+    @staticmethod
     def all_subsets(d: int) -> Iterator["IndexSet"]:
-        """All 2^d subsets, ordered by cardinality then lexicographically."""
+        """All 2^d subsets, ordered by cardinality then as ``size_masks``."""
         for size in range(d + 1):
-            for combo in itertools.combinations(range(1, d + 1), size):
-                yield IndexSet(d, combo)
+            for mask in IndexSet.size_masks(d, size):
+                yield IndexSet(d, tuple(np.flatnonzero(mask) + 1))
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,9 @@ def default_tol() -> float:
     return value
 
 
-def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
-    """Return (smallest, largest) singular value of ``mat``.
+def singular_extremes(mat: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Return (smallest, largest) singular value of ``mat`` as floats, or as
+    arrays over a stack of matrices (``ndim > 2``).
 
     The empty 0x0 matrix counts as perfectly invertible: (1.0, 1.0).
     """
@@ -67,7 +68,9 @@ def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
     if mat.size == 0:
         return 1.0, 1.0
     s = np.linalg.svd(mat, compute_uv=False)
-    return float(s[-1]), float(s[0])
+    if mat.ndim == 2:
+        return float(s[-1]), float(s[0])
+    return s[..., -1], s[..., 0]
 
 
 def _verdict(value: float, tol: float | None, scale: float, what: str | None, below: bool) -> bool:
@@ -84,12 +87,13 @@ def _verdict(value: float, tol: float | None, scale: float, what: str | None, be
 
 def rel_invertible(
     mat: np.ndarray, tol: float | None = None, scale: float | None = None, *, what: str | None = None
-) -> bool:
+) -> bool | np.ndarray:
     """True when sigma_min(mat) >= tol * scale.
 
     ``scale`` defaults to sigma_max(mat); pass the ambient matrix norm when
     testing a block of a larger matrix.  Nothing is invertible relative to a
-    zero scale.
+    zero scale.  A stack of matrices takes an explicit scalar ``scale`` and
+    gets a boolean array; ``what=`` (the band) stays single-matrix only.
     """
     smin, smax = singular_extremes(mat)
     if scale is None:

@@ -8,8 +8,9 @@ correctness rather than a tautology.  The exceptions are the slow exact
 forms that a fast path must match bit for bit: ``dense_axis_scale``, the
 whole-kernel form of the per-axis rescaling, which shares the package's
 spectrum; ``looped_centered_dft``, the transform as one shift, FFT, shift
-and scaling per axis; and ``gathered_rows``, the Wigner and STFT rows by
-index gathers.
+and scaling per axis; ``gathered_rows``, the Wigner and STFT rows by
+index gathers; and ``looped_dj_factorize``, the interchange-set search one
+subset at a time.
 
 The Gaussian-chirp closed forms are the exact reference for the sampled
 stages: ``gaussian_integral``, the chirp's L^p norm and L^2 inner product,
@@ -25,6 +26,7 @@ Conventions (matching the library's documented ones):
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -32,8 +34,15 @@ import numpy as np
 from metaplectic.metaplectic_numeric.gaussian import GaussianChirp
 from metaplectic.metaplectic_numeric.grid import Grid, GridFunction, centered_dft
 from metaplectic.metaplectic_numeric.operators import MAX_DENSE_AXIS, stage_plan
-from metaplectic.symplectic_core import SymplecticMatrix, dj_factorize, is_free
-from metaplectic.tolerances import rel_invertible
+from metaplectic.symplectic_core import (
+    DJFactorization,
+    IndexSet,
+    SymplecticMatrix,
+    dj_compose,
+    dj_factorize,
+    is_free,
+)
+from metaplectic.tolerances import default_tol, rel_invertible, singular_extremes
 
 #: output points per dense block of the direct kernel quadrature
 DIRECT_CHUNK = 1024
@@ -282,6 +291,36 @@ def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> n
         )
         return looped_centered_dft(gathered, doubled, freq)
     raise ValueError(f"no gathered rows for {kind!r}")
+
+
+# --------------------------------------------------------------------------
+# the interchange-set search one subset at a time
+
+
+def looped_dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorization:
+    """``dj_factorize`` one subset at a time, by cardinality and then
+    lexicographically: X(J) = A I_{J^c} + B I_J from the 0/1 projectors, a
+    scalar verdict and |det X| per subset (a strict > keeps the first best),
+    then Q, L and P from the winner's projectors and the recomposition
+    residual."""
+    default = default_tol()
+    tol = default if tol is None else tol
+    _, scale = singular_extremes(S.mat)
+    best, best_score = None, -np.inf
+    for size in range(S.d + 1):
+        for combo in itertools.combinations(range(1, S.d + 1), size):
+            J = IndexSet(S.d, combo)
+            x = S.A @ J.complement().projector() + S.B @ J.projector()
+            if rel_invertible(x, tol, scale) and abs(np.linalg.det(x)) > best_score:
+                best, best_score = J, abs(np.linalg.det(x))
+    if best is None:
+        raise ValueError("no admissible index set found")
+    pj, pjc = best.projector(), best.complement().projector()
+    L = np.linalg.inv(S.A @ pjc + S.B @ pj)
+    P = L @ (S.B @ pjc - S.A @ pj)
+    Q = (S.C @ pjc + S.D @ pj) @ L
+    residual = float(np.linalg.norm(dj_compose(DJFactorization(Q, L, P, best), default).mat - S.mat))
+    return DJFactorization(Q, L, P, best, residual)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from metaplectic.metaplectic_numeric import GaussianChirp
+from metaplectic.metaplectic_numeric import GaussianChirp, apply_metaplectic
 from metaplectic.metaplectic_numeric.distributions import (
     MAX_DISTRIBUTION_POINTS,
     mp_norm,
@@ -241,7 +241,7 @@ def test_wigner_metaplectic_generic_pipeline():
     # one global unimodular constant
     grid = Grid.selfdual(1, 32)
     f = GaussianChirp.standard(1).sample(grid)
-    got = wigner_metaplectic(wigner_projection(1), f, f, force_generic=True)
+    got = apply_metaplectic(wigner_projection(1), tensor_with_conj(f, f))
     assert np.isclose(np.max(np.abs(got.values)), np.sqrt(2.0), rtol=0, atol=1e-12)
     assert np.isclose(got.grid.axes[1].step, grid.axes[0].step, rtol=0, atol=1e-15)
     rolled = np.roll(got.values, 16, axis=1)
@@ -337,4 +337,4 @@ def test_generic_pipeline_names_the_grid_requirement(projection):
     # whose step differs from the space axis the rescaling swaps it with
     f = GaussianChirp.standard(1).sample(Grid.regular(1, 64, 5.0))
     with pytest.raises(ValueError, match=r"permutes grid axes 1 and 2.*partial Fourier transform on J"):
-        wigner_metaplectic(projection(1), f, f, force_generic=True)
+        apply_metaplectic(projection(1), tensor_with_conj(f, f))

@@ -10,13 +10,13 @@ an O(n^4) brute-force matrix oracle on a tiny grid.
 import numpy as np
 import pytest
 
-from metaplectic.metaplectic_numeric import GaussianChirp
+from metaplectic.metaplectic_numeric import GaussianChirp, apply_metaplectic
 from metaplectic.metaplectic_numeric.distributions import (
     rihacek_projection,
     stft,
     stft_projection,
+    tensor_with_conj,
     wigner,
-    wigner_metaplectic,
     wigner_projection,
 )
 from metaplectic.metaplectic_numeric.grid import Axis, Grid, GridFunction, herm_inner
@@ -97,7 +97,7 @@ def test_generic_matrix_duality():
         grid = Grid.selfdual(1, 16)
         f = GaussianChirp.standard(1).sample(grid)
         g = GaussianChirp.dilated(1, 1.3).sample(grid)
-        w = wigner_metaplectic(A, g, f, force_generic=True)
+        w = apply_metaplectic(A, tensor_with_conj(g, f))
         mesh = w.grid.meshgrid()
         vals = np.exp(-0.7 * (mesh[0] ** 2 + mesh[1] ** 2)) * np.exp(0.3j * mesh[0])
         a = GridFunction(w.grid, vals)
