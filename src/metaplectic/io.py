@@ -8,6 +8,11 @@ floats.  Parse errors carry the 1-based line number of the offending line.
   2d ``row`` lines of 2d entries each.
 * ``grid-function v1``     — ``d <int>``, d ``axis <n> <step>`` lines, a
   ``values`` marker, then one ``<re> <im>`` line per sample in C order.
+  A values block in the writer's own shape (ASCII digits, ``.+-eE``, one
+  space and a final newline on each of exactly the declared number of
+  lines) is converted in chunks of lines by numpy; every other block
+  (comments, blank lines, other whitespace, ``inf``/``nan``, any error)
+  goes through the line-by-line parser, which reports every error.
 * ``dj-factorization v1``  — ``d``, ``subset`` (1-based members or ``-``),
   ``residual``, then ``Q``/``L``/``P`` sections of ``row`` lines.
 * ``probe-report v1``      — write-only summary of a probe run.
@@ -174,20 +179,34 @@ def write_grid_function(f: GridFunction) -> str:
     for ax in f.grid.axes:
         out.append(f"axis {ax.n} {_fmt(ax.step)}")
     out.append("values")
-    flat = f.values.ravel()
-    out.extend(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in flat)
-    return "\n".join(out) + "\n"
+    # one format call; %r of a float is its repr, and the header holds no '%'
+    pairs = f.values.ravel().view(float)
+    return ("\n".join(out) + "\n" + "%r %r\n" * f.values.size) % tuple(pairs.tolist())
 
 
 def parse_grid_function(text: str) -> GridFunction:
-    lines = _Lines(text)
+    try:
+        f = _parse_written_block(text)
+    except ValueError:
+        f = None
+    return _parse_grid_lines(text) if f is None else f
+
+
+def _grid_header(lines: _Lines) -> Grid:
+    """The grid of a grid-function header, read through its ``values`` marker."""
     _check_header(lines, "grid-function")
     d = lines.take("d", _dimension)
     axes = tuple(lines.take("axis", _axis) for _ in range(d))
     marker_line, marker = lines.next(expect="values")
     if marker != "values":
         raise ValueError(f"line {marker_line}: expected the values marker, got {marker!r}")
-    grid = Grid(axes)
+    return Grid(axes)
+
+
+def _parse_grid_lines(text: str) -> GridFunction:
+    """The line-by-line parser: any layout, and every error names its line."""
+    lines = _Lines(text)
+    grid = _grid_header(lines)
     count = math.prod(grid.shape)
     # the header alone may declare more samples than memory holds
     if count > len(lines.items) - lines.pos:
@@ -203,6 +222,57 @@ def parse_grid_function(text: str) -> GridFunction:
         except ValueError:
             raise ValueError(f"line {lineno}: value entries must be numbers") from None
     lines.finish()
+    return GridFunction(grid, flat.reshape(grid.shape))
+
+
+_VALUES_MARKER = "\nvalues\n"
+
+#: the only bytes of a values block in the writer's shape
+_BLOCK_CHARS = b"0123456789.+-eE \n"
+
+#: value lines per ``np.array`` conversion; bounds the token lists
+_BLOCK_LINES = 1 << 14
+
+
+def _parse_written_block(text: str) -> GridFunction | None:
+    """The values block in the writer's shape, converted in chunks of lines;
+    None for any other layout (the caller then parses line by line)."""
+    if not text.isascii():
+        return None
+    cut = text.find(_VALUES_MARKER) + len(_VALUES_MARKER)
+    if cut < len(_VALUES_MARKER):
+        return None
+    lines = _Lines(text[:cut])
+    grid = _grid_header(lines)
+    if not lines.done():
+        return None
+    count = math.prod(grid.shape)
+    raw = text.encode("ascii")  # ASCII: byte offsets are character offsets
+    # the block holds allowed bytes only iff deleting them from the whole
+    # text leaves exactly what they leave of the header
+    if raw.translate(None, _BLOCK_CHARS) != raw[:cut].translate(None, _BLOCK_CHARS):
+        return None
+    block = np.frombuffer(raw, dtype=np.uint8, offset=cut)
+    ends = np.flatnonzero(block == ord("\n"))
+    gaps = np.flatnonzero(block == ord(" "))
+    # "<tok> <tok>\n" on every line: each space lies strictly inside its line
+    if not (
+        len(ends) == len(gaps) == count
+        and ends[-1] == block.size - 1
+        and gaps[0] > 0
+        and np.all(gaps[1:] > ends[:-1] + 1)
+        and np.all(ends > gaps + 1)
+    ):
+        return None
+    del raw, block, gaps  # the byte copy of the text goes before the floats come
+    flat = np.empty(count, dtype=complex)
+    pairs = flat.view(float)  # writing re/im through the float view keeps -0.0
+    start = cut
+    for first in range(0, count, _BLOCK_LINES):
+        last = min(first + _BLOCK_LINES, count)
+        stop = cut + int(ends[last - 1]) + 1
+        pairs[2 * first : 2 * last] = np.array(text[start:stop].split(), dtype=float)
+        start = stop
     return GridFunction(grid, flat.reshape(grid.shape))
 
 

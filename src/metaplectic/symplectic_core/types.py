@@ -158,13 +158,6 @@ class IndexSet:
         np.put_along_axis(masks, combos.reshape(len(combos), size), True, axis=1)
         return masks
 
-    @staticmethod
-    def all_subsets(d: int) -> Iterator["IndexSet"]:
-        """All 2^d subsets, ordered by cardinality then as ``size_masks``."""
-        for size in range(d + 1):
-            for mask in IndexSet.size_masks(d, size):
-                yield IndexSet(d, tuple(np.flatnonzero(mask) + 1))
-
 
 @dataclass(frozen=True)
 class DJFactorization:

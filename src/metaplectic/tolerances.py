@@ -93,9 +93,14 @@ def rel_invertible(
     ``scale`` defaults to sigma_max(mat); pass the ambient matrix norm when
     testing a block of a larger matrix.  Nothing is invertible relative to a
     zero scale.  A stack of matrices takes an explicit scalar ``scale`` and
-    gets a boolean array; ``what=`` (the band) stays single-matrix only.
+    gets a boolean array; ``what=`` (the band) stays single-matrix only, and
+    a stack without a scalar scale or with ``what=`` raises ValueError.
     """
     smin, smax = singular_extremes(mat)
+    if np.ndim(smin) and (scale is None or np.ndim(scale) or what is not None):
+        raise ValueError(
+            "rel_invertible on a stack of matrices needs an explicit scalar scale and no what="
+        )
     if scale is None:
         scale = smax
     if scale == 0.0:

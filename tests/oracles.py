@@ -9,8 +9,9 @@ forms that a fast path must match bit for bit: ``dense_axis_scale``, the
 whole-kernel form of the per-axis rescaling, which shares the package's
 spectrum; ``looped_centered_dft``, the transform as one shift, FFT, shift
 and scaling per axis; ``gathered_rows``, the Wigner and STFT rows by
-index gathers; and ``looped_dj_factorize``, the interchange-set search one
-subset at a time.
+index gathers; ``looped_dj_factorize``, the interchange-set search one
+subset at a time; and ``looped_write_grid_function``, the grid-function
+writer with one ``repr`` pair per value line.
 
 The Gaussian-chirp closed forms are the exact reference for the sampled
 stages: ``gaussian_integral``, the chirp's L^p norm and L^2 inner product,
@@ -291,6 +292,21 @@ def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> n
         )
         return looped_centered_dft(gathered, doubled, freq)
     raise ValueError(f"no gathered rows for {kind!r}")
+
+
+# --------------------------------------------------------------------------
+# the grid-function writer one value line at a time
+
+
+def looped_write_grid_function(f: GridFunction) -> str:
+    """The ``grid-function v1`` text of ``f``, one ``repr(re) repr(im)`` line
+    per value in C order."""
+    out = ["grid-function v1", f"d {f.grid.d}"]
+    for ax in f.grid.axes:
+        out.append(f"axis {ax.n} {repr(float(ax.step))}")
+    out.append("values")
+    out.extend(f"{repr(float(v.real))} {repr(float(v.imag))}" for v in f.values.ravel())
+    return "\n".join(out) + "\n"
 
 
 # --------------------------------------------------------------------------

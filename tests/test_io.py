@@ -2,13 +2,22 @@
 
 Floats are written with repr, so a write -> parse cycle must reproduce every
 array bitwise; parse failures must carry the 1-based line number of the raw
-input line (comments and blank lines count).
+input line (comments and blank lines count).  A values block in the
+writer's own shape is converted by numpy in whole chunks; every other block
+goes through the line-by-line parser, and the two must agree on every input.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import metaplectic.io
 from metaplectic.io import (
+    _parse_grid_lines,
+    _parse_written_block,
     export_csv,
     parse_dj,
     parse_grid_function,
@@ -21,6 +30,7 @@ from metaplectic.io import (
 from metaplectic.metaplectic_numeric import Axis, Grid, GridFunction
 from metaplectic.probes import ProbeReport
 from metaplectic.symplectic_core import SymplecticMatrix, dj_factorize, random_symplectic
+from oracles import looped_write_grid_function
 
 
 # -- matrices -------------------------------------------------------------------
@@ -103,7 +113,7 @@ def test_grid_function_round_trip_bitwise():
     f = GridFunction(grid, rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))
     back = parse_grid_function(write_grid_function(f))
     assert back.grid.close_to(f.grid)
-    assert np.array_equal(back.values, f.values)
+    assert back.values.tobytes() == f.values.tobytes()
 
 
 def test_grid_function_round_trip_1d():
@@ -129,6 +139,112 @@ def test_grid_function_parse_rejects_missing_values():
     text = "grid-function v1\nd 1\naxis 4 0.5\nvalues\n1.0 0.0\n"
     with pytest.raises(ValueError, match="unexpected end of input"):
         parse_grid_function(text)
+
+
+# -- the whole-block values parse against the line-by-line parser -----------------
+
+MAX_FLOAT = 1.7976931348623157e308
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-310, MAX_FLOAT, -MAX_FLOAT]
+
+#: one component: any finite float, or a special one (NaN only as the one
+#: float("nan") reads back, so that the round trip can be exact)
+COMPONENTS = st.floats(allow_nan=False) | st.sampled_from(SPECIAL)
+
+
+@st.composite
+def grid_functions(draw, components=COMPONENTS):
+    shape = draw(st.sampled_from([(2,), (4,), (6,), (2, 2), (4, 2), (2, 6)]))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(shape), max_size=len(shape)))
+    grid = Grid(tuple(Axis(n, step) for n, step in zip(shape, steps)))
+    count = 2 * math.prod(shape)
+    parts = draw(st.lists(components, min_size=count, max_size=count))
+    return GridFunction(grid, np.array(parts, dtype=float).view(complex).reshape(shape))
+
+
+def _outcome(parse, text):
+    """The parsed values as bytes, or the error text."""
+    try:
+        return parse(text).values.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fast(text):
+    """The whole-block parse alone: values as bytes, or None when it declines."""
+    try:
+        f = _parse_written_block(text)
+    except ValueError:
+        return None
+    return None if f is None else f.values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=grid_functions())
+def test_grid_function_round_trip_is_bytewise_exact(f):
+    text = write_grid_function(f)
+    assert text == looped_write_grid_function(f)
+    assert parse_grid_function(text).values.tobytes() == f.values.tobytes()
+    if np.all(np.isfinite(f.values.view(float))):
+        assert _fast(text) == f.values.tobytes()
+    else:
+        # inf and nan are spelled with letters: the line parser reads them
+        assert _fast(text) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=grid_functions(st.floats()))
+def test_writer_matches_the_looped_writer_for_any_nan(f):
+    assert write_grid_function(f) == looped_write_grid_function(f)
+
+
+@pytest.mark.parametrize("block_lines", [1, 3, 4, 7, 64])
+def test_whole_block_parse_is_chunk_independent(monkeypatch, block_lines):
+    rng = np.random.default_rng(14)
+    parts = rng.normal(size=48) * 10.0 ** rng.integers(-300, 300, size=48)
+    parts[1::4] = -0.0
+    f = GridFunction(Grid((Axis(6, 0.25), Axis(4, 0.5))), parts.view(complex).reshape(6, 4))
+    text = write_grid_function(f)
+    monkeypatch.setattr(metaplectic.io, "_BLOCK_LINES", block_lines)
+    assert _fast(text) == f.values.tobytes() == _outcome(_parse_grid_lines, text)
+
+
+GRID_4 = "grid-function v1\nd 1\naxis 4 0.5\nvalues\n"
+VALUES_4 = "1 0\n2 0\n3 0\n4 0\n"
+
+BLOCK_CASES = {
+    # id: (text, takes the whole-block parse)
+    "written-shape": (GRID_4 + "1.5 -0.0\n-2e-05 3.0\n0.0 1e+300\n-0.0 4.0\n", True),
+    "signs-and-exponents": (GRID_4 + "+1. .5\n1E5 -0\n1e-400 9e999\n-.0 +0.0\n", True),
+    "comment-in-values": (GRID_4 + "1 0\n# note\n2 0\n3 0\n4 0\n", False),
+    "blank-line-in-values": (GRID_4 + "1 0\n\n2 0\n3 0\n4 0\n", False),
+    "crlf": ((GRID_4 + VALUES_4).replace("\n", "\r\n"), False),
+    "tab": (GRID_4 + "1\t0\n2 0\n3 0\n4 0\n", False),
+    "form-feed-break": (GRID_4 + "1 0\x0c2 0\n3 0\n4 0\n", False),
+    "nel-break": (GRID_4 + "1 0\x852 0\n3 0\n4 0\n", False),
+    "underscores": (GRID_4 + "1_0 0\n2 0\n3 0\n4 0\n", False),
+    "three-tokens-then-one": (GRID_4 + "1 0 5\n2\n3 0\n4 0\n", False),
+    "double-space": (GRID_4 + "1  0\n2 0\n3 0\n4 0\n", False),
+    "leading-space": (GRID_4 + " 1 0\n2 0\n3 0\n4 0\n", False),
+    "trailing-space": (GRID_4 + "1 0 \n2 0\n3 0\n4 0\n", False),
+    "no-final-newline": (GRID_4 + VALUES_4[:-1], False),
+    "bad-token": (GRID_4 + "1e 0\n2 0\n3 0\n4 0\n", False),
+    "inf-and-nan": (GRID_4 + "inf -nan\nnan 0\n-inf 0\n4 0\n", False),
+    "trailing-content": (GRID_4 + VALUES_4 + "5 0\n", False),
+    "trailing-content-without-newline": (GRID_4 + VALUES_4 + "5", False),
+    "truncated": (GRID_4 + "1 0\n2 0\n3 0\n", False),
+    "header-exceeds-file": ("grid-function v1\nd 1\naxis 99999999998 0.5\nvalues\n1 0\n", False),
+    "indented-marker": (GRID_4.replace("values", "  values") + VALUES_4, False),
+    "second-marker": (GRID_4 + "values\n" + VALUES_4, False),
+    "indented-marker-then-plain-marker": (GRID_4.replace("values", "  values") + "values\n" + VALUES_4, False),
+    "extra-axis": ("grid-function v1\nd 1\naxis 4 0.5\naxis 4 0.5\nvalues\n" + VALUES_4, False),
+    "non-ascii-comment": ("grid-function v1\n# é\nd 1\naxis 4 0.5\nvalues\n" + VALUES_4, False),
+}
+
+
+@pytest.mark.parametrize("text, fast", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_grid_function_parse_agrees_with_the_line_parser(text, fast):
+    assert _outcome(parse_grid_function, text) == _outcome(_parse_grid_lines, text)
+    assert (_fast(text) is not None) == fast
 
 
 GRID_1D = "grid-function v1\nd 1\n"

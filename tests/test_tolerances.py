@@ -91,6 +91,22 @@ def test_explicit_zero_scale():
     assert rel_zero(np.eye(2), TOL, 0.0, what="zero scale")
 
 
+def test_stack_verdict_is_elementwise_with_a_scalar_scale():
+    stack = np.stack([np.eye(2), np.diag([1.0, 1e-12])])
+    assert rel_invertible(stack, TOL, 1.0).tolist() == [True, False]
+
+
+@pytest.mark.parametrize(
+    "scale, what",
+    [(None, None), (np.array([1.0, 1.0]), None), (1.0, "stacked block")],
+    ids=["no-scale", "array-scale", "band"],
+)
+def test_stack_without_a_scalar_scale_or_with_the_band_is_refused(scale, what):
+    stack = np.stack([np.eye(2)] * 2)
+    with pytest.raises(ValueError, match="stack of matrices needs an explicit scalar scale and no what="):
+        rel_invertible(stack, TOL, scale, what=what)
+
+
 def test_default_tol_without_override():
     assert default_tol() == DEFAULT_TOL
 
