@@ -72,7 +72,10 @@ def _load_symplectic(path: str) -> SymplecticMatrix:
 
 
 def _load_signal(path: str):
-    return formats.parse_grid_function(_read_text(path))
+    f = formats.parse_grid_function(_read_text(path))
+    if not np.isfinite(f.values).all():
+        raise ValueError(f"{path}: samples must be finite, found inf or nan")
+    return f
 
 
 def _maybe_write_function(args, out) -> None:

@@ -28,9 +28,9 @@ instead of n^(2d) points.
 The Wigner and STFT rows read the signals through read-only strided views:
 every read is a Toeplitz or Hankel pattern in (x-row j, column k), so once
 the input shift of the transform is folded into the column order one
-``as_strided`` view of the signal tiled three times per axis serves it, with
-no index array and no shift copy, and ``grid.shifted_dft`` transforms the
-product.
+``grid.periodic_reads`` view of the signal tiled three times per axis serves
+it, with no index array and no shift copy, and ``grid.shifted_dft``
+transforms the product.
 
 The floats equal the full-array norms exactly: a row's values do not depend
 on the slab around it.  The 4 MiB slab floor still matters for that.  Below
@@ -57,7 +57,7 @@ from ..symplectic_core import (
     interchange,
 )
 from .grid import Axis, Grid, GridFunction, centered_dft, form_sum
-from .grid import lpq_norm, row_slabs, shifted_dft, slab_norm
+from .grid import lpq_norm, periodic_reads, row_slabs, shifted_dft, slab_norm
 from .operators import apply_metaplectic
 
 
@@ -79,36 +79,10 @@ def _check_points(what: str, npts: int) -> None:
         )
 
 
-def _periodic_reads(values: np.ndarray):
-    """``read(rows, sj, sk)``: the read-only view V[j, k] = values[(sj j + sk k)
-    mod n] per axis (signs sj, sk = +-1) on the x-rows ``rows`` of the doubled
-    grid (*shape, *shape), with no index array.
-
-    It is a strided view of ``values`` tiled three times along every axis
-    (entry n + m of an axis holds values[m mod n]), built once here.
-    """
-    shape = values.shape
-    tiled = np.tile(values, (3,) * values.ndim)
-
-    def read(rows: slice, sj: int, sk: int) -> np.ndarray:
-        start, stop, _ = rows.indices(shape[0])
-        corner = tuple(
-            slice(n + (sj * start if ax == 0 else 0), None) for ax, n in enumerate(shape)
-        )
-        return np.lib.stride_tricks.as_strided(
-            tiled[corner],
-            (stop - start,) + shape[1:] + shape,
-            tuple(sj * s for s in tiled.strides) + tuple(sk * s for s in tiled.strides),
-            writeable=False,
-        )
-
-    return read
-
-
 def _wigner_rows(f: GridFunction, g: GridFunction):
     d = f.grid.d
     doubled = Grid(f.grid.axes + f.grid.axes)
-    f_at, g_at = _periodic_reads(f.values), _periodic_reads(g.values)
+    f_at, g_at = periodic_reads(f.values), periodic_reads(g.values)
 
     def build(rows: slice) -> np.ndarray:
         # f(x + u) conj(g(x - u)) with the u axes already in FFT order:
@@ -127,7 +101,7 @@ def _stft_rows(f: GridFunction, g: GridFunction):
     freq = tuple(range(d, 2 * d))
     doubled = Grid(f.grid.axes + f.grid.axes)
     f_shifted = np.fft.ifftshift(f.values)
-    g_at = _periodic_reads(g.values)
+    g_at = periodic_reads(g.values)
 
     def build(rows: slice) -> np.ndarray:
         # V(x, t) = f(t) conj(g(t - x)) with the t axes already in FFT order:

@@ -21,21 +21,24 @@ layer keeps its intermediates as arrays and follows one rule: one
 ``GridFunction`` per public result (the constructor copies its input).
 
 Quadrature, norms and inner products all carry the lattice weight, so the
-discrete Parseval identity holds exactly on every grid.
+discrete Parseval identity holds exactly on every grid.  ``periodic_reads``
+is the one periodic lattice read (a strided view, no index array): of the
+signals for the distribution rows, of the scatter indices for the Wigner
+adjoint of ``quantize``.
 
 Norms in slabs.  ``slab_norm`` reduces a function that arrives as
 consecutive slabs of axis-0 rows (``row_slabs`` cuts them), so a
 phase-space norm never needs the whole array.  It reproduces the full-array
-floats bit for bit: the mixed norm adds each row's |f|^p into one
-accumulator in row order, as numpy reduces a leading axis, and the plain
-L^p norm sums along numpy's pairwise split (halve the range, round the half
-down to a multiple of 8), calling ``np.sum`` on every piece of that tree
-that lies in one slab.  ``lpq_norm`` is ``slab_norm`` on one slab;
-``lp_norm`` stays the direct full-array oracle.  A slab holds at least
-``SLAB_BYTES`` of complex entries, or all rows: builders that run on slabs
-must round like the full-array code, and numpy computes an expression in
-place (with swapped operands, so a complex product rounds differently) only
-for temporaries of 256 KiB or more.
+floats bit for bit: the mixed norm (L^p over the first half of the axes,
+then L^q) adds each row's |f|^p into one accumulator in row order, as numpy
+reduces a leading axis, and the plain L^p norm sums along numpy's pairwise
+split (halve the range, round the half down to a multiple of 8), calling
+``np.sum`` on every piece of that tree that lies in one slab.  ``lpq_norm``
+is ``slab_norm`` on one slab; ``lp_norm`` stays the direct full-array
+oracle.  A slab holds at least ``SLAB_BYTES`` of complex entries, or all
+rows: builders that run on slabs must round like the full-array code, and
+numpy computes an expression in place (with swapped operands, so a complex
+product rounds differently) only for temporaries of 256 KiB or more.
 """
 
 from __future__ import annotations
@@ -216,26 +219,30 @@ def form_sum(coef, x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = Non
     return total
 
 
-def lattice_reads(shape: tuple[int, ...], a: int, b: int) -> tuple[np.ndarray, ...]:
-    """Per-axis indices (a (j - h) + b (k - h) + h) mod n of a periodic read.
+def periodic_reads(values: np.ndarray):
+    """``read(rows, sj, sk)``: the read-only view V[j, k] = values[(sj j + sk k)
+    mod n] per axis (signs sj, sk = +-1) on the x-rows ``rows`` of the doubled
+    grid (*shape, *shape), with no index array.
 
-    j runs over the first d axes of the doubled grid (*shape, *shape), k over
-    the last d, and h = n // 2 is the centre of each axis.  The arrays
-    broadcast against the doubled shape; each holds at most n^2 entries.
-    The one caller is the two-to-one scatter of ``quantize._wigner_adjoint``;
-    the distribution rows read the signal through strided views instead.
+    It is a strided view of ``values`` tiled three times along every axis
+    (entry n + m of an axis holds values[m mod n]), built once here.
     """
-    d = len(shape)
-    out = []
-    for ax, n in enumerate(shape):
-        h = n // 2
-        centred = np.arange(n) - h
-        idx = h
-        for coef, slot in ((a, ax), (b, d + ax)):
-            if coef:
-                idx = idx + coef * centred.reshape([-1 if i == slot else 1 for i in range(2 * d)])
-        out.append(idx % n)
-    return tuple(out)
+    shape = values.shape
+    tiled = np.tile(values, (3,) * values.ndim)
+
+    def read(rows: slice, sj: int, sk: int) -> np.ndarray:
+        start, stop, _ = rows.indices(shape[0])
+        corner = tuple(
+            slice(n + (sj * start if ax == 0 else 0), None) for ax, n in enumerate(shape)
+        )
+        return np.lib.stride_tricks.as_strided(
+            tiled[corner],
+            (stop - start,) + shape[1:] + shape,
+            tuple(sj * s for s in tiled.strides) + tuple(sk * s for s in tiled.strides),
+            writeable=False,
+        )
+
+    return read
 
 
 # -- transforms -----------------------------------------------------------
@@ -301,13 +308,10 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return float((np.sum(mags**p) * f.grid.weight) ** (1.0 / p))
 
 
-def lpq_norm(f: GridFunction, p: float, q: float, split: int | None = None) -> float:
-    """Mixed norm: L^p over the first ``split`` axes, then L^q over the rest.
-
-    ``split`` defaults to half the axes (the tensor-slot convention for
-    phase-space grids).
-    """
-    return slab_norm((f.values,), f.grid, p, q, split)
+def lpq_norm(f: GridFunction, p: float, q: float) -> float:
+    """Mixed norm on a grid of 2k axes (phase space): L^p over the first k
+    axes, then L^q over the rest."""
+    return slab_norm((f.values,), f.grid, p, q)
 
 
 def row_slabs(grid: Grid) -> list[slice]:
@@ -359,16 +363,13 @@ def _pairwise_sum(pieces: Iterator[np.ndarray], size: int) -> np.floating:
     return total
 
 
-def slab_norm(
-    rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None = None,
-    split: int | None = None,
-) -> float:
+def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None = None) -> float:
     """Norm of the function on ``grid`` whose values arrive as ``rows``:
     consecutive slabs of axis-0 rows, in order.
 
     With ``q`` this is the mixed norm of :func:`lpq_norm` (L^p over the
-    first ``split`` axes, default half of them, then L^q); with ``q=None``
-    it is :func:`lp_norm`.  Either float equals the full-array one exactly
+    first half of the axes, then L^q); with ``q=None`` it is
+    :func:`lp_norm`.  Either float equals the full-array one exactly
     (see the module docstring), and memory stays at the size of a slab.
     """
     d = grid.d
@@ -377,12 +378,8 @@ def slab_norm(
     if q is not None:
         if p <= 0.0 or q <= 0.0:
             raise ValueError(f"exponents must be positive, got p={p}, q={q}")
-        if split is None:
-            if d % 2 != 0:
-                raise ValueError("mixed norm needs an explicit split for odd-dimensional grids")
-            split = d // 2
-        if not 0 < split < d:
-            raise ValueError(f"split must cut the axes in two nonempty groups, got {split}")
+        if d % 2 != 0:
+            raise ValueError(f"mixed norm needs an even number of axes, got {d}")
 
     if q is None:
         if math.isinf(p):
@@ -396,10 +393,10 @@ def slab_norm(
         total = _pairwise_sum(powered(), math.prod(grid.shape))
         return float((total * grid.weight) ** (1.0 / p))
 
-    outer_shape = grid.shape[split:]
-    inner_axes = tuple(range(split))
+    outer_shape = grid.shape[d // 2 :]
+    inner_axes = tuple(range(d // 2))
     w_inner = 1.0
-    for ax in grid.axes[:split]:
+    for ax in grid.axes[: d // 2]:
         w_inner *= ax.step
     w_outer = grid.weight / w_inner
 

@@ -12,10 +12,11 @@ linear map D on the tensor g (x) conj(f), the duality collapses to
     Op(a)[s, t] = (signal cell weight) * (D* a)(s, t),
 
 where D* is the adjoint of the discrete distribution map.  For the standard
-Wigner matrix the adjoint of the exact doubled-argument evaluation is used
-(phases pinned, so the constant symbol gives the identity); for a general
-matrix the factorization pipeline's stage-by-stage adjoint is used and the
-operator inherits the pipeline's global unimodular constant.
+Wigner matrix it is the adjoint of the exact doubled-argument evaluation, a
+scatter through (x, u) -> (x + u, x - u) whose indices ``grid.periodic_reads``
+reads (phases pinned, so the constant symbol gives the identity); for a
+general matrix the factorization pipeline's stage-by-stage adjoint is used and
+the operator inherits the pipeline's global unimodular constant.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from ..symplectic_core import SymplecticMatrix, dj_factorize
 from .distributions import classical_kind, wigner_grid
-from .grid import Grid, GridFunction, centered_dft, lattice_reads
+from .grid import Grid, GridFunction, centered_dft, periodic_reads
 from .operators import adjoint_plan, require_rescale_axes, run_plan
 
 #: refuse to build dense operators beyond this many signal lattice points
@@ -38,6 +39,20 @@ def _check_doubled(a: GridFunction) -> int:
     if d2 % 2 != 0:
         raise ValueError("symbol must live on a doubled (phase-space) grid")
     return d2 // 2
+
+
+def _wigner_pairing(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per-axis lattice indices of x_j + u_k, then of x_j - u_k, broadcasting
+    against the doubled grid (*shape, *shape) with n^2 entries each: the reads
+    of ``_wigner_rows`` (signs (1, +1), (1, -1)) of the centred index vector,
+    whose entry m is (m - n/2) mod n."""
+    d = len(shape)
+    reads = [periodic_reads(np.fft.fftshift(np.arange(n))) for n in shape]
+    return tuple(
+        reads[ax](slice(None), 1, sk).reshape([n if i in (ax, d + ax) else 1 for i in range(2 * d)])
+        for sk in (1, -1)
+        for ax, n in enumerate(shape)
+    )
 
 
 def _wigner_adjoint(a: GridFunction) -> np.ndarray:
@@ -58,7 +73,7 @@ def _wigner_adjoint(a: GridFunction) -> np.ndarray:
     # scatter through the pairing (x, u) -> (x + u, x - u); two index pairs
     # land on each reachable tensor entry, so accumulate
     out = np.zeros(sig.shape + sig.shape, dtype=complex)
-    np.add.at(out, lattice_reads(sig.shape, 1, 1) + lattice_reads(sig.shape, 1, -1), y)
+    np.add.at(out, _wigner_pairing(sig.shape), y)
     return out
 
 

@@ -9,7 +9,8 @@ forms that a fast path must match bit for bit: ``dense_axis_scale``, the
 whole-kernel form of the per-axis rescaling, which shares the package's
 spectrum; ``looped_centered_dft``, the transform as one shift, FFT, shift
 and scaling per axis; ``gathered_rows``, the Wigner and STFT rows by
-index gathers; ``looped_dj_factorize``, the interchange-set search one
+index gathers; ``scattered_wigner_adjoint``, the Wigner adjoint by an index
+scatter; ``looped_dj_factorize``, the interchange-set search one
 subset at a time; and ``looped_write_grid_function``, the grid-function
 writer with one ``repr`` pair per value line.
 
@@ -292,6 +293,21 @@ def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> n
         )
         return looped_centered_dft(gathered, doubled, freq)
     raise ValueError(f"no gathered rows for {kind!r}")
+
+
+def scattered_wigner_adjoint(a: GridFunction) -> np.ndarray:
+    """The Wigner adjoint D* a of ``opA_build`` on the doubled signal grid:
+    the inverse transform over the second slot on the relabeled grid, then
+    ``np.add.at`` through the :func:`_gather_index` arrays of the pairing
+    (x, u) -> (x + u, x - u)."""
+    d = a.grid.d // 2
+    sig = Grid(a.grid.axes[:d])
+    relabeled = Grid(sig.axes + tuple(ax.dual() for ax in sig.axes))
+    y = centered_dft(a.values, relabeled, tuple(range(d, 2 * d)), inverse=True)
+    out = np.zeros(sig.shape + sig.shape, dtype=complex)
+    rows = slice(None)
+    np.add.at(out, _gather_index(sig.shape, 1, 1, rows) + _gather_index(sig.shape, 1, -1, rows), y)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ ambiguity; output byte-stable across repeated runs).
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,60 @@ def test_quantize_rejects_odd_symbol(tmp_path, capsys):
     path.write_text(write_grid_function(f))
     assert main(["quantize", str(path)]) == 2
     assert "doubled grid" in capsys.readouterr().err
+
+
+# -- non-finite samples ------------------------------------------------------------
+
+NON_FINITE_CASES = {
+    # the input each verb reads the bad file as, and the argv around it
+    "apply": ("signal", lambda bad, files: ["apply", files["mat"], bad]),
+    "wigner": ("signal", lambda bad, files: ["wigner", bad]),
+    "wigner-window": (
+        "signal",
+        lambda bad, files: ["wigner", files["signal"], "--kind", "stft", "--window", bad],
+    ),
+    "quantize-symbol": (
+        "symbol",
+        lambda bad, files: ["quantize", bad, "--signal", files["signal"]],
+    ),
+    "quantize-signal": (
+        "signal",
+        lambda bad, files: ["quantize", files["symbol"], "--signal", bad],
+    ),
+}
+
+
+@pytest.mark.parametrize("token", ["inf", "nan", "1e999"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_samples_are_exit_2(tmp_path, capsys, case, token):
+    # 1e999 is in the writer's own shape, so the whole-block parser reads it
+    # (as inf); a non-finite sample used to run on and print nan
+    sig_axis = Axis(8, 0.5)
+    rng = np.random.default_rng(3)
+    functions = {
+        "signal": GridFunction(Grid((sig_axis,)), rng.normal(size=8)),
+        "symbol": GridFunction(
+            Grid((sig_axis, Axis(8, sig_axis.dual().step / 2.0))), rng.normal(size=(8, 8))
+        ),
+    }
+    files = {"mat": _matrix_file(tmp_path, standard_involution(1).mat)}
+    for name, f in functions.items():
+        files[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(write_grid_function(f))
+    kind, argv = NON_FINITE_CASES[case]
+    lines = write_grid_function(functions[kind]).splitlines(keepends=True)
+    lines[-3] = f"{token} 0.0\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(lines))
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv(str(bad), files) + ["--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: samples must be finite, found inf or nan\n"
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 # -- probe ------------------------------------------------------------------------

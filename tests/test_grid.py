@@ -186,15 +186,6 @@ def test_lpq_norm_requires_split_for_odd_dimensions():
         lpq_norm(f, 2.0, 2.0)
 
 
-def test_lpq_norm_explicit_split_bounds():
-    g = Grid.regular(2, 16, 4.0)
-    f = GaussianChirp.standard(2).sample(g)
-    with pytest.raises(ValueError):
-        lpq_norm(f, 2.0, 2.0, split=0)
-    with pytest.raises(ValueError):
-        lpq_norm(f, 2.0, 2.0, split=2)
-
-
 # --------------------------------------------------------------------------
 # inner products and phase alignment
 

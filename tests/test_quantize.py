@@ -7,6 +7,8 @@ discrete construction makes it an identity, so the bar is roundoff), plus
 an O(n^4) brute-force matrix oracle on a tiny grid.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,12 @@ from metaplectic.metaplectic_numeric.distributions import (
 from metaplectic.metaplectic_numeric.grid import Axis, Grid, GridFunction, herm_inner
 from metaplectic.metaplectic_numeric.quantize import (
     MAX_OPERATOR_POINTS,
+    _wigner_pairing,
     opA_apply,
     opA_build,
 )
 
-from oracles import opA_oracle_wigner
+from oracles import _gather_index, opA_oracle_wigner, scattered_wigner_adjoint
 
 
 def _wigner_symbol_grid(grid):
@@ -158,3 +161,46 @@ def test_opA_apply_checks_shape():
     f = _random_function(grid, 9)
     with pytest.raises(ValueError, match="operator is"):
         opA_apply(np.eye(8), f)
+
+
+# --------------------------------------------------------------------------
+# the Wigner adjoint's scatter indices, read through grid.periodic_reads
+
+PAIRING_SHAPES = [(6,), (8,), (512,), (4, 6), (4, 6, 2)]
+
+
+@pytest.mark.parametrize("shape", PAIRING_SHAPES)
+def test_wigner_pairing_equals_the_gathered_indices(shape):
+    doubled = shape + shape
+    gathered = _gather_index(shape, 1, 1, slice(None)) + _gather_index(shape, 1, -1, slice(None))
+    pairing = _wigner_pairing(shape)
+    assert len(pairing) == len(gathered) == 2 * len(shape)
+    for idx, expected in zip(pairing, gathered):
+        assert idx.dtype == expected.dtype
+        assert np.array_equal(np.broadcast_to(idx, doubled), np.broadcast_to(expected, doubled))
+
+
+@pytest.mark.parametrize("shape", PAIRING_SHAPES)
+def test_wigner_pairing_stays_at_n_squared_entries(shape):
+    doubled = shape + shape
+    for idx, n in zip(_wigner_pairing(shape), shape * 2):
+        assert np.broadcast_shapes(doubled, idx.shape) == doubled
+        assert idx.size <= n * n
+
+
+def test_wigner_pairing_reads_x_plus_u_and_x_minus_u_periodically():
+    # one axis of 6 points, centre 3, by direct periodic arithmetic
+    plus, minus = _wigner_pairing((6,))
+    j, k = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+    assert np.array_equal(plus, (j + k - 3) % 6)
+    assert np.array_equal(minus, (j - k + 3) % 6)
+
+
+@pytest.mark.parametrize("shape", [(6,), (512,), (8, 8), (4, 6)])
+def test_wigner_opA_build_equals_the_scattered_adjoint_bitwise(shape):
+    grid = Grid(tuple(Axis(n, 0.3 + 0.1 * ax) for ax, n in enumerate(shape)))
+    a = wigner(_random_function(grid, 10), _random_function(grid, 11))
+    K = opA_build(a, wigner_projection(len(shape)))
+    npts = math.prod(shape)
+    expected = grid.weight * scattered_wigner_adjoint(a).reshape(npts, npts)
+    assert K.tobytes() == expected.tobytes()

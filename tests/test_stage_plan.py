@@ -13,7 +13,6 @@ from metaplectic.metaplectic_numeric import (
     wigner_projection,
 )
 from metaplectic.metaplectic_numeric import operators
-from metaplectic.metaplectic_numeric.grid import lattice_reads
 from metaplectic.metaplectic_numeric.operators import adjoint_plan, run_plan, stage_plan
 from metaplectic.symplectic_core import (
     IndexSet,
@@ -107,15 +106,3 @@ def test_opA_build_rejects_a_near_wigner_matrix():
     a = wigner(GaussianChirp.standard(1).sample(Grid.selfdual(1, 32)))
     with pytest.raises(ValueError, match="output grid"):
         opA_build(a, A)
-
-
-def test_lattice_reads_stay_at_n_squared_entries():
-    shape = (8, 4)
-    for a, b in ((1, 1), (1, -1), (0, 1), (-1, 1)):
-        idx = lattice_reads(shape, a, b)
-        assert np.broadcast_shapes(shape + shape, *(i.shape for i in idx)) == shape + shape
-        assert all(i.size <= n * n for i, n in zip(idx, shape))
-    # x + u read on one axis, by direct periodic arithmetic
-    (row,) = lattice_reads((6,), 1, 1)
-    j, k = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
-    assert np.array_equal(row, (j + k - 3) % 6)

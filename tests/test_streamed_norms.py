@@ -122,7 +122,7 @@ def test_slab_norm_checks_exponents_and_split():
         slab_norm((f.values,), grid, 0.0)
     with pytest.raises(ValueError, match="exponents must be positive"):
         slab_norm((f.values,), grid, 1.0, -1.0)
-    with pytest.raises(ValueError, match="explicit split"):
+    with pytest.raises(ValueError, match="mixed norm needs an even number of axes, got 1"):
         slab_norm((f.values,), grid, 1.0, 2.0)
 
 
