@@ -159,14 +159,17 @@ def cmd_quantize(args) -> int:
     d = a.grid.d // 2
     A = _load_symplectic(args.matrix) if args.matrix else wigner_projection(d)
     K = opA_build(a, A)
+    # every input is read and applied before anything is printed, so a
+    # failing run prints nothing on stdout
+    if args.signal:
+        f = _load_signal(args.signal)
+        out = opA_apply(K, f)
     defect = float(np.linalg.norm(K - K.conj().T) / max(np.linalg.norm(K), 1e-300))
     tr = complex(np.trace(K))
     print(f"points {K.shape[0]}")
     print(f"trace {_g(tr.real)} {_g(tr.imag)}")
     print(f"selfadjoint-defect {_g(defect)}")
     if args.signal:
-        f = _load_signal(args.signal)
-        out = opA_apply(K, f)
         print(f"l2-in {_g(lp_norm(f, 2.0))}")
         print(f"l2-out {_g(lp_norm(out, 2.0))}")
         _maybe_write_function(args, out)

@@ -22,8 +22,6 @@ floats.  Parse errors carry the 1-based line number of the offending line.
 
 from __future__ import annotations
 
-import csv
-import io as _stdio
 import math
 from typing import Callable, TypeVar
 
@@ -330,14 +328,11 @@ def write_probe_report(report) -> str:
 
 def export_csv(f: GridFunction) -> str:
     """Flatten a sampled function to ``x1, ..., xd, re, im, abs`` CSV rows."""
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{i + 1}" for i in range(f.grid.d)] + ["re", "im", "abs"])
-    coords = [m.ravel() for m in f.grid.meshgrid()]
-    flat = f.values.ravel()
-    for i in range(flat.size):
-        writer.writerow(
-            ["%.12g" % c[i] for c in coords]
-            + ["%.12g" % flat[i].real, "%.12g" % flat[i].imag, "%.12g" % abs(flat[i])]
-        )
-    return buf.getvalue()
+    header = ",".join([f"x{i + 1}" for i in range(f.grid.d)] + ["re", "im", "abs"])
+    v = f.values.ravel()
+    # np.hypot rounds as the scalar abs of a complex value does; the array
+    # np.abs may differ in the last bit
+    columns = [m.ravel() for m in f.grid.meshgrid()] + [v.real, v.imag, np.hypot(v.real, v.imag)]
+    # one format call, the idiom of write_grid_function
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    return header + "\n" + (row * v.size) % tuple(np.column_stack(columns).ravel().tolist())

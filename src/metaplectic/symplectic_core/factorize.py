@@ -8,9 +8,11 @@ with V_Q = [[I,0],[Q,I]], D_L = [[inv(L),0],[0,L^T]], V_P^T = [[I,P],[0,I]]
 and Pi_J the partial interchange.  The index set J is found by exhaustive
 search (d <= 12): J is admissible exactly when X(J) = A I_{J^c} + B I_J is
 invertible, and among admissible sets we keep the best conditioned one
-(largest |det X|).  Each cardinality gets one stack of X(J), one verdict
-and one determinant; ties keep the first maximum, so the smaller
-cardinality wins, then the lexicographically least set.  Given J the
+(largest |det X|).  Every subset is scored by |det X(J)|, one stack per
+cardinality; the singular-value verdict then runs on one candidate at a
+time in descending score order and the first to pass wins.  The ranking is
+stable over the (cardinality, lexicographic) order, so ties keep the
+smaller cardinality, then the lexicographically least set.  Given J the
 parameters are forced:
 
     L = X^{-1},   P = X^{-1} (B I_{J^c} - A I_J),   Q = (C I_{J^c} + D I_J) X^{-1}.
@@ -36,16 +38,18 @@ MAX_SEARCH_DIM = 12
 SYMMETRY_TOL = 1e-10
 
 
-def dj_compose(f: DJFactorization, tol: float | None = None) -> SymplecticMatrix:
-    """Multiply the four factors V_Q . D_L . V_P^T . Pi_J back together
-    (``tol`` is the invertibility cutoff for L)."""
-    prod = (
-        chirp_block(f.Q)
-        @ dilation_block(f.L, tol)
-        @ multiplier_block(f.P)
-        @ interchange(f.J)
-    )
-    return prod
+def dj_compose(f: DJFactorization) -> SymplecticMatrix:
+    """Multiply the four factors V_Q . D_L . V_P^T . Pi_J back together."""
+    return chirp_block(f.Q) @ dilation_block(f.L) @ multiplier_block(f.P) @ interchange(f.J)
+
+
+def _x_of(S: SymplecticMatrix, masks: np.ndarray) -> np.ndarray:
+    """X(J) of one mask, or the stack of X(J) of a stack of masks: column j
+    from B if j is in J, else from A.  Adding 0.0 turns each -0.0 into the
+    +0.0 that the projector products give."""
+    x = np.where(masks[..., None, :], S.B, S.A)
+    x += 0.0
+    return x
 
 
 def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorization:
@@ -61,24 +65,20 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
     if d > MAX_SEARCH_DIM:
         raise ValueError(f"exhaustive index-set search supports d <= {MAX_SEARCH_DIM}, got d={d}")
     _, scale = singular_extremes(S.mat)
-    # the default is read once per call, not once per subset size
-    default = default_tol()
-    search_tol = default if tol is None else tol
-    best_score = -np.inf
-    for size in range(d + 1):
-        masks = IndexSet.size_masks(d, size)
-        # X(J) takes column j from B if j is in J, else from A; += 0.0 turns
-        # each -0.0 into the +0.0 that the projector products gave
-        xs = np.where(masks[:, None, :], S.B, S.A)
-        xs += 0.0
-        scores = np.where(rel_invertible(xs, search_tol, scale), np.abs(np.linalg.det(xs)), -np.inf)
-        k = int(np.argmax(scores))  # the first maximum; a strict > across sizes
-        if scores[k] > best_score:
-            best_score, mask, x = scores[k], masks[k], xs[k].copy()
-        del xs  # one size's stack at a time: at most about 1 MB at d=12
-    if best_score == -np.inf:
+    search_tol = default_tol() if tol is None else tol
+    by_size = [IndexSet.size_masks(d, size) for size in range(d + 1)]
+    # one size's stack at a time: at most about 1 MB at d=12
+    scores = np.concatenate([np.abs(np.linalg.det(_x_of(S, m))) for m in by_size])
+    masks = np.concatenate(by_size)
+    # the stable sort keeps the (cardinality, lexicographic) order among ties
+    for k in np.argsort(-scores, kind="stable"):
+        x = _x_of(S, masks[k])
+        if rel_invertible(x, search_tol, scale):
+            break
+    else:
         # cannot happen for a true symplectic matrix; guard anyway
         raise ValueError("no admissible index set found; matrix is too far from symplectic")
+    mask = masks[k]
     L = np.linalg.inv(x)
     P = L @ (np.where(mask, -S.A, S.B) + 0.0)
     Q = (np.where(mask, S.D, S.C) + 0.0) @ L
@@ -93,7 +93,7 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
         )
 
     f = DJFactorization(Q=Q, L=L, P=P, J=best)
-    residual = float(np.linalg.norm(dj_compose(f, default).mat - S.mat))
+    residual = float(np.linalg.norm(dj_compose(f).mat - S.mat))
     return DJFactorization(Q=Q, L=L, P=P, J=best, residual=residual)
 
 

@@ -38,12 +38,12 @@ def multiplier_block(P) -> SymplecticMatrix:
     return SymplecticMatrix(np.block([[eye, P], [zero, eye]]), validate=False)
 
 
-def dilation_block(L, tol: float | None = None) -> SymplecticMatrix:
+def dilation_block(L) -> SymplecticMatrix:
     """Block diagonal matrix [[inv(L), 0], [0, L^T]] for invertible L."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"dilation parameter L must be square, got shape {L.shape}")
-    if not rel_invertible(L, tol):
+    if not rel_invertible(L):
         raise ValueError("dilation parameter L must be invertible")
     d = L.shape[0]
     zero = np.zeros((d, d))

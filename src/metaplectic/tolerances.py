@@ -3,7 +3,9 @@
 Invertibility and zero-ness of matrices are always decided from singular
 values relative to a scale, never from determinant signs alone, by the one
 comparison in ``_verdict``: ``sigma_min >= tol * scale`` (:func:`rel_invertible`)
-or ``sigma_max <= tol * scale`` (:func:`rel_zero`).  Passing ``what=`` turns on
+or ``sigma_max <= tol * scale`` (:func:`rel_zero`).  Each verdict is about
+one matrix; the interchange-set search ranks its candidates by |det| and
+asks for one verdict at a time, in rank order.  Passing ``what=`` turns on
 the ambiguity band; only ``classify_lp`` does.  ``tol=None`` means
 :func:`default_tol`, which the ``METAPLECTIC_TOL`` environment variable
 overrides (used by the CLI; library callers pass ``tol=`` explicitly).
@@ -58,9 +60,8 @@ def default_tol() -> float:
     return value
 
 
-def singular_extremes(mat: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Return (smallest, largest) singular value of ``mat`` as floats, or as
-    arrays over a stack of matrices (``ndim > 2``).
+def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
+    """Return (smallest, largest) singular value of ``mat`` as floats.
 
     The empty 0x0 matrix counts as perfectly invertible: (1.0, 1.0).
     """
@@ -68,9 +69,7 @@ def singular_extremes(mat: np.ndarray) -> tuple[float | np.ndarray, float | np.n
     if mat.size == 0:
         return 1.0, 1.0
     s = np.linalg.svd(mat, compute_uv=False)
-    if mat.ndim == 2:
-        return float(s[-1]), float(s[0])
-    return s[..., -1], s[..., 0]
+    return float(s[-1]), float(s[0])
 
 
 def _verdict(value: float, tol: float | None, scale: float, what: str | None, below: bool) -> bool:
@@ -87,20 +86,14 @@ def _verdict(value: float, tol: float | None, scale: float, what: str | None, be
 
 def rel_invertible(
     mat: np.ndarray, tol: float | None = None, scale: float | None = None, *, what: str | None = None
-) -> bool | np.ndarray:
+) -> bool:
     """True when sigma_min(mat) >= tol * scale.
 
     ``scale`` defaults to sigma_max(mat); pass the ambient matrix norm when
     testing a block of a larger matrix.  Nothing is invertible relative to a
-    zero scale.  A stack of matrices takes an explicit scalar ``scale`` and
-    gets a boolean array; ``what=`` (the band) stays single-matrix only, and
-    a stack without a scalar scale or with ``what=`` raises ValueError.
+    zero scale.
     """
     smin, smax = singular_extremes(mat)
-    if np.ndim(smin) and (scale is None or np.ndim(scale) or what is not None):
-        raise ValueError(
-            "rel_invertible on a stack of matrices needs an explicit scalar scale and no what="
-        )
     if scale is None:
         scale = smax
     if scale == 0.0:

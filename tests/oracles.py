@@ -11,8 +11,9 @@ spectrum; ``looped_centered_dft``, the transform as one shift, FFT, shift
 and scaling per axis; ``gathered_rows``, the Wigner and STFT rows by
 index gathers; ``scattered_wigner_adjoint``, the Wigner adjoint by an index
 scatter; ``looped_dj_factorize``, the interchange-set search one
-subset at a time; and ``looped_write_grid_function``, the grid-function
-writer with one ``repr`` pair per value line.
+subset at a time; ``looped_write_grid_function``, the grid-function
+writer with one ``repr`` pair per value line; and ``rowwise_export_csv``,
+the CSV export through ``csv.writer`` with one scalar ``abs`` per row.
 
 The Gaussian-chirp closed forms are the exact reference for the sampled
 stages: ``gaussian_integral``, the chirp's L^p norm and L^2 inner product,
@@ -28,6 +29,8 @@ Conventions (matching the library's documented ones):
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -325,6 +328,22 @@ def looped_write_grid_function(f: GridFunction) -> str:
     return "\n".join(out) + "\n"
 
 
+def rowwise_export_csv(f: GridFunction) -> str:
+    """The CSV export of ``f`` one ``csv.writer`` row per sample, with the
+    scalar ``abs`` of each complex value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"x{i + 1}" for i in range(f.grid.d)] + ["re", "im", "abs"])
+    coords = [m.ravel() for m in f.grid.meshgrid()]
+    flat = f.values.ravel()
+    for i in range(flat.size):
+        writer.writerow(
+            ["%.12g" % c[i] for c in coords]
+            + ["%.12g" % flat[i].real, "%.12g" % flat[i].imag, "%.12g" % abs(flat[i])]
+        )
+    return buf.getvalue()
+
+
 # --------------------------------------------------------------------------
 # the interchange-set search one subset at a time
 
@@ -335,8 +354,7 @@ def looped_dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFact
     scalar verdict and |det X| per subset (a strict > keeps the first best),
     then Q, L and P from the winner's projectors and the recomposition
     residual."""
-    default = default_tol()
-    tol = default if tol is None else tol
+    tol = default_tol() if tol is None else tol
     _, scale = singular_extremes(S.mat)
     best, best_score = None, -np.inf
     for size in range(S.d + 1):
@@ -351,7 +369,7 @@ def looped_dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFact
     L = np.linalg.inv(S.A @ pjc + S.B @ pj)
     P = L @ (S.B @ pjc - S.A @ pj)
     Q = (S.C @ pjc + S.D @ pj) @ L
-    residual = float(np.linalg.norm(dj_compose(DJFactorization(Q, L, P, best), default).mat - S.mat))
+    residual = float(np.linalg.norm(dj_compose(DJFactorization(Q, L, P, best)).mat - S.mat))
     return DJFactorization(Q, L, P, best, residual)
 
 

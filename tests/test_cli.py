@@ -225,6 +225,19 @@ def test_quantize_applies_to_signal(tmp_path, capsys):
     assert parse_grid_function(out_path.read_text()).grid.shape == (16,)
 
 
+def test_quantize_on_a_signal_of_the_wrong_grid_prints_nothing(tmp_path, capsys):
+    sig_axis = Axis(8, 0.5)
+    symbol = GridFunction(Grid((sig_axis, Axis(8, sig_axis.dual().step / 2.0))), np.ones((8, 8)))
+    signal = GridFunction(Grid((Axis(6, 0.5),)), np.ones(6))
+    sym_path, sig_path = tmp_path / "symbol.txt", tmp_path / "signal.txt"
+    sym_path.write_text(write_grid_function(symbol))
+    sig_path.write_text(write_grid_function(signal))
+    assert main(["quantize", str(sym_path), "--signal", str(sig_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: operator is (8, 8), signal has 6 points\n"
+
+
 def test_quantize_rejects_odd_symbol(tmp_path, capsys):
     f = GridFunction(Grid((Axis(8, 0.5),)), np.ones(8))
     path = tmp_path / "odd.txt"
@@ -281,7 +294,9 @@ def test_non_finite_samples_are_exit_2(tmp_path, capsys, case, token):
         warnings.simplefilter("always")
         assert main(argv(str(bad), files) + ["--out", str(out)]) == 2
     assert caught == []
-    err = capsys.readouterr().err
+    out_text, err = capsys.readouterr()
+    # every input is loaded before the first result line is printed
+    assert out_text == ""
     assert err == f"error: {bad}: samples must be finite, found inf or nan\n"
     assert "Warning" not in err
     assert not out.exists()

@@ -1,10 +1,12 @@
 """The interchange-set search of ``dj_factorize``, bit for bit.
 
-``dj_factorize`` decides every subset of one cardinality at once: one stack
-of X(J), one singular-value verdict and one determinant per stack.  The
-oracle ``looped_dj_factorize`` builds each X(J) from 0/1 projectors and
-decides it alone.  Both must choose the same J and give the same floats,
-compared by ``tobytes()``; the negated matrices hold -0.0 entries.
+``dj_factorize`` scores every subset by |det X(J)|, one stack of X(J) per
+cardinality, and runs the singular-value verdict on one candidate at a time
+in descending score order.  The oracle ``looped_dj_factorize`` builds each
+X(J) from 0/1 projectors and decides it alone.  Both must choose the same J
+and give the same floats, compared by ``tobytes()``; the negated matrices
+hold -0.0 entries, and the ``vetoed-top`` matrices have a largest-|det|
+subset that fails the verdict at tol 1e-3.
 """
 
 import itertools
@@ -21,11 +23,11 @@ from metaplectic.metaplectic_numeric.distributions import (
 from metaplectic.symplectic_core import (
     IndexSet,
     SymplecticMatrix,
+    dilation_block,
     dj_factorize,
     random_symplectic,
     standard_involution,
 )
-from metaplectic.tolerances import rel_invertible, singular_extremes
 
 import oracles
 
@@ -33,6 +35,16 @@ def _rotation45(d: int) -> SymplecticMatrix:
     a = np.sqrt(0.5) * np.eye(d)
     return SymplecticMatrix(np.block([[a, a], [-a, a]]))
 
+
+def _vetoed_top(seed: int) -> SymplecticMatrix:
+    # stretching one direction by 100 grows some |det X(J)| while their
+    # sigma_min falls below 1e-3 of the scale
+    stretch = dilation_block(np.diag([100.0, 1.0, 1.0, 1.0]))
+    return random_symplectic(seed, 4) @ stretch @ random_symplectic(seed + 1000, 4)
+
+
+#: seeds of ``_vetoed_top`` whose best-scored subsets fail the 1e-3 verdict
+VETOED_TOP_SEEDS = (115, 179, 195)
 
 _BASE = {
     **{f"random-{s}-d{d}": (random_symplectic, s, d) for d in (1, 2, 3, 4, 6) for s in (0, 7, 12)},
@@ -45,6 +57,7 @@ _BASE = {
     **{f"identity-{d}": (lambda d: SymplecticMatrix(np.eye(2 * d)), d) for d in (1, 2, 3)},
     # every subset scores the same |det X| = a^d: ties within and across sizes
     **{f"rotation45-{d}": (_rotation45, d) for d in (1, 2, 3)},
+    **{f"vetoed-top-{s}": (_vetoed_top, s) for s in VETOED_TOP_SEEDS},
 }
 
 CORPUS = {
@@ -68,6 +81,16 @@ def test_dj_factorize_bitwise_equals_the_subset_loop(name, tol):
     for field in ("Q", "L", "P"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
     assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+
+@pytest.mark.parametrize("seed", VETOED_TOP_SEEDS)
+def test_vetoed_top_matrices_do_not_take_the_largest_det(seed):
+    # if the verdict stopped vetoing, these cases would test nothing new
+    S = _vetoed_top(seed)
+    masks = np.concatenate([IndexSet.size_masks(4, size) for size in range(5)])
+    scores = [abs(np.linalg.det(S.A @ np.diag(~m) + S.B @ np.diag(m))) for m in masks]
+    top = masks[int(np.argmax(scores))]
+    assert dj_factorize(S, 1e-3).J != IndexSet(4, tuple(np.flatnonzero(top) + 1))
 
 
 def test_search_holds_one_stack_of_one_size_at_a_time():
@@ -94,31 +117,3 @@ def test_size_masks_follow_lexicographic_combinations(d):
     for size in range(d + 1):
         members = [tuple(np.flatnonzero(m) + 1) for m in IndexSet.size_masks(d, size)]
         assert members == list(itertools.combinations(range(1, d + 1), size))
-
-
-def _stack():
-    rng = np.random.default_rng(5)
-    mats = rng.normal(size=(9, 4, 4))
-    mats[3, :, 0] = 0.0  # singular
-    mats[4, :, 1] = 1e-12 * mats[4, :, 2] + mats[4, :, 3]  # nearly singular
-    mats[5] = -0.0
-    return mats
-
-
-def test_singular_extremes_of_a_stack_bitwise_equal_each_matrix():
-    mats = _stack()
-    smin, smax = singular_extremes(mats)
-    assert smin.shape == smax.shape == (len(mats),)
-    for k, mat in enumerate(mats):
-        one_min, one_max = singular_extremes(mat)
-        assert np.float64(one_min).tobytes() == smin[k].tobytes()
-        assert np.float64(one_max).tobytes() == smax[k].tobytes()
-
-
-@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.5])
-def test_rel_invertible_of_a_stack_bitwise_equals_each_matrix(tol):
-    mats = _stack()
-    got = rel_invertible(mats, tol, 2.5)
-    assert got.dtype == bool and got.shape == (len(mats),)
-    assert list(got) == [rel_invertible(mat, tol, 2.5) for mat in mats]
-    assert not rel_invertible(mats, tol, 0.0)

