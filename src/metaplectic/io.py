@@ -333,6 +333,12 @@ def export_csv(f: GridFunction) -> str:
     # np.hypot rounds as the scalar abs of a complex value does; the array
     # np.abs may differ in the last bit
     columns = [m.ravel() for m in f.grid.meshgrid()] + [v.real, v.imag, np.hypot(v.real, v.imag)]
-    # one format call, the idiom of write_grid_function
+    table = np.column_stack(columns)
     row = ",".join(["%.12g"] * len(columns)) + "\n"
-    return header + "\n" + (row * v.size) % tuple(np.column_stack(columns).ravel().tolist())
+    # one format call per block of rows, so only one block's cells are
+    # Python floats at a time
+    out = [header + "\n"]
+    for first in range(0, v.size, _BLOCK_LINES):
+        cells = table[first : first + _BLOCK_LINES]
+        out.append((row * len(cells)) % tuple(cells.ravel().tolist()))
+    return "".join(out)

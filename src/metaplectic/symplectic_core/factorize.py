@@ -6,16 +6,24 @@ The central routine writes any symplectic S as
 
 with V_Q = [[I,0],[Q,I]], D_L = [[inv(L),0],[0,L^T]], V_P^T = [[I,P],[0,I]]
 and Pi_J the partial interchange.  The index set J is found by exhaustive
-search (d <= 12): J is admissible exactly when X(J) = A I_{J^c} + B I_J is
+search (d <= 16): J is admissible exactly when X(J) = A I_{J^c} + B I_J is
 invertible, and among admissible sets we keep the best conditioned one
-(largest |det X|).  Every subset is scored by |det X(J)|, one stack per
-cardinality; the singular-value verdict then runs on one candidate at a
-time in descending score order and the first to pass wins.  The ranking is
-stable over the (cardinality, lexicographic) order, so ties keep the
-smaller cardinality, then the lexicographically least set.  Given J the
-parameters are forced:
+(largest |det X|).  Every subset is scored by |det X(J)|, in batched
+determinants of about 1 MB of X(J) entries each; the singular-value verdict
+then runs on one candidate at a time in descending score order and the
+first to pass wins.  The ranking is stable over the (cardinality,
+lexicographic) order, so ties keep the smaller cardinality, then the
+lexicographically least set.  Given J the parameters are forced:
 
     L = X^{-1},   P = X^{-1} (B I_{J^c} - A I_J),   Q = (C I_{J^c} + D I_J) X^{-1}.
+
+The search remembers its last answer.  The entry is keyed by the matrix's
+bytes, d and the resolved tolerance, and keeps only the winning mask; the
+symplecticity check, the parameters, the symmetry check and the residual
+are computed again on every call, so each call returns fresh arrays and
+raises as before.  One entry serves the real repeats (``shift_perturb``,
+``admissible_shift_range`` and ``wigner_split`` each factorize the matrix
+they are given, often the same one in a row) and holds no matrices alive.
 
 Specializations: ``free_factorize`` (B invertible, a three-generator form
 around the full interchange) and ``lower_tri_factorize`` (B = 0, no
@@ -32,10 +40,18 @@ from .generators import chirp_block, dilation_block, interchange, multiplier_blo
 from .types import DJFactorization, IndexSet, SymplecticMatrix
 
 #: exhaustive subset search is O(2^d); keep it at desk scale
-MAX_SEARCH_DIM = 12
+MAX_SEARCH_DIM = 16
+
+#: X(J) entries per batched determinant of the search (8 bytes each)
+_DET_CHUNK_ENTRIES = 1 << 17
 
 #: forced symmetry of the solved parameters is checked at this relative level
 SYMMETRY_TOL = 1e-10
+
+#: ((matrix bytes, d, search tol), winning mask) of the last search, or None;
+#: replaced in one assignment, so a reader never sees a key without its mask
+#: (two threads that miss together only search twice)
+_last_search: tuple[tuple[bytes, int, float], np.ndarray] | None = None
 
 
 def dj_compose(f: DJFactorization) -> SymplecticMatrix:
@@ -52,6 +68,28 @@ def _x_of(S: SymplecticMatrix, masks: np.ndarray) -> np.ndarray:
     return x
 
 
+def _search(S: SymplecticMatrix, search_tol: float) -> np.ndarray:
+    """The (read-only) mask of the interchange set: the first subset in
+    descending |det X(J)| order whose X(J) passes the singular-value verdict."""
+    d = S.d
+    _, scale = singular_extremes(S.mat)
+    masks = np.concatenate([IndexSet.size_masks(d, size) for size in range(d + 1)])
+    # a batched det decides each matrix alone, so chunks of about 1 MB of
+    # X(J) give the same scores as one stack
+    step = max(1, _DET_CHUNK_ENTRIES // (d * d))
+    scores = np.concatenate(
+        [np.abs(np.linalg.det(_x_of(S, masks[i : i + step]))) for i in range(0, len(masks), step)]
+    )
+    # the stable sort keeps the (cardinality, lexicographic) order among ties
+    for k in np.argsort(-scores, kind="stable"):
+        if rel_invertible(_x_of(S, masks[k]), search_tol, scale):
+            mask = masks[k].copy()
+            mask.flags.writeable = False
+            return mask
+    # cannot happen for a true symplectic matrix; guard anyway
+    raise ValueError("no admissible index set found; matrix is too far from symplectic")
+
+
 def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorization:
     """Factor S = V_Q . D_L . V_P^T . Pi_J with an exhaustively chosen J.
 
@@ -64,21 +102,16 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
     d = S.d
     if d > MAX_SEARCH_DIM:
         raise ValueError(f"exhaustive index-set search supports d <= {MAX_SEARCH_DIM}, got d={d}")
-    _, scale = singular_extremes(S.mat)
     search_tol = default_tol() if tol is None else tol
-    by_size = [IndexSet.size_masks(d, size) for size in range(d + 1)]
-    # one size's stack at a time: at most about 1 MB at d=12
-    scores = np.concatenate([np.abs(np.linalg.det(_x_of(S, m))) for m in by_size])
-    masks = np.concatenate(by_size)
-    # the stable sort keeps the (cardinality, lexicographic) order among ties
-    for k in np.argsort(-scores, kind="stable"):
-        x = _x_of(S, masks[k])
-        if rel_invertible(x, search_tol, scale):
-            break
+    global _last_search
+    key = (S.mat.tobytes(), d, search_tol)
+    last = _last_search
+    if last is not None and last[0] == key:
+        mask = last[1]
     else:
-        # cannot happen for a true symplectic matrix; guard anyway
-        raise ValueError("no admissible index set found; matrix is too far from symplectic")
-    mask = masks[k]
+        mask = _search(S, search_tol)
+        _last_search = (key, mask)
+    x = _x_of(S, mask)
     L = np.linalg.inv(x)
     P = L @ (np.where(mask, -S.A, S.B) + 0.0)
     Q = (np.where(mask, S.D, S.C) + 0.0) @ L

@@ -90,8 +90,8 @@ def test_factorize_rejects_hopelessly_conditioned_input():
 def test_dj_rejects_non_symplectic_and_big_dimension():
     with pytest.raises(ValueError):
         dj_factorize(SymplecticMatrix(np.eye(4) * 1.5, validate=False))
-    big = SymplecticMatrix(np.eye(26))
-    with pytest.raises(ValueError, match="d <= 12"):
+    big = SymplecticMatrix(np.eye(34))
+    with pytest.raises(ValueError, match="d <= 16"):
         dj_factorize(big)
 
 

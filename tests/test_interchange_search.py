@@ -7,6 +7,9 @@ X(J) from 0/1 projectors and decides it alone.  Both must choose the same J
 and give the same floats, compared by ``tobytes()``; the negated matrices
 hold -0.0 entries, and the ``vetoed-top`` matrices have a largest-|det|
 subset that fails the verdict at tol 1e-3.
+
+The search's one-entry memo is watched through ``IndexSet.size_masks``,
+which each search calls once per cardinality.
 """
 
 import itertools
@@ -23,11 +26,16 @@ from metaplectic.metaplectic_numeric.distributions import (
 from metaplectic.symplectic_core import (
     IndexSet,
     SymplecticMatrix,
+    admissible_shift_range,
     dilation_block,
     dj_factorize,
     random_symplectic,
+    shift_perturb,
     standard_involution,
+    wigner_split,
 )
+from metaplectic.symplectic_core import factorize
+from metaplectic.tolerances import ENV_TOL
 
 import oracles
 
@@ -66,6 +74,10 @@ CORPUS = {
 }
 
 
+def _bytes(f):
+    return [f.J, f.Q.tobytes(), f.L.tobytes(), f.P.tobytes(), np.float64(f.residual).tobytes()]
+
+
 def _matrix(name: str) -> SymplecticMatrix:
     negate, (builder, *args) = CORPUS[name]
     S = builder(*args)
@@ -93,18 +105,31 @@ def test_vetoed_top_matrices_do_not_take_the_largest_det(seed):
     assert dj_factorize(S, 1e-3).J != IndexSet(4, tuple(np.flatnonzero(top) + 1))
 
 
-def test_search_holds_one_stack_of_one_size_at_a_time():
-    # at d=12 the largest size (6) stacks 924 X(J) in about 1.1 MB; all
-    # 4096 subsets at once would take 4.7 MB
-    S = random_symplectic(4, 12)
+@pytest.mark.parametrize("d, bound", [(12, 2e6), (16, 6e6)])
+def test_search_holds_one_chunk_of_x_at_a_time(monkeypatch, d, bound):
+    # the determinants take about 1 MB of X(J) at a time: at d=12 all 4096
+    # subsets at once would take 4.7 MB, and at d=16 the size-8 stack alone
+    # 26 MB; the masks, scores and order of 2^16 subsets take about 3 MB
+    S = random_symplectic(4, d)
     dj_factorize(S)
+    monkeypatch.setattr(factorize, "_last_search", None)
     tracemalloc.start()
     try:
         dj_factorize(S)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+    assert peak < bound
+
+
+def test_d13_search_bitwise_equals_the_subset_loop():
+    S = random_symplectic(2, 13)
+    assert _bytes(dj_factorize(S)) == _bytes(oracles.looped_dj_factorize(S))
+
+
+def test_d16_factorization_recomposes():
+    S = random_symplectic(5, 16)
+    assert dj_factorize(S).residual < 1e-11 * np.linalg.norm(S.mat)
 
 
 def test_negated_corpus_holds_negative_zeros():
@@ -117,3 +142,98 @@ def test_size_masks_follow_lexicographic_combinations(d):
     for size in range(d + 1):
         members = [tuple(np.flatnonzero(m) + 1) for m in IndexSet.size_masks(d, size)]
         assert members == list(itertools.combinations(range(1, d + 1), size))
+
+
+# -- the one-entry memo of the search -------------------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The d of each search from here on; the memo starts empty."""
+    seen = []
+    size_masks = IndexSet.size_masks
+
+    def spy(d, size):
+        if size == 0:
+            seen.append(d)
+        return size_masks(d, size)
+
+    monkeypatch.setattr(IndexSet, "size_masks", staticmethod(spy))
+    monkeypatch.setattr(factorize, "_last_search", None)
+    return seen
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_memo_hit_bitwise_equals_a_fresh_search_and_the_subset_loop(searches, name, tol):
+    S = _matrix(name)
+    fresh = dj_factorize(S, tol)
+    hit = dj_factorize(S, tol)
+    assert searches == [S.d]
+    assert _bytes(hit) == _bytes(fresh) == _bytes(oracles.looped_dj_factorize(S, tol))
+
+
+def test_writing_into_the_factors_bitwise_leaves_the_next_call(searches):
+    S = random_symplectic(7, 4)
+    first = dj_factorize(S)
+    want = _bytes(first)
+    for field in ("Q", "L", "P"):
+        getattr(first, field)[...] = 7.0
+    assert _bytes(dj_factorize(S)) == want
+    assert searches == [4]
+
+
+def _next_ulp(S):
+    mat = S.mat.copy()
+    i, j = np.unravel_index(np.argmax(np.abs(mat)), mat.shape)
+    mat[i, j] = np.nextafter(mat[i, j], np.inf)
+    return SymplecticMatrix(mat), None
+
+
+def _negative_zero(S):
+    mat = S.mat.copy()
+    i, j = np.argwhere((mat == 0.0) & ~np.signbit(mat))[0]
+    mat[i, j] = -0.0
+    return SymplecticMatrix(mat), None
+
+
+MISSES = {
+    "one-ulp": _next_ulp,
+    "negative-zero": _negative_zero,
+    "other-tol": lambda S: (S, 1e-3),
+    "environment-tol": lambda S: (S, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSES))
+def test_memo_misses_on_any_change_of_its_key(searches, monkeypatch, case):
+    # the interchange of both coordinates of a stretch and shear: X(J)
+    # is singular for every J but the full set, and B holds +0.0 entries
+    S = standard_involution(2) @ dilation_block(np.array([[2.0, 1.0], [0.0, 0.5]]))
+    assert np.any((S.mat == 0.0) & ~np.signbit(S.mat))
+    dj_factorize(S)
+    other, tol = MISSES[case](S)
+    if case == "environment-tol":
+        monkeypatch.setenv(ENV_TOL, "1e-6")
+    dj_factorize(other, tol)
+    assert searches == [2, 2]
+    # the new key took the entry
+    dj_factorize(other, tol)
+    assert searches == [2, 2]
+
+
+def test_one_analysis_of_a_matrix_searches_once(searches):
+    S = random_symplectic(6, 4)
+    dj_factorize(S)
+    tau_max = admissible_shift_range(S)
+    shift_perturb(S, 0.5 * tau_max if np.isfinite(tau_max) else 0.5)
+    wigner_split(S)
+    assert searches == [4]
+
+
+def test_alternating_matrices_search_on_every_call(searches):
+    S, T = random_symplectic(6, 4), random_symplectic(8, 4)
+    for _ in range(3):
+        dj_factorize(S)
+        dj_factorize(T)
+    assert searches == [4] * 6

@@ -371,3 +371,15 @@ def test_export_csv_bytes_equal_the_row_writer(f):
     # on some builds the array np.abs rounds random complex values apart
     # from the scalar abs in the last bit, which %.12g can show
     assert export_csv(f) == rowwise_export_csv(f)
+
+
+@pytest.mark.parametrize("block_lines", [1, 3, 7, 48, 64])
+def test_export_csv_is_block_independent(monkeypatch, block_lines):
+    # one row per block, blocks that leave a remainder, and one block that
+    # holds every row of one table and only part of the other
+    monkeypatch.setattr(metaplectic.io, "_BLOCK_LINES", block_lines)
+    for f in (
+        GridFunction(Grid((Axis(8, 0.5), Axis(6, 1.0 / 3.0))), _random_complex(3, (8, 6), 1e-200, 1e200)),
+        GridFunction(Grid((Axis(_SPECIAL.size**2, 1.0),)), _special_pairs()),
+    ):
+        assert export_csv(f) == rowwise_export_csv(f)
