@@ -3,6 +3,7 @@
 Every format is line based, starts with a ``<kind> v1`` header, ignores
 blank lines and ``#`` comments, and round-trips through ``repr``-exact
 floats.  Parse errors carry the 1-based line number of the offending line.
+The writers format their float tables one block of lines at a time.
 
 * ``symplectic-matrix v1`` — ``d <int>``, optional ``label <text>``, then
   2d ``row`` lines of 2d entries each.
@@ -10,9 +11,10 @@ floats.  Parse errors carry the 1-based line number of the offending line.
   ``values`` marker, then one ``<re> <im>`` line per sample in C order.
   A values block in the writer's own shape (ASCII digits, ``.+-eE``, one
   space and a final newline on each of exactly the declared number of
-  lines) is converted in chunks of lines by numpy; every other block
-  (comments, blank lines, other whitespace, ``inf``/``nan``, any error)
-  goes through the line-by-line parser, which reports every error.
+  lines) is checked and converted by numpy one block of lines at a time;
+  every other block (comments, blank lines, other whitespace,
+  ``inf``/``nan``, any error) goes through the line-by-line parser, the
+  only parser that reports errors.
 * ``dj-factorization v1``  — ``d``, ``subset`` (1-based members or ``-``),
   ``residual``, then ``Q``/``L``/``P`` sections of ``row`` lines.
 * ``probe-report v1``      — write-only summary of a probe run.
@@ -31,10 +33,6 @@ from .metaplectic_numeric import Axis, Grid, GridFunction
 from .symplectic_core import DJFactorization, IndexSet
 
 T = TypeVar("T")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 class _Lines:
@@ -143,14 +141,13 @@ def _check_header(lines: _Lines, kind: str) -> None:
 
 def write_matrix(mat, label: str | None = None) -> str:
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
-        raise ValueError(f"matrix must be square with even side, got shape {mat.shape}")
-    out = ["symplectic-matrix v1", f"d {mat.shape[0] // 2}"]
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0 or not mat.size:
+        raise ValueError(f"matrix must be square with even side >= 2, got shape {mat.shape}")
+    out = ["symplectic-matrix v1\n", f"d {mat.shape[0] // 2}\n"]
     if label is not None:
-        out.append(f"label {label}")
-    for row in mat:
-        out.append("row " + " ".join(_fmt(v) for v in row))
-    return "\n".join(out) + "\n"
+        out.append(f"label {label}\n")
+    out += _rows(mat, "row" + " %r" * len(mat) + "\n")
+    return "".join(out)
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -173,13 +170,9 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def write_grid_function(f: GridFunction) -> str:
-    out = ["grid-function v1", f"d {f.grid.d}"]
-    for ax in f.grid.axes:
-        out.append(f"axis {ax.n} {_fmt(ax.step)}")
-    out.append("values")
-    # one format call; %r of a float is its repr, and the header holds no '%'
-    pairs = f.values.ravel().view(float)
-    return ("\n".join(out) + "\n" + "%r %r\n" * f.values.size) % tuple(pairs.tolist())
+    axes = [f"axis {ax.n} {float(ax.step)!r}\n" for ax in f.grid.axes]
+    pairs = f.values.reshape(-1, 1).view(float)
+    return "".join(["grid-function v1\n", f"d {f.grid.d}\n", *axes, "values\n", *_rows(pairs, "%r %r\n")])
 
 
 def parse_grid_function(text: str) -> GridFunction:
@@ -228,13 +221,22 @@ _VALUES_MARKER = "\nvalues\n"
 #: the only bytes of a values block in the writer's shape
 _BLOCK_CHARS = b"0123456789.+-eE \n"
 
-#: value lines per ``np.array`` conversion; bounds the token lists
+#: table rows per ``%`` call of the writers; a parse block ends at the first
+#: newline after 64 times as many characters (a written value line has <= 50)
 _BLOCK_LINES = 1 << 14
 
 
+def _rows(cells: np.ndarray, row: str):
+    """``row`` formatted with each row of a float table (``%r`` is ``repr``),
+    one string per ``_BLOCK_LINES`` rows."""
+    for first in range(0, len(cells), _BLOCK_LINES):
+        block = cells[first : first + _BLOCK_LINES]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
 def _parse_written_block(text: str) -> GridFunction | None:
-    """The values block in the writer's shape, converted in chunks of lines;
-    None for any other layout (the caller then parses line by line)."""
+    """The values block in the writer's shape, checked and converted one block
+    at a time; None for any other layout (the caller then parses by line)."""
     if not text.isascii():
         return None
     cut = text.find(_VALUES_MARKER) + len(_VALUES_MARKER)
@@ -245,33 +247,30 @@ def _parse_written_block(text: str) -> GridFunction | None:
     if not lines.done():
         return None
     count = math.prod(grid.shape)
-    raw = text.encode("ascii")  # ASCII: byte offsets are character offsets
-    # the block holds allowed bytes only iff deleting them from the whole
-    # text leaves exactly what they leave of the header
-    if raw.translate(None, _BLOCK_CHARS) != raw[:cut].translate(None, _BLOCK_CHARS):
+    # the header alone may declare more samples than memory holds: a value line takes >= 4 characters
+    if 4 * count > len(text) - cut:
         return None
-    block = np.frombuffer(raw, dtype=np.uint8, offset=cut)
-    ends = np.flatnonzero(block == ord("\n"))
-    gaps = np.flatnonzero(block == ord(" "))
-    # "<tok> <tok>\n" on every line: each space lies strictly inside its line
-    if not (
-        len(ends) == len(gaps) == count
-        and ends[-1] == block.size - 1
-        and gaps[0] > 0
-        and np.all(gaps[1:] > ends[:-1] + 1)
-        and np.all(ends > gaps + 1)
-    ):
-        return None
-    del raw, block, gaps  # the byte copy of the text goes before the floats come
     flat = np.empty(count, dtype=complex)
     pairs = flat.view(float)  # writing re/im through the float view keeps -0.0
-    start = cut
-    for first in range(0, count, _BLOCK_LINES):
-        last = min(first + _BLOCK_LINES, count)
-        stop = cut + int(ends[last - 1]) + 1
-        pairs[2 * first : 2 * last] = np.array(text[start:stop].split(), dtype=float)
-        start = stop
-    return GridFunction(grid, flat.reshape(grid.shape))
+    done, start = 0, cut
+    while start < len(text):
+        stop = text.find("\n", start + 64 * _BLOCK_LINES) + 1 or len(text)
+        block = text[start:stop]
+        raw = block.encode("ascii")  # ASCII: byte offsets are character offsets
+        codes = np.frombuffer(raw, dtype=np.uint8)
+        ends, gaps = np.flatnonzero(codes == ord("\n")), np.flatnonzero(codes == ord(" "))
+        # allowed bytes, and "<tok> <tok>\n" on every line: each space lies strictly inside its line
+        if raw.translate(None, _BLOCK_CHARS) or not (
+            0 < len(ends) == len(gaps) <= count - done
+            and ends[-1] == codes.size - 1
+            and gaps[0] > 0
+            and np.all(gaps[1:] > ends[:-1] + 1)
+            and np.all(ends > gaps + 1)
+        ):
+            return None
+        pairs[2 * done : 2 * (done + len(ends))] = np.array(block.split(), dtype=float)
+        done, start = done + len(ends), stop
+    return GridFunction(grid, flat.reshape(grid.shape)) if done == count else None
 
 
 # -- factorization reports -----------------------------------------------------
@@ -280,17 +279,12 @@ def _parse_written_block(text: str) -> GridFunction | None:
 def write_dj(fact: DJFactorization) -> str:
     d = fact.d
     members = " ".join(str(j) for j in fact.J) or "-"
-    out = [
-        "dj-factorization v1",
-        f"d {d}",
-        f"subset {members}",
-        f"residual {_fmt(fact.residual)}",
-    ]
+    residual = f"residual {float(fact.residual)!r}\n"
+    out = ["dj-factorization v1\n", f"d {d}\n", f"subset {members}\n", residual]
     for name, mat in (("Q", fact.Q), ("L", fact.L), ("P", fact.P)):
-        out.append(name)
-        for row in np.asarray(mat, dtype=float):
-            out.append("row " + " ".join(_fmt(v) for v in row))
-    return "\n".join(out) + "\n"
+        out.append(f"{name}\n")
+        out += _rows(np.asarray(mat, dtype=float), "row" + " %r" * d + "\n")
+    return "".join(out)
 
 
 def parse_dj(text: str) -> DJFactorization:
@@ -333,12 +327,5 @@ def export_csv(f: GridFunction) -> str:
     # np.hypot rounds as the scalar abs of a complex value does; the array
     # np.abs may differ in the last bit
     columns = [m.ravel() for m in f.grid.meshgrid()] + [v.real, v.imag, np.hypot(v.real, v.imag)]
-    table = np.column_stack(columns)
     row = ",".join(["%.12g"] * len(columns)) + "\n"
-    # one format call per block of rows, so only one block's cells are
-    # Python floats at a time
-    out = [header + "\n"]
-    for first in range(0, v.size, _BLOCK_LINES):
-        cells = table[first : first + _BLOCK_LINES]
-        out.append((row * len(cells)) % tuple(cells.ravel().tolist()))
-    return "".join(out)
+    return "".join([header + "\n", *_rows(np.column_stack(columns), row)])

@@ -48,6 +48,8 @@ class GaussianChirp:
     b: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(np.r_[self.gamma, np.ravel(self.M), np.ravel(self.b)]).all():
+            raise ValueError("chirp parameters gamma, M and b must be finite")
         M = _as_matrix(self.M)
         b = np.atleast_1d(np.asarray(self.b, dtype=complex))
         if b.shape != (M.shape[0],):
@@ -75,6 +77,8 @@ class GaussianChirp:
         a = np.broadcast_to(np.asarray(a, dtype=float), (d,))
         if a.min() <= 0.0:
             raise ValueError("dilation scales must be positive")
+        if not np.isfinite(a).all():
+            raise ValueError("dilation scales must be finite")
         return cls(1.0, 1j * np.diag(a), np.zeros(d))
 
     @property
@@ -149,6 +153,8 @@ class GaussianChirp:
         """Time-frequency shift: e^{2 pi i tau} e^{-i pi xi0.x0} e^{2 pi i xi0.t} f(t - x0)."""
         x0 = np.broadcast_to(np.asarray(x0, dtype=float), (self.d,))
         xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (self.d,))
+        if not (np.isfinite(x0).all() and np.isfinite(xi0).all() and math.isfinite(tau)):
+            raise ValueError("time-frequency shifts must be finite")
         quad = complex(x0 @ self.M @ x0)
         gamma = (
             self.gamma

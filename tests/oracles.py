@@ -11,9 +11,10 @@ spectrum; ``looped_centered_dft``, the transform as one shift, FFT, shift
 and scaling per axis; ``gathered_rows``, the Wigner and STFT rows by
 index gathers; ``scattered_wigner_adjoint``, the Wigner adjoint by an index
 scatter; ``looped_dj_factorize``, the interchange-set search one
-subset at a time; ``looped_write_grid_function``, the grid-function
-writer with one ``repr`` pair per value line; and ``rowwise_export_csv``,
-the CSV export through ``csv.writer`` with one scalar ``abs`` per row.
+subset at a time; ``looped_write_matrix``, ``looped_write_dj`` and
+``looped_write_grid_function``, the text writers with one ``repr`` per
+entry; and ``rowwise_export_csv``, the CSV export through ``csv.writer``
+with one scalar ``abs`` per row.
 
 The Gaussian-chirp closed forms are the exact reference for the sampled
 stages: ``gaussian_integral``, the chirp's L^p norm and L^2 inner product,
@@ -314,7 +315,33 @@ def scattered_wigner_adjoint(a: GridFunction) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# the grid-function writer one value line at a time
+# the text writers one entry at a time
+
+
+def _looped_rows(mat) -> list[str]:
+    return ["row " + " ".join(repr(float(v)) for v in row) for row in np.asarray(mat, dtype=float)]
+
+
+def looped_write_matrix(mat, label: str | None = None) -> str:
+    """The ``symplectic-matrix v1`` text of ``mat``, one ``repr`` per entry."""
+    out = ["symplectic-matrix v1", f"d {len(mat) // 2}"]
+    if label is not None:
+        out.append(f"label {label}")
+    return "\n".join(out + _looped_rows(mat)) + "\n"
+
+
+def looped_write_dj(fact: DJFactorization) -> str:
+    """The ``dj-factorization v1`` text of ``fact``, one ``repr`` per entry."""
+    members = " ".join(str(j) for j in fact.J) or "-"
+    out = [
+        "dj-factorization v1",
+        f"d {fact.d}",
+        f"subset {members}",
+        f"residual {repr(float(fact.residual))}",
+    ]
+    for name, mat in (("Q", fact.Q), ("L", fact.L), ("P", fact.P)):
+        out += [name, *_looped_rows(mat)]
+    return "\n".join(out) + "\n"
 
 
 def looped_write_grid_function(f: GridFunction) -> str:

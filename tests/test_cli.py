@@ -160,6 +160,33 @@ def test_sample_rejects_an_infinite_extent(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--shift", "nan", "time-frequency shifts must be finite"),
+        ("--shift", "inf", "time-frequency shifts must be finite"),
+        ("--shift", "-inf", "time-frequency shifts must be finite"),
+        ("--mod", "nan", "time-frequency shifts must be finite"),
+        ("--mod", "inf", "time-frequency shifts must be finite"),
+        ("--lam", "nan", "dilation scales must be finite"),
+        ("--lam", "inf", "dilation scales must be finite"),
+        ("--lam", "-inf", "dilation scales must be positive"),
+        ("--lam", "0", "dilation scales must be positive"),
+    ],
+    ids=lambda v: v.split()[-1] if " " in v else v,
+)
+def test_sample_rejects_non_finite_parameters(tmp_path, capsys, option, value, message):
+    # these used to write an all-nan file with exit 0, or fail with numpy
+    # warnings and a message about symmetry
+    out = tmp_path / "sig.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sample", "--d", "2", "--n", "8", f"{option}={value}", "--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_sample_reports_poor_decay(tmp_path, capsys):
     sig = tmp_path / "wide.txt"
     assert main(["sample", "--d", "1", "--n", "16", "--lam", "1e-6", "--out", str(sig)]) == 0

@@ -8,6 +8,7 @@ goes through the line-by-line parser, and the two must agree on every input.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +30,20 @@ from metaplectic.io import (
 )
 from metaplectic.metaplectic_numeric import Axis, Grid, GridFunction
 from metaplectic.probes import ProbeReport
-from metaplectic.symplectic_core import SymplecticMatrix, dj_factorize, random_symplectic
-from oracles import looped_write_grid_function, rowwise_export_csv
+from metaplectic.symplectic_core import (
+    DJFactorization,
+    IndexSet,
+    SymplecticMatrix,
+    dj_factorize,
+    random_symplectic,
+)
+from oracles import (
+    looped_write_dj,
+    looped_write_grid_function,
+    looped_write_matrix,
+    rowwise_export_csv,
+)
+from test_interchange_search import CORPUS, _matrix
 
 
 # -- matrices -------------------------------------------------------------------
@@ -42,6 +55,12 @@ def test_matrix_round_trip_bitwise():
     back = parse_matrix(text)
     assert np.array_equal(back, mat)
     assert text.splitlines()[0] == "symplectic-matrix v1"
+
+
+def test_write_matrix_rejects_an_empty_matrix():
+    # "d 0" with no rows is a file parse_matrix refuses
+    with pytest.raises(ValueError, match=r"even side >= 2, got shape \(0, 0\)"):
+        write_matrix(np.zeros((0, 0)))
 
 
 def test_matrix_label_is_optional_and_skipped():
@@ -238,6 +257,12 @@ BLOCK_CASES = {
     "indented-marker-then-plain-marker": (GRID_4.replace("values", "  values") + "values\n" + VALUES_4, False),
     "extra-axis": ("grid-function v1\nd 1\naxis 4 0.5\naxis 4 0.5\nvalues\n" + VALUES_4, False),
     "non-ascii-comment": ("grid-function v1\n# é\nd 1\naxis 4 0.5\nvalues\n" + VALUES_4, False),
+    # with one-line blocks the first two blocks end at the last value line,
+    # so the third holds the fragment alone, with no newline
+    "fragment-after-two-blocks": (
+        "grid-function v1\nd 1\naxis 34 0.5\nvalues\n" + "1 0\n" * 34 + "5",
+        False,
+    ),
 }
 
 
@@ -245,6 +270,29 @@ BLOCK_CASES = {
 def test_grid_function_parse_agrees_with_the_line_parser(text, fast):
     assert _outcome(parse_grid_function, text) == _outcome(_parse_grid_lines, text)
     assert (_fast(text) is not None) == fast
+
+
+@pytest.mark.parametrize("text, fast", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_grid_function_parse_agrees_with_the_line_parser_in_small_blocks(monkeypatch, text, fast):
+    # blocks of about three value lines: a case's lines span several blocks
+    monkeypatch.setattr(metaplectic.io, "_BLOCK_LINES", 1)
+    test_grid_function_parse_agrees_with_the_line_parser(text, fast)
+
+
+def test_writer_peak_is_bounded_by_the_text():
+    # a 512 x 512 distribution, as the CLI's wigner verb writes at n=512:
+    # the writer holds its formatted blocks and the joined text, and one
+    # block's numbers as Python floats
+    rng = np.random.default_rng(18)
+    values = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
+    f = GridFunction(Grid((Axis(512, 0.05), Axis(512, 0.04))), values)
+    tracemalloc.start()
+    try:
+        text = write_grid_function(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 GRID_1D = "grid-function v1\nd 1\n"
@@ -371,6 +419,39 @@ def test_export_csv_bytes_equal_the_row_writer(f):
     # on some builds the array np.abs rounds random complex values apart
     # from the scalar abs in the last bit, which %.12g can show
     assert export_csv(f) == rowwise_export_csv(f)
+
+
+def _special_dj(d: int) -> DJFactorization:
+    blocks = np.resize(_SPECIAL, (3, d, d))
+    return DJFactorization(*blocks, J=IndexSet(d, (1,)), residual=np.nan)
+
+
+@pytest.fixture(scope="module")
+def corpus_factorizations():
+    return {name: dj_factorize(_matrix(name)) for name in sorted(CORPUS)}
+
+
+@pytest.mark.parametrize("block_lines", [1, 3, 7, 64, 1 << 14])
+def test_matrix_and_dj_writers_equal_the_looped_writers(monkeypatch, block_lines, corpus_factorizations):
+    monkeypatch.setattr(metaplectic.io, "_BLOCK_LINES", block_lines)
+    for name, fact in corpus_factorizations.items():
+        S = _matrix(name).mat
+        assert write_matrix(S, label=name) == looped_write_matrix(S, label=name), name
+        assert write_dj(fact) == looped_write_dj(fact), name
+    special = np.resize(_SPECIAL, (10, 10))
+    assert write_matrix(special) == looped_write_matrix(special)
+    for d in (1, 3, 9):
+        assert write_dj(_special_dj(d)) == looped_write_dj(_special_dj(d))
+
+
+@pytest.mark.parametrize("block_lines", [1, 3, 7, 64])
+def test_grid_function_writer_is_block_independent(monkeypatch, block_lines):
+    monkeypatch.setattr(metaplectic.io, "_BLOCK_LINES", block_lines)
+    for f in (
+        GridFunction(Grid((Axis(8, 0.5), Axis(6, 1.0 / 3.0))), _random_complex(3, (8, 6), 1e-200, 1e200)),
+        GridFunction(Grid((Axis(_SPECIAL.size**2, 1.0),)), _special_pairs()),
+    ):
+        assert write_grid_function(f) == looped_write_grid_function(f)
 
 
 @pytest.mark.parametrize("block_lines", [1, 3, 7, 48, 64])

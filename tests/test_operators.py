@@ -95,6 +95,26 @@ def test_gaussian_chirp_lp_norm_closed_form():
         assert chirp_lp_norm(gc, p) == pytest.approx(oracles.gauss_lp_norm(3.0, p), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GaussianChirp(np.inf, 1j * np.eye(1), [0.0]), "must be finite"),
+        (lambda: GaussianChirp(1.0, [[1j, np.nan], [np.nan, 1j]], [0.0, 0.0]), "must be finite"),
+        (lambda: GaussianChirp(1.0, 1j * np.eye(1), [complex(0.0, np.inf)]), "must be finite"),
+        (lambda: GaussianChirp.dilated(2, [1.0, np.nan]), "dilation scales must be finite"),
+        (lambda: GaussianChirp.dilated(1, np.inf), "dilation scales must be finite"),
+        (lambda: GaussianChirp.dilated(1, -np.inf), "dilation scales must be positive"),
+        (lambda: GaussianChirp.standard(2).tf_shift([0.0, np.inf], 0.0), "shifts must be finite"),
+        (lambda: GaussianChirp.standard(1).tf_shift(0.0, np.nan), "shifts must be finite"),
+        (lambda: GaussianChirp.standard(1).tf_shift(0.0, 0.0, tau=np.inf), "shifts must be finite"),
+    ],
+    ids=["gamma", "M", "b", "scale-nan", "scale-inf", "scale-minus-inf", "shift", "modulation", "tau"],
+)
+def test_gaussian_chirp_refuses_non_finite_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_gaussian_chirp_modulate_and_shift_sampling():
     gc = GaussianChirp.standard(1).tf_shift(np.array([0.75]), np.array([-0.5]))
     g = Grid.regular(1, 128, 8.0)
