@@ -63,8 +63,12 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    # one MiB slice at a time: a whole-text write encodes a second full copy,
+    # and that copy lands on top of whatever the writer's freed blocks left
+    # resident, so the peak would follow the heap's layout
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for start in range(0, len(text), 1 << 20):
+            fh.write(text[start : start + (1 << 20)])
 
 
 def _load_symplectic(path: str) -> SymplecticMatrix:

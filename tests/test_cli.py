@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from metaplectic.cli import main
+from metaplectic.cli import _write_text, main
 from metaplectic.io import (
     parse_dj,
     parse_grid_function,
@@ -194,6 +194,16 @@ def test_sample_reports_poor_decay(tmp_path, capsys):
 
 
 # -- wigner -----------------------------------------------------------------------
+
+
+def test_written_files_are_the_text_across_write_slices(tmp_path):
+    # 2.5 MiB in 1 MiB slices, a two-byte character on each slice boundary
+    text = "".join(["a" * ((1 << 20) - 1), "é", "b" * ((1 << 20) - 1), "é", "c" * (1 << 19)])
+    path = tmp_path / "big.txt"
+    _write_text(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+    _write_text(str(path), "")
+    assert path.read_bytes() == b""
 
 
 def test_wigner_kinds_and_csv(tmp_path, capsys):
