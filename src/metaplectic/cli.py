@@ -13,14 +13,17 @@ Verbs:
 * ``demo``      — built-in shift-perturbation convergence table.
 
 All output is deterministic (no timestamps, fixed float formatting), so runs
-are byte-for-byte reproducible.  Exit codes: 0 success, 2 invalid input or
-failed validation, 3 a tolerance ambiguity (the requested decision sits too
-close to the cutoff; rerun with an explicit --tol or METAPLECTIC_TOL).
+are byte-for-byte reproducible.  Exit codes: 0 success, 2 invalid input,
+failed validation or a floating-point overflow or nan, 3 a tolerance
+ambiguity (the decision sits too close to the cutoff; rerun with --tol or
+METAPLECTIC_TOL).  A failing run prints nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 
 import numpy as np
@@ -163,8 +166,6 @@ def cmd_quantize(args) -> int:
     d = a.grid.d // 2
     A = _load_symplectic(args.matrix) if args.matrix else wigner_projection(d)
     K = opA_build(a, A)
-    # every input is read and applied before anything is printed, so a
-    # failing run prints nothing on stdout
     if args.signal:
         f = _load_signal(args.signal)
         out = opA_apply(K, f)
@@ -181,6 +182,10 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.kind == "isometry" and args.q not in (None, args.p):
+        raise ValueError("probe isometry maps L^p to L^p; --q must equal --p")
+    if args.kind == "normequiv" and args.tol is not None:
+        raise ValueError("probe normequiv takes no --tol")
     S = _load_symplectic(args.matrix)
     kwargs = {"n": args.n}
     if args.lambdas:
@@ -331,14 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # stdout is held until the verb returns; every floating-point fault but
+    # underflow (Gaussian tails underflow by design) fails the run
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out), np.errstate(over="raise", invalid="raise", divide="raise"):
+            code = args.func(args)
     except ToleranceAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -17,13 +17,10 @@ lexicographically least set.  Given J the parameters are forced:
 
     L = X^{-1},   P = X^{-1} (B I_{J^c} - A I_J),   Q = (C I_{J^c} + D I_J) X^{-1}.
 
-The search remembers its last answer.  The entry is keyed by the matrix's
-bytes, d and the resolved tolerance, and keeps only the winning mask; the
-symplecticity check, the parameters, the symmetry check and the residual
-are computed again on every call, so each call returns fresh arrays and
-raises as before.  One entry serves the real repeats (``shift_perturb``,
-``admissible_shift_range`` and ``wigner_split`` each factorize the matrix
-they are given, often the same one in a row) and holds no matrices alive.
+The search is an ``lru_cache(maxsize=1)`` on the matrix's bytes, d and the
+resolved tolerance, and caches only the winning mask.  One entry serves the
+real repeats: ``shift_perturb``, ``admissible_shift_range`` and
+``wigner_split`` each factorize the matrix they are given.
 
 Specializations: ``free_factorize`` (B invertible, a three-generator form
 around the full interchange) and ``lower_tri_factorize`` (B = 0, no
@@ -31,6 +28,8 @@ interchange at all).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,11 +47,6 @@ _DET_CHUNK_ENTRIES = 1 << 17
 #: forced symmetry of the solved parameters is checked at this relative level
 SYMMETRY_TOL = 1e-10
 
-#: ((matrix bytes, d, search tol), winning mask) of the last search, or None;
-#: replaced in one assignment, so a reader never sees a key without its mask
-#: (two threads that miss together only search twice)
-_last_search: tuple[tuple[bytes, int, float], np.ndarray] | None = None
-
 
 def dj_compose(f: DJFactorization) -> SymplecticMatrix:
     """Multiply the four factors V_Q . D_L . V_P^T . Pi_J back together."""
@@ -68,10 +62,12 @@ def _x_of(S: SymplecticMatrix, masks: np.ndarray) -> np.ndarray:
     return x
 
 
-def _search(S: SymplecticMatrix, search_tol: float) -> np.ndarray:
-    """The (read-only) mask of the interchange set: the first subset in
-    descending |det X(J)| order whose X(J) passes the singular-value verdict."""
-    d = S.d
+@lru_cache(maxsize=1)
+def _search(mat: bytes, d: int, search_tol: float) -> np.ndarray:
+    """The (read-only) mask of the interchange set of the 2d x 2d matrix with
+    bytes ``mat``: the first subset in descending |det X(J)| order whose X(J)
+    passes the singular-value verdict."""
+    S = SymplecticMatrix(np.frombuffer(mat).reshape(2 * d, 2 * d), validate=False)
     _, scale = singular_extremes(S.mat)
     masks = np.concatenate([IndexSet.size_masks(d, size) for size in range(d + 1)])
     # a batched det decides each matrix alone, so chunks of about 1 MB of
@@ -95,22 +91,15 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
 
     Admissibility of J means A I_{J^c} + B I_J is invertible; at least one
     subset is always admissible.  Q and P come out symmetric (forced by the
-    block relations) and the recomposition residual is recorded.
+    block relations) and the recomposition residual is recorded.  A repeat
+    of the last matrix and tolerance reuses the cached J of ``_search``.
     """
     if not is_symplectic(S.mat):
         raise ValueError("input matrix is not symplectic")
     d = S.d
     if d > MAX_SEARCH_DIM:
         raise ValueError(f"exhaustive index-set search supports d <= {MAX_SEARCH_DIM}, got d={d}")
-    search_tol = default_tol() if tol is None else tol
-    global _last_search
-    key = (S.mat.tobytes(), d, search_tol)
-    last = _last_search
-    if last is not None and last[0] == key:
-        mask = last[1]
-    else:
-        mask = _search(S, search_tol)
-        _last_search = (key, mask)
+    mask = _search(S.mat.tobytes(), d, default_tol() if tol is None else tol)
     x = _x_of(S, mask)
     L = np.linalg.inv(x)
     P = L @ (np.where(mask, -S.A, S.B) + 0.0)

@@ -339,6 +339,52 @@ def test_non_finite_samples_are_exit_2(tmp_path, capsys, case, token):
     assert not out.exists()
 
 
+# -- failing runs ------------------------------------------------------------------
+
+FAILING_RUNS = {
+    # argv around the files {I, T, R, big, b} and the file the run must not write
+    "sample-overflow": (["sample", "--n", "8", "--shift", "1e200", "--out", "{t}"], "overflow"),
+    "apply-csv-overflow": (["apply", "{I}", "{big}", "--out", "{o}", "--csv", "{t}"], "overflow"),
+    "wigner-overflow": (["wigner", "{b}", "--out", "{t}"], "overflow"),
+    "apply-overflow": (["apply", "{I}", "{b}", "--out", "{t}"], "overflow"),
+    "probe-isometry-q": (
+        ["probe", "isometry", "{T}", "--p", "2", "--q", "4", "--out", "{t}"],
+        "--q must equal --p",
+    ),
+    "probe-normequiv-tol": (
+        ["probe", "normequiv", "{R}", "--p", "2", "--q", "2", "--n", "16", "--tol", "0.3", "--out", "{t}"],
+        "takes no --tol",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_RUNS))
+def test_a_failing_run_prints_one_error_line_and_nothing_on_stdout(tmp_path, capsys, case):
+    # these used to exit 0 and print inf or nan, a numpy warning, or a report
+    # for a flag the probe ignores
+    files = {
+        "I": _matrix_file(tmp_path, np.eye(2), "I.mat"),
+        "T": _matrix_file(tmp_path, np.diag([2.0, 0.5]), "T.mat"),
+        "R": _matrix_file(tmp_path, random_symplectic(4, 2).mat, "R.mat"),
+        "o": str(tmp_path / "o.gf"),
+        "t": str(tmp_path / "t.gf"),
+    }
+    grid = Grid((Axis(8, 0.5),))
+    for name, value in (("big", 1.5e308 + 1.5e308j), ("b", 1e200)):
+        files[name] = str(tmp_path / f"{name}.gf")
+        _write_text(files[name], write_grid_function(GridFunction(grid, np.full(8, value))))
+    argv, message = FAILING_RUNS[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([a.format(**files) for a in argv]) == 2
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "t.gf").exists()
+
+
 # -- probe ------------------------------------------------------------------------
 
 

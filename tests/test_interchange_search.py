@@ -112,7 +112,7 @@ def test_search_holds_one_chunk_of_x_at_a_time(monkeypatch, d, bound):
     # 26 MB; the masks, scores and order of 2^16 subsets take about 3 MB
     S = random_symplectic(4, d)
     dj_factorize(S)
-    monkeypatch.setattr(factorize, "_last_search", None)
+    factorize._search.cache_clear()
     tracemalloc.start()
     try:
         dj_factorize(S)
@@ -159,7 +159,7 @@ def searches(monkeypatch):
         return size_masks(d, size)
 
     monkeypatch.setattr(IndexSet, "size_masks", staticmethod(spy))
-    monkeypatch.setattr(factorize, "_last_search", None)
+    factorize._search.cache_clear()
     return seen
 
 
@@ -237,3 +237,12 @@ def test_alternating_matrices_search_on_every_call(searches):
         dj_factorize(S)
         dj_factorize(T)
     assert searches == [4] * 6
+
+
+def test_a_search_that_raises_keeps_the_last_entry(searches):
+    S = random_symplectic(7, 4)
+    first = _bytes(dj_factorize(S))
+    with pytest.raises(ValueError, match="no admissible index set"):
+        dj_factorize(random_symplectic(8, 4), 2.0)
+    assert _bytes(dj_factorize(S)) == first
+    assert searches == [4, 4]
