@@ -304,8 +304,16 @@ def lp_norm(f: GridFunction, p: float) -> float:
         raise ValueError(f"p must be positive, got {p}")
     mags = np.abs(f.values)
     if math.isinf(p):
-        return float(mags.max(initial=0.0))
-    return float((np.sum(mags**p) * f.grid.weight) ** (1.0 / p))
+        norm = float(mags.max(initial=0.0))
+    else:
+        norm = float((np.sum(mags**p) * f.grid.weight) ** (1.0 / p))
+    if math.isinf(norm):
+        # np.abs overflows near the largest float without setting numpy's
+        # flag; redo the magnitudes it overflowed on with np.hypot, which
+        # reports the overflow as np.errstate says
+        big = np.isinf(mags) & np.isfinite(f.values)
+        np.hypot(f.values.real[big], f.values.imag[big])
+    return norm
 
 
 def lpq_norm(f: GridFunction, p: float, q: float) -> float:

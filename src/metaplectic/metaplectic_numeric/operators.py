@@ -25,9 +25,12 @@ The dense synthesis of a per-axis scaling is the O(n^2) product of the
 spectrum with the n x n kernel exp(2 pi i a x_k xi_m) * step.  It builds
 that kernel in blocks of output rows (``KERNEL_BLOCK_BYTES`` of complex
 entries each, at least 2 rows), so its memory is a few blocks, not the
-whole kernel (268 MB at n = 4096).  Every kernel entry and every output
-row's dot product is computed as with the whole kernel, so the result is
-bit-equal to it.
+whole kernel (268 MB at n = 4096).  Each block takes the exp of only half
+its columns, xi_0 and xi_h..xi_{n-1} (h = n / 2): the centered lattice has
+xi_{h-j} = -xi_{h+j} exactly, so each other column is a mirrored column
+with its phase negated, copied as (re, 0.0 - im).  The copy has the bytes
+the entry's own exp would give, and every output row's dot product is
+computed as with the whole kernel, so the result is bit-equal to it.
 
 ``tf_shift`` shifts in time and frequency (trigonometric interpolation off
 the lattice).
@@ -56,10 +59,10 @@ MAX_DENSE_AXIS = 4096
 #: bytes of complex kernel entries per block of output rows in the dense
 #: synthesis (8 rows at n = 4096).  Blocks that stay in cache run fastest:
 #: at n = 4096, one BLAS thread on a 2-core Xeon with 2 MiB of L2 per core,
-#: 2-16 rows took 263-271 ms per line, 64 rows 358 ms, 256 rows 425 ms and
-#: the whole kernel 398 ms (medians of 7).  Blocks always hold at least 2
-#: rows: a one-row product goes down BLAS's dot path instead of gemv and
-#: rounds differently.
+#: 2-16 rows took 359-384 ms per line, 64 rows 383-392 ms, 256 rows
+#: 443-464 ms and the whole kernel 505-600 ms (medians of 7, two runs).
+#: Blocks always hold at least 2 rows: a one-row product goes down BLAS's
+#: dot path instead of gemv and rounds differently.
 KERNEL_BLOCK_BYTES = 512 * 2**10
 
 
@@ -115,6 +118,29 @@ def multiplier_apply(P, f: GridFunction) -> GridFunction:
 # -- rescaling -------------------------------------------------------------
 
 
+def _kernel_block(a_x: np.ndarray, xi: np.ndarray, step: float, out: np.ndarray) -> np.ndarray:
+    """Kernel rows exp(2 pi i a_x[k] xi[m]) * step, written into ``out``
+    (``a_x.size`` x ``xi.size``) from the exps of half the columns.
+
+    On a centered lattice xi[h - j] = -xi[h + j] exactly (h = n / 2), so
+    column m in 1..h-1 is column n - m with its phase negated.  Every step
+    that makes an entry (the product a_x xi, the exp, the scaling by step)
+    is symmetric in the sign of the phase, so the copy (re, 0.0 - im) has
+    the bytes the entry's own exp would give.  ``np.conj`` would not: it
+    turns the +0 imaginary part of a zero phase (the row a_x = 0, or a
+    product that underflows) into -0.
+    """
+    h = xi.size // 2
+    # the exp block stays the left operand of ``* step``: an elided
+    # temporary is then multiplied in place with the operands in this order
+    half = np.exp(2j * math.pi * np.outer(a_x, np.concatenate((xi[:1], xi[h:])))) * step
+    out[:, :1] = half[:, :1]
+    out[:, h:] = half[:, 1:]
+    out[:, 1:h] = half[:, :1:-1]  # columns n - 1 down to h + 1
+    out.imag[:, 1:h] = 0.0 - out.imag[:, 1:h]
+    return out
+
+
 def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     """|a|^{1/2} f(a x) along one axis by dense trigonometric synthesis.
 
@@ -123,6 +149,9 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     of ``KERNEL_BLOCK_BYTES`` (the leftover rows join the last block, so
     every block has at least 2 rows), which holds the memory to a few blocks
     and keeps the result bit-equal to the product with the whole kernel.
+    Each block computes the exps of half its columns and mirrors the other
+    half (``_kernel_block``); the mirrored entries are bit-equal to their
+    own exps, so BLAS sees the same bytes in the same shapes.
 
     The synthesis is periodic in the window: for |a| > 1 the points a x fall
     outside it and read wrapped samples, so periodic replicas of f enter the
@@ -141,10 +170,13 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     dual = ax.dual()
     a_x, xi = a * ax.points(), dual.points()
     vals = np.empty(spec.shape, dtype=complex)
-    # the kernel block stays the left operand of ``* dual.step``: an elided
-    # temporary is then multiplied in place with the operands in this order
-    for rows in row_blocks(ax.n, max(2, -(-KERNEL_BLOCK_BYTES // (16 * ax.n)))):
-        kernel = np.exp(2j * math.pi * np.outer(a_x[rows], xi)) * dual.step
+    blocks = row_blocks(ax.n, max(2, -(-KERNEL_BLOCK_BYTES // (16 * ax.n))))
+    # one buffer serves every block: with a fresh array per block, n = 4096
+    # took 256 page faults per block, which cost about as much as the exps
+    # the mirror saves
+    buf = np.empty((max(b.stop - b.start for b in blocks), ax.n), dtype=complex)
+    for rows in blocks:
+        kernel = _kernel_block(a_x[rows], xi, dual.step, buf[: rows.stop - rows.start])
         vals[..., rows] = spec @ kernel.T
     return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 

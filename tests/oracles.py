@@ -7,11 +7,13 @@ FFT-based fast paths, so agreement between the two is evidence of
 correctness rather than a tautology.  The exceptions are the slow exact
 forms that a fast path must match bit for bit: ``dense_axis_scale``, the
 whole-kernel form of the per-axis rescaling, which shares the package's
-spectrum; ``looped_centered_dft``, the transform as one shift, FFT, shift
-and scaling per axis; ``gathered_rows``, the Wigner and STFT rows by
-index gathers; ``scattered_wigner_adjoint``, the Wigner adjoint by an index
-scatter; ``looped_dj_factorize``, the interchange-set search one
-subset at a time; ``looped_write_matrix``, ``looped_write_dj`` and
+spectrum; ``blocked_axis_scale``, the same rescaling with every kernel
+entry an exp of its own, in the package's blocks of rows;
+``looped_centered_dft``, the transform as one shift, FFT, shift and scaling
+per axis; ``gathered_rows``, the Wigner and STFT rows by index gathers;
+``scattered_wigner_adjoint``, the Wigner adjoint by an index scatter;
+``looped_dj_factorize``, the interchange-set search one subset at a time;
+``looped_write_matrix``, ``looped_write_dj`` and
 ``looped_write_grid_function``, the text writers with one ``repr`` per
 entry; and ``rowwise_export_csv``, the CSV export through ``csv.writer``
 with one scalar ``abs`` per row.
@@ -38,7 +40,8 @@ import math
 import numpy as np
 
 from metaplectic.metaplectic_numeric.gaussian import GaussianChirp
-from metaplectic.metaplectic_numeric.grid import Grid, GridFunction, centered_dft
+from metaplectic.metaplectic_numeric import operators
+from metaplectic.metaplectic_numeric.grid import Grid, GridFunction, centered_dft, row_blocks
 from metaplectic.metaplectic_numeric.operators import MAX_DENSE_AXIS, stage_plan
 from metaplectic.symplectic_core import (
     DJFactorization,
@@ -237,6 +240,28 @@ def dense_axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     dual = ax.dual()
     kernel = np.exp(2j * math.pi * np.outer(a * ax.points(), dual.points())) * dual.step
     vals = np.moveaxis(spec, axis, -1) @ kernel.T
+    return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
+
+
+def blocked_axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
+    """|a|^{1/2} f(a x) along one axis, the kernel built per entry in the
+    package's blocks of rows (a != +-1).
+
+    Each block is exp(2 pi i a x_k xi_m) * step over all n columns, with
+    the block size read from ``operators.KERNEL_BLOCK_BYTES`` at call time,
+    so a test that changes it changes the blocks here too.  BLAS may round a
+    product differently with the number of rows in a block, so the package's
+    half-computed, half-mirrored kernel must match this form, not only the
+    whole kernel.
+    """
+    ax = f.grid.axes[axis]
+    spec = np.moveaxis(centered_dft(f.values, f.grid, (axis,)), axis, -1)
+    dual = ax.dual()
+    a_x, xi = a * ax.points(), dual.points()
+    vals = np.empty(spec.shape, dtype=complex)
+    for rows in row_blocks(ax.n, max(2, -(-operators.KERNEL_BLOCK_BYTES // (16 * ax.n)))):
+        kernel = np.exp(2j * math.pi * np.outer(a_x[rows], xi)) * dual.step
+        vals[..., rows] = spec @ kernel.T
     return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 
 

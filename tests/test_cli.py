@@ -347,6 +347,7 @@ FAILING_RUNS = {
     "apply-csv-overflow": (["apply", "{I}", "{big}", "--out", "{o}", "--csv", "{t}"], "overflow"),
     "wigner-overflow": (["wigner", "{b}", "--out", "{t}"], "overflow"),
     "apply-overflow": (["apply", "{I}", "{b}", "--out", "{t}"], "overflow"),
+    "apply-norm-overflow": (["apply", "{I}", "{big}", "--out", "{t}"], "overflow"),
     "probe-isometry-q": (
         ["probe", "isometry", "{T}", "--p", "2", "--q", "4", "--out", "{t}"],
         "--q must equal --p",

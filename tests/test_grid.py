@@ -169,6 +169,20 @@ def test_lp_norm_rejects_nonpositive_exponent():
         lp_norm(f, 0.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_lp_norm_reports_the_overflow_of_finite_samples(p):
+    # np.abs of 1.5e308 + 1.5e308j is inf, with no floating-point flag
+    f = GridFunction(Grid.regular(1, 8, 2.0), np.full(8, 1.5e308 + 1.5e308j))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        lp_norm(f, p)
+    with np.errstate(over="ignore"):
+        assert lp_norm(f, p) == np.inf
+    # an infinite sample is no overflow
+    g = f.with_values(np.full(8, complex(np.inf, 0.0)))
+    with np.errstate(over="raise"):
+        assert lp_norm(g, p) == np.inf
+
+
 def test_lpq_norm_splits_separable_functions():
     g1 = Grid.regular(1, 256, 8.0)
     f = GaussianChirp.dilated(1, 2.0).sample(g1)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplectic.metaplectic_numeric import operators
 from metaplectic.metaplectic_numeric import (
@@ -215,6 +217,67 @@ def test_rescale_apply_bitwise_folds_a_leftover_row(monkeypatch):
     for a in BITWISE_SCALES:
         got = rescale_apply([[a]], f).values
         assert np.array_equal(got, oracles.dense_axis_scale(f, 0, a).values), a
+
+
+# the kernel computes half its columns and mirrors the rest; it must match
+# the per-entry kernel in the same blocks of rows, since BLAS may round a
+# product differently with the number of rows it is given
+BLOCKED_GRIDS = {
+    "selfdual-8": Grid.selfdual(1, 8),
+    "selfdual-64": Grid.selfdual(1, 64),
+    "selfdual-512": Grid.selfdual(1, 512),
+    "selfdual-4096": Grid.selfdual(1, 4096),
+    "regular-1024": Grid.regular(1, 1024, 7.0),
+    "axis-100": Grid((Axis(100, 0.1),)),
+    "32x24": Grid((Axis(32, 0.21), Axis(24, 0.35))),
+    "256x16": Grid((Axis(256, 0.13), Axis(16, 0.4))),
+    "16x256": Grid((Axis(16, 0.4), Axis(256, 0.13))),
+    "2x6": Grid((Axis(2, 0.3), Axis(6, 0.5))),
+}
+
+#: -1e-300 underflows the phase to signed zeros and subnormals
+MIRROR_SCALES = BITWISE_SCALES + (0.5, 2.0, 3.0, 1e-3, -1e-300)
+
+
+@pytest.mark.parametrize("rows", [2, 7, None])
+@pytest.mark.parametrize("name", sorted(BLOCKED_GRIDS))
+def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, name, rows):
+    grid = BLOCKED_GRIDS[name]
+    f = _random_function(grid, sum(grid.shape))
+    for axis in range(grid.d):
+        if rows is not None:  # else the default KERNEL_BLOCK_BYTES
+            monkeypatch.setattr(operators, "KERNEL_BLOCK_BYTES", rows * 16 * grid.shape[axis])
+        for a in MIRROR_SCALES:
+            L = np.eye(grid.d)
+            L[axis, axis] = a
+            got = rescale_apply(L, f).values
+            assert got.tobytes() == oracles.blocked_axis_scale(f, axis, a).values.tobytes(), (a, axis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(half=st.integers(1, 4096), step=st.floats(1e-150, 1e150))
+def test_centered_lattice_points_mirror_bitwise(half, step):
+    # the mirror rests on x[h - j] = -x[h + j], j = 1..h-1, on both lattices
+    j = np.arange(1, half)
+    for ax in (Axis(2 * half, step), Axis(2 * half, step).dual()):
+        p = ax.points()
+        assert p[half + j].tobytes() == (-p[half - j]).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 100])
+@pytest.mark.parametrize("a", [0.37, -1.3, -1e-300])
+def test_kernel_block_bitwise_equals_its_exps(n, a):
+    ax = Axis(n, 0.17)
+    dual, h = ax.dual(), n // 2
+    a_x, xi = a * ax.points(), dual.points()
+    want = np.exp(2j * np.pi * np.outer(a_x, xi)) * dual.step
+    got = operators._kernel_block(a_x, xi, dual.step, np.empty((n, n), dtype=complex))
+    assert got.tobytes() == want.tobytes()
+    # the a x = 0 row and the xi = 0 column, where a zero phase keeps its
+    # +0 imaginary part (np.conj of a mirrored entry would give -0)
+    assert got[h].tobytes() == want[h].tobytes()
+    assert got[:, h].tobytes() == want[:, h].tobytes()
+    assert not np.signbit(got[h].imag).any()
 
 
 def test_rescale_apply_memory_is_a_few_kernel_blocks():
