@@ -32,15 +32,24 @@ the input shift of the transform is folded into the column order one
 it, with no index array and no shift copy, and ``grid.shifted_dft``
 transforms the product.
 
+The Rihaczek rows take the exps of about half their phase table: on the
+centered lattice xi_{h-j} = -xi_{h+j} exactly, so the phase x . xi changes
+sign, bit for bit, when every frequency index m_j >= 1 goes to n_j - m_j at
+once, and ``grid.mirrored_exps`` copies those entries from their partners.
+The phase itself (``form_sum``) is also computed on the source entries only.
+
 The floats equal the full-array norms exactly: a row's values do not depend
-on the slab around it.  The 4 MiB slab floor still matters for that.  Below
-numpy's 256 KiB temporary-elision size an expression such as the Rihaczek
-rows' ``vals * np.exp(...)`` runs out of place, with its operands in the
-other order, and a complex product rounds differently.  The Wigner and STFT
-products are written as ``np.multiply(f_view, conj_g)``, so their operand
-order is fixed.  Their scalings (the transform's, and the Wigner rows'
-2^d, done in place) multiply by a real number, which rounds the same in
-either operand order.
+on the slab around it.  The 4 MiB slab floor still matters for that.  The
+per-entry Rihaczek expression ``vals * np.exp(...)`` runs in place in the
+exp temporary, as exp * vals, from numpy's 256 KiB temporary-elision size
+on, and out of place, as vals * exp, below it; a complex product rounds
+differently in the two orders.  The rows keep both: the product is
+``np.multiply(exps, vals, out=exps)`` from 256 KiB on and ``vals * exps``
+below, so every grid keeps the bits of the per-entry rows (the oracle
+``gathered_rows`` in the tests).  The Wigner and STFT products are
+written as ``np.multiply(f_view, conj_g)``, so their operand order is fixed.
+Their scalings (the transform's, and the Wigner rows' 2^d, done in place)
+multiply by a real number, which rounds the same in either operand order.
 """
 
 from __future__ import annotations
@@ -56,13 +65,17 @@ from ..symplectic_core import (
     dilation_block,
     interchange,
 )
-from .grid import Axis, Grid, GridFunction, centered_dft, form_sum
+from .grid import Axis, Grid, GridFunction, centered_dft, form_sum, mirrored_exps
 from .grid import lpq_norm, periodic_reads, row_slabs, shifted_dft, slab_norm
 from .operators import apply_metaplectic
 
 
 #: refuse to build a whole distribution (or tensor) beyond this many points
 MAX_DISTRIBUTION_POINTS = 2**26
+
+#: numpy's temporary-elision size: from here on, ``a * <temporary>`` runs in
+#: place in the temporary with the operands swapped
+_ELIDE_BYTES = 256 * 2**10
 
 
 def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
@@ -118,12 +131,20 @@ def _rihacek_rows(f: GridFunction, g: GridFunction):
     ghat_conj = np.conj(centered_dft(g.values, g.grid, range(d)))
     grid = Grid(f.grid.axes + g.grid.dualized(range(d)).axes)
     mesh = grid.open_mesh()
+    xi_points = [ax.points() for ax in grid.axes[d:]]
 
     def build(rows: slice) -> np.ndarray:
         vals = np.multiply.outer(f.values[rows], ghat_conj)
-        x = (mesh[0][rows],) + mesh[1:]
-        phase = form_sum(np.eye(d), x[:d], x[d:])
-        return vals * np.exp(-2j * math.pi * phase)
+        x = (mesh[0][rows],) + mesh[1:d]
+
+        def fill(sl, part):
+            xi = np.ix_(*(pts[s] for pts, s in zip(xi_points, sl)))
+            np.exp(-2j * math.pi * form_sum(np.eye(d), x, xi), out=part)
+
+        phase_exps = mirrored_exps(np.empty(vals.shape, dtype=complex), d, fill)
+        if phase_exps.nbytes >= _ELIDE_BYTES:
+            return np.multiply(phase_exps, vals, out=phase_exps)
+        return vals * phase_exps
 
     return grid, build
 

@@ -24,7 +24,11 @@ Quadrature, norms and inner products all carry the lattice weight, so the
 discrete Parseval identity holds exactly on every grid.  ``periodic_reads``
 is the one periodic lattice read (a strided view, no index array): of the
 signals for the distribution rows, of the scatter indices for the Wigner
-adjoint of ``quantize``.
+adjoint of ``quantize``.  ``mirrored_exps`` is the one mirrored phase
+table: on a centered lattice xi_{h-j} = -xi_{h+j} exactly, so a table of
+exps of a phase that is odd in xi needs the exps of only about half its
+entries.  The rescaling kernel and the Rihaczek rows fill it, each with its
+own exps, so each keeps its own rounding.
 
 Norms in slabs.  ``slab_norm`` reduces a function that arrives as
 consecutive slabs of axis-0 rows (``row_slabs`` cuts them), so a
@@ -38,7 +42,11 @@ is ``slab_norm`` on one slab; ``lp_norm`` stays the direct full-array
 oracle.  A slab holds at least ``SLAB_BYTES`` of complex entries, or all
 rows: builders that run on slabs must round like the full-array code, and
 numpy computes an expression in place (with swapped operands, so a complex
-product rounds differently) only for temporaries of 256 KiB or more.
+product rounds differently) only for temporaries of 256 KiB or more.  Like
+``lp_norm``, ``slab_norm`` reports an overflow of ``np.abs`` on finite
+samples, which numpy's flag misses, through ``np.hypot``: it goes back to a
+slab's samples only when the magnitudes it holds (the mixed accumulator, or
+the slab's peak) reach inf.
 """
 
 from __future__ import annotations
@@ -245,6 +253,44 @@ def periodic_reads(values: np.ndarray):
     return read
 
 
+def _mirror_sources(shape: tuple[int, ...]) -> list[tuple[slice, ...]]:
+    """Disjoint blocks of a lattice of ``shape`` (even lengths, h = n_1 / 2)
+    that together hold every index with m_1 = 0, m_1 >= h, or, for
+    1 <= m_1 < h, some later m_j = 0: the indices no mirror reaches."""
+    h, d = shape[0] // 2, len(shape)
+    every, inner = slice(None), slice(1, None)
+    return [(slice(0, 1),) + (every,) * (d - 1), (slice(h, None),) + (every,) * (d - 1)] + [
+        (slice(1, h),) + (inner,) * (j - 1) + (slice(0, 1),) + (every,) * (d - 1 - j)
+        for j in range(1, d)
+    ]
+
+
+def mirrored_exps(out: np.ndarray, d: int, fill) -> np.ndarray:
+    """Fill ``out``, a table of exps of a phase odd on its last ``d`` axes,
+    from the exps of about half its entries.
+
+    The last ``d`` axes of ``out`` index a centered frequency lattice with
+    even lengths, on which xi_{h-j} = -xi_{h+j} holds exactly.  The caller's
+    phase changes sign, bit for bit, when every one of these axes is
+    mirrored at once.  ``fill(sl, part)`` writes the entries of the lattice
+    block ``sl`` (one slice per axis) into ``part``, the view
+    ``out[..., *sl]``.  It is called on the blocks of ``_mirror_sources``.
+    Every other entry, (m_1, ..., m_d) with 1 <= m_1 < h and all
+    m_j >= 1, is then copied from (n_1 - m_1, ..., n_d - m_d) as
+    (re, 0.0 - im).  That copy has the bytes of the entry's own exp, since
+    exp(-i t) is conj(exp(i t)) bit for bit.  ``np.conj`` would not do:
+    a zero phase has an exp of +0 imaginary part, and conj makes it -0.
+    """
+    lead = (Ellipsis,)
+    for sl in _mirror_sources(out.shape[-d:]):
+        fill(sl, out[lead + sl])
+    h = out.shape[-d] // 2
+    mirror = out[lead + (slice(1, h),) + (slice(1, None),) * (d - 1)]
+    np.copyto(mirror, out[lead + (slice(None, h, -1),) + (slice(None, 0, -1),) * (d - 1)])
+    np.subtract(0.0, mirror.imag, out=mirror.imag)
+    return out
+
+
 # -- transforms -----------------------------------------------------------
 
 
@@ -308,12 +354,19 @@ def lp_norm(f: GridFunction, p: float) -> float:
     else:
         norm = float((np.sum(mags**p) * f.grid.weight) ** (1.0 / p))
     if math.isinf(norm):
-        # np.abs overflows near the largest float without setting numpy's
-        # flag; redo the magnitudes it overflowed on with np.hypot, which
-        # reports the overflow as np.errstate says
-        big = np.isinf(mags) & np.isfinite(f.values)
-        np.hypot(f.values.real[big], f.values.imag[big])
+        _report_abs_overflow(f.values, mags)
     return norm
+
+
+def _report_abs_overflow(values: np.ndarray, mags: np.ndarray) -> None:
+    """Report, as ``np.errstate`` says, where ``mags = np.abs(values)``
+    overflowed on finite samples.
+
+    np.abs overflows near the largest float without setting numpy's flag;
+    the magnitudes it overflowed on are redone with np.hypot, which sets it.
+    """
+    big = np.isinf(mags) & np.isfinite(values)
+    np.hypot(values.real[big], values.imag[big])
 
 
 def lpq_norm(f: GridFunction, p: float, q: float) -> float:
@@ -391,12 +444,21 @@ def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None 
 
     if q is None:
         if math.isinf(p):
-            return float(np.max([np.abs(s).max(initial=0.0) for s in rows], initial=0.0))
+            peak = np.float64(0.0)
+            for slab in rows:
+                mags = np.abs(slab)
+                peak = np.maximum(peak, mags.max(initial=0.0))
+                if np.isinf(peak):
+                    _report_abs_overflow(slab, mags)
+            return float(peak)
 
         def powered():
             for slab in rows:
                 mags = np.abs(slab)
-                yield (mags**p).ravel()
+                powers = (mags**p).ravel()
+                if math.isinf(powers.max(initial=0.0)):
+                    _report_abs_overflow(slab, mags)
+                yield powers
 
         total = _pairwise_sum(powered(), math.prod(grid.shape))
         return float((total * grid.weight) ** (1.0 / p))
@@ -415,9 +477,12 @@ def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None 
         mags = np.abs(slab)
         if math.isinf(p):
             np.maximum(acc, mags.max(axis=inner_axes), out=acc)
-            continue
-        for row in (mags**p).reshape((-1,) + outer_shape):
-            acc += row
+        else:
+            for row in (mags**p).reshape((-1,) + outer_shape):
+                acc += row
+        # an overflow of np.abs leaves an inf in the accumulator
+        if np.isinf(acc).any():
+            _report_abs_overflow(slab, mags)
     inner = acc if math.isinf(p) else (acc * w_inner) ** (1.0 / p)
     if math.isinf(q):
         return float(inner.max(initial=0.0))

@@ -28,9 +28,10 @@ entries each, at least 2 rows), so its memory is a few blocks, not the
 whole kernel (268 MB at n = 4096).  Each block takes the exp of only half
 its columns, xi_0 and xi_h..xi_{n-1} (h = n / 2): the centered lattice has
 xi_{h-j} = -xi_{h+j} exactly, so each other column is a mirrored column
-with its phase negated, copied as (re, 0.0 - im).  The copy has the bytes
-the entry's own exp would give, and every output row's dot product is
-computed as with the whole kernel, so the result is bit-equal to it.
+with its phase negated, which ``grid.mirrored_exps`` (shared with the
+Rihaczek rows) copies as (re, 0.0 - im).  The copy has the bytes the
+entry's own exp would give, and every output row's dot product is computed
+as with the whole kernel, so the result is bit-equal to it.
 
 ``tf_shift`` shifts in time and frequency (trigonometric interpolation off
 the lattice).
@@ -48,6 +49,7 @@ from .grid import (
     GridFunction,
     centered_dft,
     form_sum,
+    mirrored_exps,
     partial_dft,
     partial_idft,
     row_blocks,
@@ -122,23 +124,20 @@ def _kernel_block(a_x: np.ndarray, xi: np.ndarray, step: float, out: np.ndarray)
     """Kernel rows exp(2 pi i a_x[k] xi[m]) * step, written into ``out``
     (``a_x.size`` x ``xi.size``) from the exps of half the columns.
 
-    On a centered lattice xi[h - j] = -xi[h + j] exactly (h = n / 2), so
-    column m in 1..h-1 is column n - m with its phase negated.  Every step
-    that makes an entry (the product a_x xi, the exp, the scaling by step)
-    is symmetric in the sign of the phase, so the copy (re, 0.0 - im) has
-    the bytes the entry's own exp would give.  ``np.conj`` would not: it
-    turns the +0 imaginary part of a zero phase (the row a_x = 0, or a
-    product that underflows) into -0.
+    The columns xi_0 and xi_h..xi_{n-1} (h = n / 2) take their own exps;
+    ``grid.mirrored_exps`` copies every other column from its mirror.  Each
+    step that makes an entry (the product a_x xi, the exp, the scaling by
+    step) is symmetric in the sign of the phase, so the copies have the
+    bytes of their own exps.
     """
-    h = xi.size // 2
-    # the exp block stays the left operand of ``* step``: an elided
-    # temporary is then multiplied in place with the operands in this order
-    half = np.exp(2j * math.pi * np.outer(a_x, np.concatenate((xi[:1], xi[h:])))) * step
-    out[:, :1] = half[:, :1]
-    out[:, h:] = half[:, 1:]
-    out[:, 1:h] = half[:, :1:-1]  # columns n - 1 down to h + 1
-    out.imag[:, 1:h] = 0.0 - out.imag[:, 1:h]
-    return out
+
+    def fill(sl, part):
+        # the exps stay the left operand of ``* step``, as in the per-entry
+        # kernel ``np.exp(...) * step``; a contiguous exp block scaled into
+        # ``part`` ran faster than the scaling of ``part`` in place
+        np.multiply(np.exp(2j * math.pi * np.outer(a_x, xi[sl[0]])), step, out=part)
+
+    return mirrored_exps(out, 1, fill)
 
 
 def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:

@@ -10,7 +10,8 @@ whole-kernel form of the per-axis rescaling, which shares the package's
 spectrum; ``blocked_axis_scale``, the same rescaling with every kernel
 entry an exp of its own, in the package's blocks of rows;
 ``looped_centered_dft``, the transform as one shift, FFT, shift and scaling
-per axis; ``gathered_rows``, the Wigner and STFT rows by index gathers;
+per axis; ``gathered_rows``, the Wigner and STFT rows by index gathers and
+the Rihaczek rows with an exp per entry;
 ``scattered_wigner_adjoint``, the Wigner adjoint by an index scatter;
 ``looped_dj_factorize``, the interchange-set search one subset at a time;
 ``looped_write_matrix``, ``looped_write_dj`` and
@@ -41,7 +42,13 @@ import numpy as np
 
 from metaplectic.metaplectic_numeric.gaussian import GaussianChirp
 from metaplectic.metaplectic_numeric import operators
-from metaplectic.metaplectic_numeric.grid import Grid, GridFunction, centered_dft, row_blocks
+from metaplectic.metaplectic_numeric.grid import (
+    Grid,
+    GridFunction,
+    centered_dft,
+    form_sum,
+    row_blocks,
+)
 from metaplectic.metaplectic_numeric.operators import MAX_DENSE_AXIS, stage_plan
 from metaplectic.symplectic_core import (
     DJFactorization,
@@ -302,12 +309,23 @@ def _gather_index(shape, a: int, b: int, rows: slice):
 
 
 def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> np.ndarray:
-    """Values of ``wigner(f, g)`` (``kind="wigner"``) or ``stft(f, g)``
-    (``kind="stft"``) on the x-rows ``rows``: fancy-index gathers of
-    f(x + u) conj(g(x - u)), or of f(t) conj(g(t - x)), then
-    :func:`looped_centered_dft` over the second slot."""
+    """Values of ``wigner(f, g)`` (``kind="wigner"``), ``stft(f, g)``
+    (``kind="stft"``) or ``rihacek(f, g)`` (``kind="rihacek"``) on the
+    x-rows ``rows``: fancy-index gathers of f(x + u) conj(g(x - u)), or of
+    f(t) conj(g(t - x)), then :func:`looped_centered_dft` over the second
+    slot; or f(x) conj(FT g)(xi) times the exp of the whole phase table
+    -2 pi i x . xi, every entry an exp of its own."""
     shape = f.grid.shape
     d = len(shape)
+    if kind == "rihacek":
+        ghat_conj = np.conj(centered_dft(g.values, g.grid, range(d)))
+        mesh = Grid(f.grid.axes + g.grid.dualized(range(d)).axes).open_mesh()
+        vals = np.multiply.outer(f.values[rows], ghat_conj)
+        x = (mesh[0][rows],) + mesh[1:]
+        phase = form_sum(np.eye(d), x[:d], x[d:])
+        # numpy runs this product in place in the exp temporary from 256 KiB
+        # on, as exp * vals; the package must round as this line does
+        return vals * np.exp(-2j * math.pi * phase)
     doubled = Grid(f.grid.axes + f.grid.axes)
     freq = tuple(range(d, 2 * d))
     if kind == "wigner":

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metaplectic.symplectic_core import (
@@ -105,6 +105,18 @@ def test_generators_recover_their_own_parameters():
     assert np.max(np.abs(f.P)) < 1e-12
 
 
+# draws whose recomposition error passed the former fixed bound
+# 1e-9 * max|S|, where B is ill-conditioned (cond(B) 7e4 to 4.5e5), and the
+# two draws closest to the bound below (error / bound 0.21 and 0.14) among
+# every seed of the strategy
+@example(seed=1516, d=3)
+@example(seed=69560, d=2)
+@example(seed=54490, d=3)
+@example(seed=33515, d=4)
+@example(seed=46485, d=4)
+@example(seed=61135, d=4)
+@example(seed=35223, d=2)
+@example(seed=18371, d=4)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000), d=st.integers(1, 4))
 def test_free_factorize_round_trip(seed, d):
@@ -113,7 +125,9 @@ def test_free_factorize_round_trip(seed, d):
         return
     q1, l1, p1 = free_factorize(s)
     comp = chirp_block(q1) @ dilation_block(l1) @ standard_involution(d) @ chirp_block(p1)
-    assert np.max(np.abs(comp.mat - s.mat)) < 1e-9 * max(1.0, np.abs(s.mat).max())
+    # the factors come from B^{-1}, so rounding grows with cond(B)
+    rel = max(1e-9, 1e-11 * np.linalg.cond(s.B))
+    assert np.max(np.abs(comp.mat - s.mat)) < rel * max(1.0, np.abs(s.mat).max())
 
 
 def test_free_factorize_sign_regression():

@@ -27,6 +27,8 @@ from metaplectic.metaplectic_numeric import (
     wigner_projection,
 )
 
+from metaplectic.metaplectic_numeric.grid import form_sum, mirrored_exps, slab_norm
+
 import oracles
 
 
@@ -181,6 +183,64 @@ def test_lp_norm_reports_the_overflow_of_finite_samples(p):
     g = f.with_values(np.full(8, complex(np.inf, 0.0)))
     with np.errstate(over="raise"):
         assert lp_norm(g, p) == np.inf
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 2.0), (2.0, 1.0), (np.inf, 2.0), (1.0, None), (np.inf, None)])
+def test_slab_norm_reports_the_overflow_of_finite_samples(p, q):
+    # the mixed path (q given) and the plain one (q None); the sample whose
+    # np.abs overflows sits in the last of three slabs
+    grid = Grid.regular(2, 8, 2.0)
+    values = np.ones(grid.shape, dtype=complex)
+    values[7, 3] = 1.5e308 + 1.5e308j
+    slabs = lambda: iter([values[:3], values[3:6], values[6:]])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        slab_norm(slabs(), grid, p, q)
+    with np.errstate(over="ignore"):
+        assert slab_norm(slabs(), grid, p, q) == np.inf
+    # an infinite sample is no overflow
+    values[7, 3] = complex(np.inf, 0.0)
+    with np.errstate(over="raise"):
+        assert slab_norm(slabs(), grid, p, q) == np.inf
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 1.0), (np.inf, np.inf)])
+def test_lpq_norm_reports_the_overflow_of_finite_samples(p, q):
+    f = GridFunction(Grid.regular(2, 8, 2.0), np.full((8, 8), 1.5e308 + 1.5e308j))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        lpq_norm(f, p, q)
+
+
+# the mirrored entries must have the bytes of their own exps; CI reruns the
+# tests named "bitwise" with one BLAS thread
+MIRROR_SHAPES = [(2,), (8,), (100,), (2, 6), (24, 16), (6, 10, 8)]
+
+
+@pytest.mark.parametrize("shape", MIRROR_SHAPES)
+def test_mirrored_exps_bitwise_equal_their_own_exps(shape):
+    # the Rihaczek phase table -2 pi i x . xi on 4 x-points per axis, the
+    # third of them x = 0, where the whole phase row is zero
+    d = len(shape)
+    steps = (0.21, 0.37, 0.55)[:d]
+    grid = Grid((Axis(4, 0.3),) * d + tuple(Axis(n, step).dual() for n, step in zip(shape, steps)))
+    mesh = grid.open_mesh()
+    xi_points = [ax.points() for ax in grid.axes[d:]]
+    want = np.exp(-2j * np.pi * form_sum(np.eye(d), mesh[:d], mesh[d:]))
+    filled = []
+
+    def fill(sl, part):
+        xi = np.ix_(*(pts[s] for pts, s in zip(xi_points, sl)))
+        np.exp(-2j * np.pi * form_sum(np.eye(d), mesh[:d], xi), out=part)
+        filled.append(part.size)
+
+    got = mirrored_exps(np.empty(want.shape, dtype=complex), d, fill)
+    assert got.tobytes() == want.tobytes()
+    # every entry with 1 <= m_1 < n_1 / 2 and all m_j >= 1 is a mirror copy
+    mirrored = (shape[0] // 2 - 1) * math.prod(n - 1 for n in shape[1:])
+    assert sum(filled) == want.size - 4**d * mirrored
+    # a zero phase keeps its +0 imaginary part (np.conj would give -0)
+    origin = got[(2,) * d]
+    assert origin.tobytes() == np.ones(shape, dtype=complex).tobytes()
+    assert not np.signbit(got.imag[want.imag == 0.0]).any()
 
 
 def test_lpq_norm_splits_separable_functions():

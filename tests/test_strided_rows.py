@@ -1,9 +1,11 @@
-"""The Wigner and STFT rows and the centered transform, bit for bit.
+"""The distribution rows and the centered transform, bit for bit.
 
-The row builders read the signals through strided views and transform with
-``grid.shifted_dft``; the slow exact forms in ``oracles`` gather through
-int64 index arrays and shift, transform, shift and scale one axis at a
-time.  Both must give the same floats, compared by ``tobytes()``: the
+The Wigner and STFT row builders read the signals through strided views and
+transform with ``grid.shifted_dft``; the Rihaczek rows take the exps of
+about half their phase table and mirror the rest (``grid.mirrored_exps``).
+The slow exact forms in ``oracles`` gather through int64 index arrays and
+shift, transform, shift and scale one axis at a time, or take an exp per
+entry.  Both must give the same floats, compared by ``tobytes()``: the
 streamed-norm tests compare the builders only with themselves.
 """
 
@@ -11,12 +13,21 @@ import numpy as np
 import pytest
 
 from metaplectic.metaplectic_numeric.distributions import _ROW_BUILDERS
-from metaplectic.metaplectic_numeric.grid import Axis, Grid, centered_dft, row_slabs
+from metaplectic.metaplectic_numeric.grid import Axis, Grid, GridFunction, centered_dft, row_slabs
 
 import oracles
 from test_streamed_norms import GRIDS, _random_function
 
-ROW_GRIDS = {**GRIDS, "1d-2048": Grid.selfdual(1, 2048)}
+#: 1d-64 and 1d-128 put the whole array just below and exactly at numpy's
+#: 256 KiB temporary-elision size, where the Rihaczek product flips its
+#: operand order
+ROW_GRIDS = {
+    **GRIDS,
+    "1d-64": Grid.selfdual(1, 64),
+    "1d-128": Grid.selfdual(1, 128),
+    "1d-2048": Grid.selfdual(1, 2048),
+    "3d-6x10x8": Grid((Axis(6, 0.3), Axis(10, 0.21), Axis(8, 0.55))),
+}
 
 DFT_GRIDS = {
     "1d-64": Grid.selfdual(1, 64),
@@ -38,10 +49,26 @@ def _dft_cases():
 
 
 @pytest.mark.parametrize("grid_name", ROW_GRIDS)
-@pytest.mark.parametrize("kind", ["wigner", "stft"])
+@pytest.mark.parametrize("kind", ["wigner", "stft", "rihacek"])
 def test_rows_bitwise_equal_the_gathered_rows(kind, grid_name):
     grid = ROW_GRIDS[grid_name]
     f, g = _random_function(grid, 1), _random_function(grid, 2)
+    _assert_rows_equal(kind, f, g)
+
+
+@pytest.mark.parametrize("grid_name", ["1d-64", "1d-128", "2d-24x16", "3d-6x10x8"])
+def test_rihacek_rows_bitwise_equal_the_gathered_rows_on_zero_samples(grid_name):
+    # zero samples of f (+0 and -0) make products whose zero signs follow
+    # the signs of the phase exps, zeros included
+    grid = ROW_GRIDS[grid_name]
+    values = _random_function(grid, 3).values.copy()
+    values.flat[::3] = 0.0
+    values.flat[1::5] = complex(-0.0, -0.0)
+    values[(grid.shape[0] // 2,) + (slice(None),) * (grid.d - 1)] = 0.0  # the row x_1 = 0
+    _assert_rows_equal("rihacek", GridFunction(grid, values), _random_function(grid, 4))
+
+
+def _assert_rows_equal(kind, f, g):
     out_grid, build = _ROW_BUILDERS[kind](f, g)
     for rows in row_slabs(out_grid) + [slice(None)]:
         got, want = build(rows), oracles.gathered_rows(kind, f, g, rows)
