@@ -14,9 +14,9 @@ Verbs:
 
 All output is deterministic (no timestamps, fixed float formatting), so runs
 are byte-for-byte reproducible.  Exit codes: 0 success, 2 invalid input,
-failed validation or a floating-point overflow or nan, 3 a tolerance
-ambiguity (the decision sits too close to the cutoff; rerun with --tol or
-METAPLECTIC_TOL).  A failing run prints nothing on stdout.
+failed validation, an overflow, a nan or a refused allocation, 3 a
+tolerance ambiguity (the decision sits too close to the cutoff; rerun with
+--tol or METAPLECTIC_TOL).  A failing run prints nothing on stdout.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .symplectic_core import (
     shift_perturb,
     symplectic_residual,
 )
-from .tolerances import DEFAULT_RELATION_TOL, ToleranceAmbiguityError
+from .tolerances import DEFAULT_RELATION_TOL, ToleranceAmbiguityError, positive_tol
 
 
 def _g(x) -> str:
@@ -336,16 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # stdout is held until the verb returns; every floating-point fault but
-    # underflow (Gaussian tails underflow by design) fails the run
+    # stdout is held until the verb returns; any overflow (numpy's or Python's),
+    # nan or refused allocation fails the run, but not underflow (Gaussian tails)
     out = io.StringIO()
     try:
+        if getattr(args, "tol", None) is not None:
+            positive_tol(args.tol, "--tol")
         with contextlib.redirect_stdout(out), np.errstate(over="raise", invalid="raise", divide="raise"):
             code = args.func(args)
     except ToleranceAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(out.getvalue())

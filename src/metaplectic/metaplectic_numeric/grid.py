@@ -32,21 +32,24 @@ own exps, so each keeps its own rounding.
 
 Norms in slabs.  ``slab_norm`` reduces a function that arrives as
 consecutive slabs of axis-0 rows (``row_slabs`` cuts them), so a
-phase-space norm never needs the whole array.  It reproduces the full-array
-floats bit for bit: the mixed norm (L^p over the first half of the axes,
-then L^q) adds each row's |f|^p into one accumulator in row order, as numpy
-reduces a leading axis, and the plain L^p norm sums along numpy's pairwise
-split (halve the range, round the half down to a multiple of 8), calling
-``np.sum`` on every piece of that tree that lies in one slab.  ``lpq_norm``
-is ``slab_norm`` on one slab; ``lp_norm`` stays the direct full-array
-oracle.  A slab holds at least ``SLAB_BYTES`` of complex entries, or all
-rows: builders that run on slabs must round like the full-array code, and
-numpy computes an expression in place (with swapped operands, so a complex
-product rounds differently) only for temporaries of 256 KiB or more.  Like
-``lp_norm``, ``slab_norm`` reports an overflow of ``np.abs`` on finite
-samples, which numpy's flag misses, through ``np.hypot``: it goes back to a
-slab's samples only when the magnitudes it holds (the mixed accumulator, or
-the slab's peak) reach inf.
+phase-space norm never needs the whole array; ``lp_norm`` and ``lpq_norm``
+are ``slab_norm`` on one slab.  It reproduces the full-array floats bit for
+bit in two loops.  The plain L^p norm of finite p sums along numpy's
+pairwise split (halve the range, round the half down to a multiple of 8),
+calling ``np.sum`` on every piece of that tree that lies in one slab; on
+one slab that is one ``np.sum`` of all the powers.  Every other norm goes
+through one accumulator over the outer axes: the mixed norm (L^p over the
+first half of the axes, then L^q) adds each row's |f|^p into it in row
+order, as numpy reduces a leading axis, and a sup over the inner axes
+takes each slab's max into it (the plain sup norm has every axis inner
+and no outer axis).  A slab holds at least ``SLAB_BYTES`` of
+complex entries, or all rows: builders that run on slabs must round like
+the full-array code, and numpy computes an expression in place (with
+swapped operands, so a complex product rounds differently) only for
+temporaries of 256 KiB or more.  ``slab_norm`` reports an overflow of
+``np.abs`` on finite samples, which numpy's flag misses, through
+``np.hypot``: it goes back to a slab's samples only when the magnitudes it
+holds (the accumulator, or the slab's largest power) reach inf.
 """
 
 from __future__ import annotations
@@ -345,17 +348,9 @@ def partial_idft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
-    """Lattice L^p norm (Riemann sum with the cell weight); p may be inf."""
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    mags = np.abs(f.values)
-    if math.isinf(p):
-        norm = float(mags.max(initial=0.0))
-    else:
-        norm = float((np.sum(mags**p) * f.grid.weight) ** (1.0 / p))
-    if math.isinf(norm):
-        _report_abs_overflow(f.values, mags)
-    return norm
+    """Lattice L^p norm (Riemann sum with the cell weight; p may be inf):
+    :func:`slab_norm` on one slab."""
+    return slab_norm((f.values,), f.grid, p)
 
 
 def _report_abs_overflow(values: np.ndarray, mags: np.ndarray) -> None:
@@ -429,9 +424,11 @@ def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None 
     consecutive slabs of axis-0 rows, in order.
 
     With ``q`` this is the mixed norm of :func:`lpq_norm` (L^p over the
-    first half of the axes, then L^q); with ``q=None`` it is
-    :func:`lp_norm`.  Either float equals the full-array one exactly
-    (see the module docstring), and memory stays at the size of a slab.
+    first half of the axes, then L^q); with ``q=None`` it is the L^p norm
+    of :func:`lp_norm`.  Either float equals the full-array one exactly,
+    from numpy's pairwise sum for a finite plain p and from the outer-axes
+    accumulator otherwise (see the module docstring); memory stays at the
+    size of a slab.
     """
     d = grid.d
     if q is None and p <= 0.0:
@@ -442,15 +439,7 @@ def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None 
         if d % 2 != 0:
             raise ValueError(f"mixed norm needs an even number of axes, got {d}")
 
-    if q is None:
-        if math.isinf(p):
-            peak = np.float64(0.0)
-            for slab in rows:
-                mags = np.abs(slab)
-                peak = np.maximum(peak, mags.max(initial=0.0))
-                if np.isinf(peak):
-                    _report_abs_overflow(slab, mags)
-            return float(peak)
+    if q is None and not math.isinf(p):
 
         def powered():
             for slab in rows:
@@ -463,11 +452,11 @@ def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None 
         total = _pairwise_sum(powered(), math.prod(grid.shape))
         return float((total * grid.weight) ** (1.0 / p))
 
-    outer_shape = grid.shape[d // 2 :]
-    inner_axes = tuple(range(d // 2))
-    w_inner = 1.0
-    for ax in grid.axes[: d // 2]:
-        w_inner *= ax.step
+    # the plain sup norm (q None) has every axis inner and no outer axis
+    k = d if q is None else d // 2
+    outer_shape = grid.shape[k:]
+    inner_axes = tuple(range(k))
+    w_inner = Grid(grid.axes[:k]).weight
     w_outer = grid.weight / w_inner
 
     # each x-point's |f|^p is added in row order, as numpy reduces a
@@ -484,7 +473,7 @@ def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None 
         if np.isinf(acc).any():
             _report_abs_overflow(slab, mags)
     inner = acc if math.isinf(p) else (acc * w_inner) ** (1.0 / p)
-    if math.isinf(q):
+    if q is None or math.isinf(q):
         return float(inner.max(initial=0.0))
     return float((np.sum(inner**q) * w_outer) ** (1.0 / q))
 

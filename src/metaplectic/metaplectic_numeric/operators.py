@@ -108,7 +108,9 @@ def multiplier_apply(P, f: GridFunction) -> GridFunction:
     """Frequency-side quadratic multiplier exp(-i pi xi . P xi).
 
     P may be singular or zero; the operation is a bounded multiplier either
-    way.  The function returns on its original grid.
+    way.  A zero P returns ``f`` itself; any other P returns on the dual of
+    the dual of f's grid (see :func:`_spectral_product`), whose steps may
+    differ from f's by an ulp.
     """
     P = _as_param(P, f.grid.d)
     if not np.any(P):

@@ -85,45 +85,46 @@ class BoundednessVerdict:
     det_A: float
     det_B: float
 
+    def _refusal(self, p: float, q: float | None) -> str | None:
+        """Why no L^p -> L^q bound exists (q defaults per case), or None."""
+        if p <= 0.0:
+            return f"p must be positive, got {p}"
+        if self.case is BoundednessCase.LOWER_TRIANGULAR:
+            if (p if q is None else q) != p:
+                return "lower-triangular case maps L^p to L^p only"
+        elif self.case is BoundednessCase.FREE:
+            if not 1.0 <= p <= 2.0:
+                return f"free case is bounded only for 1 <= p <= 2, got p={p}"
+            pp = conjugate_exponent(p)
+            if q is not None and q != pp:
+                return f"free case maps L^{p:g} to its conjugate L^{pp:g} only"
+        elif not (p == 2.0 and (q is None or q == 2.0)):
+            return (
+                "no L^p -> L^q bound exists for a singular nonzero upper-right block "
+                "except p = q = 2"
+            )
+        return None
+
     def bounded(self, p: float, q: float | None = None) -> bool:
         """Whether the operator maps L^p into L^q boundedly (q defaults per case)."""
-        if q is None:
-            q = p if self.case is BoundednessCase.LOWER_TRIANGULAR else conjugate_exponent(p)
-        if self.case is BoundednessCase.LOWER_TRIANGULAR:
-            return q == p and p > 0.0
-        if self.case is BoundednessCase.FREE:
-            return 1.0 <= p <= 2.0 and q == conjugate_exponent(p)
-        return p == 2.0 and q == 2.0
+        return self._refusal(p, q) is None
 
     def norm(self, p: float, q: float | None = None) -> float:
         """Operator norm of the projected operator from L^p to L^q.
 
         For the lower-triangular case q must equal p; for the free case q must
         be the conjugate exponent of p with 1 <= p <= 2.  Raises ValueError
-        for pairs where no bound exists.
+        for pairs where no bound exists, exactly those :meth:`bounded` refuses.
         """
-        if p <= 0.0:
-            raise ValueError(f"p must be positive, got {p}")
+        if (refusal := self._refusal(p, q)) is not None:
+            raise ValueError(refusal)
         if self.case is BoundednessCase.LOWER_TRIANGULAR:
-            if q is not None and q != p:
-                raise ValueError("lower-triangular case maps L^p to L^p only")
             exponent = (0.0 if math.isinf(p) else 1.0 / p) - 0.5
             return abs(self.det_A) ** exponent
         if self.case is BoundednessCase.FREE:
-            if not 1.0 <= p <= 2.0:
-                raise ValueError(f"free case is bounded only for 1 <= p <= 2, got p={p}")
-            pp = conjugate_exponent(p)
-            if q is not None and q != pp:
-                raise ValueError(f"free case maps L^{p:g} to its conjugate L^{pp:g} only")
             exponent = 0.5 - (0.0 if math.isinf(p) else 1.0 / p)
             return abs(self.det_B) ** exponent * beckner_constant(p, self.d)
-        # singular nonzero B
-        if p == 2.0 and (q is None or q == 2.0):
-            return 1.0
-        raise ValueError(
-            "no L^p -> L^q bound exists for a singular nonzero upper-right block "
-            "except p = q = 2"
-        )
+        return 1.0
 
 
 def classify_lp(S: SymplecticMatrix, tol: float | None = None) -> BoundednessVerdict:

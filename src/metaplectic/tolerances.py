@@ -46,18 +46,22 @@ class ToleranceAmbiguityError(ValueError):
         self.cutoff = cutoff
 
 
-def default_tol() -> float:
-    """Default relative tolerance, honoring the environment override."""
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return DEFAULT_TOL
+def positive_tol(raw: str | float, name: str) -> float:
+    """``raw`` as a positive float (nan is not); otherwise a ValueError
+    that names ``name``, the setting ``raw`` came from."""
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"{ENV_TOL} must be a positive float, got {raw!r}") from None
+        value = 0.0
     if not value > 0.0:
-        raise ValueError(f"{ENV_TOL} must be a positive float, got {raw!r}")
+        raise ValueError(f"{name} must be a positive float, got {raw!r}")
     return value
+
+
+def default_tol() -> float:
+    """Default relative tolerance, honoring the environment override."""
+    raw = os.environ.get(ENV_TOL)
+    return DEFAULT_TOL if raw is None else positive_tol(raw, ENV_TOL)
 
 
 def singular_extremes(mat: np.ndarray) -> tuple[float, float]:

@@ -14,6 +14,8 @@ per axis; ``gathered_rows``, the Wigner and STFT rows by index gathers and
 the Rihaczek rows with an exp per entry;
 ``scattered_wigner_adjoint``, the Wigner adjoint by an index scatter;
 ``looped_dj_factorize``, the interchange-set search one subset at a time;
+``direct_lp_norm``, the plain L^p norm as one expression on the whole
+array, with its own report of an ``np.abs`` overflow;
 ``looped_write_matrix``, ``looped_write_dj`` and
 ``looped_write_grid_function``, the text writers with one ``repr`` per
 entry; and ``rowwise_export_csv``, the CSV export through ``csv.writer``
@@ -441,6 +443,31 @@ def looped_dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFact
     Q = (S.C @ pjc + S.D @ pj) @ L
     residual = float(np.linalg.norm(dj_compose(DJFactorization(Q, L, P, best)).mat - S.mat))
     return DJFactorization(Q, L, P, best, residual)
+
+
+# --------------------------------------------------------------------------
+# the plain norm, the direct full-array way
+
+
+def direct_lp_norm(f: GridFunction, p: float) -> float:
+    """Lattice L^p norm as one expression on the whole array: the largest
+    |f| for p = inf, else (np.sum(|f|^p) * weight)^(1/p).
+
+    An inf norm goes back to the samples: np.abs overflows near the largest
+    float without setting numpy's flag, so the magnitudes that overflowed on
+    finite samples are redone with np.hypot, which sets it.
+    """
+    if p <= 0.0:
+        raise ValueError(f"p must be positive, got {p}")
+    mags = np.abs(f.values)
+    if math.isinf(p):
+        norm = float(mags.max(initial=0.0))
+    else:
+        norm = float((np.sum(mags**p) * f.grid.weight) ** (1.0 / p))
+    if math.isinf(norm):
+        big = np.isinf(mags) & np.isfinite(f.values)
+        np.hypot(f.values.real[big], f.values.imag[big])
+    return norm
 
 
 # --------------------------------------------------------------------------

@@ -142,6 +142,34 @@ def test_norm_raises_outside_bounded_range():
         snb.norm(1.0, math.inf)
 
 
+BOUNDED_TABLE_P = [-math.inf, -1.0, 0.0, 0.25, 0.5, 1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize(
+    "S",
+    [SymplecticMatrix(np.diag([2.0, 0.5])), standard_involution(1), SINGULAR_B],
+    ids=["lower-triangular", "free", "singular-nonzero-B"],
+)
+def test_bounded_exactly_when_norm_raises_no_value_error(S):
+    # one check decides both; they used to disagree on a lower-triangular p = nan
+    verdict = classify_lp(S)
+    for p in BOUNDED_TABLE_P:
+        for q in BOUNDED_TABLE_P + [None]:
+            try:
+                verdict.norm(p, q)
+                raised = False
+            except ValueError:
+                raised = True
+            assert verdict.bounded(p, q) is not raised, (p, q)
+
+
+def test_lower_triangular_norm_refuses_nan():
+    verdict = classify_lp(SymplecticMatrix(np.diag([2.0, 0.5])))
+    assert not verdict.bounded(math.nan)
+    with pytest.raises(ValueError, match="lower-triangular case maps L\\^p to L\\^p only"):
+        verdict.norm(math.nan)
+
+
 def test_classifier_matches_block_test_on_random_matrices():
     for seed in range(40):
         for d in (1, 2, 3):

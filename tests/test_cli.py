@@ -356,6 +356,23 @@ FAILING_RUNS = {
         ["probe", "normequiv", "{R}", "--p", "2", "--q", "2", "--n", "16", "--tol", "0.3", "--out", "{t}"],
         "takes no --tol",
     ),
+    # --tol gets the positivity check of METAPLECTIC_TOL; these used to
+    # decide with the bad cutoff
+    "check-tol-zero": (["check", "{T}", "--tol", "0"], "--tol must be a positive float, got 0.0"),
+    "classify-tol-negative": (["classify", "{T}", "--p", "2", "--tol", "-1"], "got -1.0"),
+    "classify-tol-nan": (["classify", "{T}", "--p", "2", "--tol", "nan"], "got nan"),
+    "factorize-tol": (["factorize", "{T}", "--tol=-1e-9", "--out", "{t}"], "got -1e-09"),
+    "apply-tol": (["apply", "{T}", "{b}", "--tol", "0", "--out", "{t}"], "got 0.0"),
+    "probe-tol": (["probe", "isometry", "{T}", "--p", "2", "--tol", "-1", "--out", "{t}"], "got -1.0"),
+    # these used to end in a traceback with exit 1: a Python float overflow
+    # (1e10 ** 99.5 in the closed-form norm), which np.errstate does not see,
+    # and an array numpy refuses to allocate (1 EiB, past any address space)
+    "classify-norm-overflow": (["classify", "{H}", "--p", "0.01"], "out of range"),
+    "probe-isometry-overflow": (
+        ["probe", "isometry", "{H}", "--p", "0.01", "--out", "{t}"],
+        "out of range",
+    ),
+    "sample-memory": (["sample", "--d", "4", "--n", "16384", "--out", "{t}"], "Unable to allocate"),
 }
 
 
@@ -367,6 +384,7 @@ def test_a_failing_run_prints_one_error_line_and_nothing_on_stdout(tmp_path, cap
         "I": _matrix_file(tmp_path, np.eye(2), "I.mat"),
         "T": _matrix_file(tmp_path, np.diag([2.0, 0.5]), "T.mat"),
         "R": _matrix_file(tmp_path, random_symplectic(4, 2).mat, "R.mat"),
+        "H": _matrix_file(tmp_path, np.diag([1e10, 1e-10]), "H.mat"),
         "o": str(tmp_path / "o.gf"),
         "t": str(tmp_path / "t.gf"),
     }

@@ -35,6 +35,7 @@ from metaplectic.metaplectic_numeric.grid import (
     slab_norm,
 )
 from metaplectic.probes import norm_equiv_probe
+from oracles import direct_lp_norm
 
 INF = math.inf
 
@@ -113,6 +114,37 @@ def test_slab_norm_of_any_row_cut_equals_the_full_array_norms(rows_per_slab):
         assert slab_norm(cut(), grid, p) == lp_norm(f, p), p
     for p, q in MIXED:
         assert slab_norm(cut(), grid, p, q) == lpq_norm(f, p, q), (p, q)
+
+
+def _norm_outcome(norm, f, p):
+    """``repr`` of the float, or the floating-point fault it raised."""
+    try:
+        return repr(norm(f, p))
+    except FloatingPointError as exc:
+        return f"FloatingPointError: {exc}"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+@pytest.mark.parametrize("grid_name", GRIDS)
+def test_lp_norm_is_bitwise_the_direct_full_array_norm(grid_name, scale):
+    # lp_norm is slab_norm on one slab: one np.sum of the raveled powers, or
+    # the outer-axes accumulator with every axis inner for p = inf
+    grid = GRIDS[grid_name]
+    f = _random_function(grid, 10)
+    f = f.with_values(f.values * scale)
+    planted = [f, f.with_values(np.zeros(grid.shape))]
+    # nan, inf and zero samples, and one whose np.abs overflows
+    for value in (np.nan, complex(0.0, np.inf), 0.0, 1.5e308 + 1.5e308j):
+        vals = f.values.copy()
+        vals.flat[[0, vals.size // 3, -1]] = value
+        planted.append(f.with_values(vals))
+    for g in planted:
+        for p in PLAIN + [0.5, 1.5, 4.0]:
+            for over in ("raise", "ignore"):
+                with np.errstate(over=over):
+                    ours = _norm_outcome(lp_norm, g, p)
+                    direct = _norm_outcome(direct_lp_norm, g, p)
+                assert ours == direct, (p, over)
 
 
 def test_slab_norm_checks_exponents_and_split():

@@ -5,6 +5,7 @@ admissible interchange set, shift-invertibility) ends in the one comparison
 of ``tolerances.py``; these tests pin its boundary conventions directly.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,14 @@ from metaplectic.symplectic_core import (
     multiplier_block,
     random_symplectic,
 )
-from metaplectic.tolerances import AMBIGUITY_BAND, DEFAULT_TOL, ENV_TOL, rel_invertible, rel_zero
+from metaplectic.tolerances import (
+    AMBIGUITY_BAND,
+    DEFAULT_TOL,
+    ENV_TOL,
+    positive_tol,
+    rel_invertible,
+    rel_zero,
+)
 
 TOL = 1e-9
 
@@ -115,6 +123,22 @@ def test_environment_override_rejects_non_positive(monkeypatch, raw):
         rel_invertible(np.eye(2))
     with pytest.raises(ValueError, match=ENV_TOL):
         rel_zero(np.eye(2))
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "-inf"])
+def test_environment_override_refusal_text(monkeypatch, raw):
+    monkeypatch.setenv(ENV_TOL, raw)
+    with pytest.raises(ValueError) as info:
+        default_tol()
+    assert str(info.value) == f"METAPLECTIC_TOL must be a positive float, got {raw!r}"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, -0.0, math.nan, -math.inf])
+def test_positive_tol_refuses_what_the_environment_refuses(value):
+    with pytest.raises(ValueError) as info:
+        positive_tol(value, "--tol")
+    assert str(info.value) == f"--tol must be a positive float, got {value!r}"
+    assert positive_tol(1e-3, "--tol") == 1e-3
 
 
 def test_non_finite_matrix_fails_the_block_relations():
