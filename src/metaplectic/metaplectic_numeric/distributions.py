@@ -22,8 +22,10 @@ x-rows (a slice of axis 0).  ``wigner``, ``stft`` and ``rihacek`` call it
 with all rows, which ``MAX_DISTRIBUTION_POINTS`` caps; ``distribution_norm``
 and ``mp_norm`` call it slab by slab (``grid.row_slabs``: at least
 ``grid.SLAB_BYTES`` of entries per slab, leftover rows in the last) and
-stream the slabs into ``grid.slab_norm``, so their memory is one slab
-instead of n^(2d) points.
+stream the slabs into ``grid.slab_norm``, so their memory is a few slabs
+instead of n^(2d) points.  The slabs are built on the worker threads
+(``grid.worker_map``), at most two ahead of ``slab_norm``, which reduces
+them in row order on the calling thread.
 
 The Wigner and STFT rows read the signals through read-only strided views:
 every read is a Toeplitz or Hankel pattern in (x-row j, column k), so once
@@ -39,7 +41,8 @@ once, and ``grid.mirrored_exps`` copies those entries from their partners.
 The phase itself (``form_sum``) is also computed on the source entries only.
 
 The floats equal the full-array norms exactly: a row's values do not depend
-on the slab around it.  The 4 MiB slab floor still matters for that.  The
+on the slab around it, nor on the thread that builds it.  The slab floor
+(1 MiB) still matters for that: it must not fall below 256 KiB.  The
 per-entry Rihaczek expression ``vals * np.exp(...)`` runs in place in the
 exp temporary, as exp * vals, from numpy's 256 KiB temporary-elision size
 on, and out of place, as vals * exp, below it; a complex product rounds
@@ -54,6 +57,7 @@ multiply by a real number, which rounds the same in either operand order.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -66,7 +70,7 @@ from ..symplectic_core import (
     interchange,
 )
 from .grid import Axis, Grid, GridFunction, centered_dft, form_sum, mirrored_exps
-from .grid import lpq_norm, periodic_reads, row_slabs, shifted_dft, slab_norm
+from .grid import lpq_norm, periodic_reads, row_slabs, shifted_dft, slab_norm, worker_map
 from .operators import apply_metaplectic
 
 
@@ -164,7 +168,8 @@ def _whole(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
 def _streamed_norm(kind: str, f: GridFunction, g: GridFunction, p: float, q: float | None) -> float:
     _check_same_grid(f, g)
     grid, build = _ROW_BUILDERS[kind](f, g)
-    return slab_norm((build(rows) for rows in row_slabs(grid)), grid, p, q)
+    with contextlib.closing(worker_map(build, row_slabs(grid))) as slabs:
+        return slab_norm(slabs, grid, p, q)
 
 
 def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:

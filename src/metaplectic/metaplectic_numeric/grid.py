@@ -50,11 +50,25 @@ temporaries of 256 KiB or more.  ``slab_norm`` reports an overflow of
 ``np.abs`` on finite samples, which numpy's flag misses, through
 ``np.hypot``: it goes back to a slab's samples only when the magnitudes it
 holds (the accumulator, or the slab's largest power) reach inf.
+
+Worker threads.  ``worker_map`` runs the independent pieces of the two hot
+loops, the rescaling's kernel blocks and the distribution slabs, on a pool
+of two threads made on first use (none when the process may run on one
+CPU: the calls then run inline).  numpy releases the interpreter lock in
+its exps, FFTs and BLAS products, so the two threads overlap.  Results come
+back in order and no more than two run ahead, and each call runs in a copy
+of the caller's ``contextvars`` context, so ``np.errstate`` holds in the
+workers as in the caller.  A piece computes the same floats on any thread,
+so the output does not depend on the threads.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -68,8 +82,16 @@ DECAY_FLAG_LEVEL = 1e-10
 #: entries) or more: it runs e.g. ``vals * np.exp(...)`` in place in the
 #: temporary, with the operands swapped, and its complex multiply does not
 #: round commutatively.  A slab below that floor would change bits against
-#: the full array.
-SLAB_BYTES = 4 * 2**20
+#: the full array.  Above it, smaller slabs hold less memory, which counts
+#: once two slabs are built ahead on the workers (``worker_map``): in the
+#: benchmark's ``phase-space-norms`` (n = 2048, one BLAS thread, 2 CPUs),
+#: 1 MiB slabs peaked at 61 MB of RSS for a median of 435-441 ms, 4 MiB
+#: slabs at 91 MB for 409-433 ms, and the serial 4 MiB slabs at 73 MB
+#: for 696-706 ms (two 20 s runs each).
+SLAB_BYTES = 1 * 2**20
+
+#: most worker threads, and most calls of ``worker_map`` in flight
+MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -384,6 +406,58 @@ def row_blocks(n: int, per_block: int) -> list[slice]:
     one block."""
     bounds = [k * per_block for k in range(max(1, n // per_block))] + [n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@functools.cache
+def _worker_pool():
+    """The process's ``MAX_WORKERS`` worker threads, made on first use; None
+    when the process may run on one CPU only."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return None
+    # imported here: the CLI's start-up does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="metaplectic-worker")
+
+
+def worker_map(fn, items: Iterable) -> Iterator:
+    """``fn(item)`` for each of ``items``, in order, computed on the worker
+    threads.
+
+    The calls run ahead of the consumer by at most ``MAX_WORKERS``: a call
+    starts when the consumer asks for a result and fewer than that many
+    calls are started and not yet handed back.  Each call runs in its own
+    copy of the caller's ``contextvars`` context, which holds numpy's
+    ``errstate``, so a worker raises (or warns) on floating-point faults as
+    the caller would.  A call's exception is raised here when its result is
+    reached; the calls still in flight are then cancelled, or waited for if
+    they have started, as they are when the consumer stops early and closes
+    the iterator.  With one CPU the calls run inline, each when its result
+    is asked for and in its own copy of the context all the same.
+
+    ``fn`` must not call ``worker_map`` itself: with both workers waiting
+    on it, the nested calls would never start.
+    """
+    pool = _worker_pool()
+    if pool is None:
+        for item in items:
+            yield contextvars.copy_context().run(fn, item)
+        return
+    from concurrent.futures import wait
+
+    pending = collections.deque()
+    try:
+        for item in items:
+            if len(pending) == MAX_WORKERS:
+                yield pending.popleft().result()
+            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def _pairwise_sum(pieces: Iterator[np.ndarray], size: int) -> np.floating:

@@ -31,7 +31,12 @@ xi_{h-j} = -xi_{h+j} exactly, so each other column is a mirrored column
 with its phase negated, which ``grid.mirrored_exps`` (shared with the
 Rihaczek rows) copies as (re, 0.0 - im).  The copy has the bytes the
 entry's own exp would give, and every output row's dot product is computed
-as with the whole kernel, so the result is bit-equal to it.
+as with the whole kernel, so the result is bit-equal to it.  The blocks
+fall into two contiguous halves, one per worker thread
+(``grid.worker_map``; one after the other with one CPU), each with its own
+block buffer and its own products into disjoint columns of the result.
+Each block is the same product as in a serial loop, so the threads change
+no bit.
 
 ``tf_shift`` shifts in time and frequency (trigonometric interpolation off
 the lattice).
@@ -53,19 +58,25 @@ from .grid import (
     partial_dft,
     partial_idft,
     row_blocks,
+    worker_map,
 )
 
 #: dense per-axis synthesis is O(n^2) per line; keep axes at desk scale
 MAX_DENSE_AXIS = 4096
 
 #: bytes of complex kernel entries per block of output rows in the dense
-#: synthesis (8 rows at n = 4096).  Blocks that stay in cache run fastest:
-#: at n = 4096, one BLAS thread on a 2-core Xeon with 2 MiB of L2 per core,
-#: 2-16 rows took 359-384 ms per line, 64 rows 383-392 ms, 256 rows
-#: 443-464 ms and the whole kernel 505-600 ms (medians of 7, two runs).
+#: synthesis (4 rows at n = 4096).  Blocks that stay in cache run fastest:
+#: at n = 4096, one BLAS thread and no workers on a 2-core Xeon with 2 MiB
+#: of L2 per core, 2-16 rows took 359-384 ms per line, 64 rows 383-392 ms,
+#: 256 rows 443-464 ms and the whole kernel 505-600 ms (medians of 7, two
+#: runs).  With the blocks on the two workers, 4 rows took a median of
+#: 171 ms and 8 rows 159 ms at one BLAS thread, but 195 against 348 ms at
+#: two (medians of 15): OpenBLAS runs an 8-row gemv on its own threads
+#: (alone, 9-10 us at two BLAS threads against 13-16 us at one), and
+#: those contend with the workers.
 #: Blocks always hold at least 2 rows: a one-row product goes down BLAS's
 #: dot path instead of gemv and rounds differently.
-KERNEL_BLOCK_BYTES = 512 * 2**10
+KERNEL_BLOCK_BYTES = 256 * 2**10
 
 
 def _as_param(Q, d: int) -> np.ndarray:
@@ -152,7 +163,9 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     and keeps the result bit-equal to the product with the whole kernel.
     Each block computes the exps of half its columns and mirrors the other
     half (``_kernel_block``); the mirrored entries are bit-equal to their
-    own exps, so BLAS sees the same bytes in the same shapes.
+    own exps, so BLAS sees the same bytes in the same shapes.  The two
+    contiguous halves of the blocks run on the two worker threads (inline,
+    one after the other, with one CPU).
 
     The synthesis is periodic in the window: for |a| > 1 the points a x fall
     outside it and read wrapped samples, so periodic replicas of f enter the
@@ -172,13 +185,18 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     a_x, xi = a * ax.points(), dual.points()
     vals = np.empty(spec.shape, dtype=complex)
     blocks = row_blocks(ax.n, max(2, -(-KERNEL_BLOCK_BYTES // (16 * ax.n))))
-    # one buffer serves every block: with a fresh array per block, n = 4096
-    # took 256 page faults per block, which cost about as much as the exps
-    # the mirror saves
-    buf = np.empty((max(b.stop - b.start for b in blocks), ax.n), dtype=complex)
-    for rows in blocks:
-        kernel = _kernel_block(a_x[rows], xi, dual.step, buf[: rows.stop - rows.start])
-        vals[..., rows] = spec @ kernel.T
+
+    def synthesize(part: list[slice]) -> None:
+        # one buffer serves every block of the part: with a fresh array per
+        # block, n = 4096 took 256 page faults per block, which cost about
+        # as much as the exps the mirror saves
+        buf = np.empty((max(b.stop - b.start for b in part), ax.n), dtype=complex)
+        for rows in part:
+            kernel = _kernel_block(a_x[rows], xi, dual.step, buf[: rows.stop - rows.start])
+            vals[..., rows] = spec @ kernel.T
+
+    half = len(blocks) // 2
+    list(worker_map(synthesize, [part for part in (blocks[:half], blocks[half:]) if part]))
     return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 
 

@@ -114,13 +114,23 @@ class BoundednessVerdict:
 
         For the lower-triangular case q must equal p; for the free case q must
         be the conjugate exponent of p with 1 <= p <= 2.  Raises ValueError
-        for pairs where no bound exists, exactly those :meth:`bounded` refuses.
+        for pairs where no bound exists, exactly those :meth:`bounded` refuses,
+        and OverflowError when the lower-triangular norm is past the largest
+        float.
         """
         if (refusal := self._refusal(p, q)) is not None:
             raise ValueError(refusal)
         if self.case is BoundednessCase.LOWER_TRIANGULAR:
             exponent = (0.0 if math.isinf(p) else 1.0 / p) - 0.5
-            return abs(self.det_A) ** exponent
+            try:
+                return abs(self.det_A) ** exponent
+            except OverflowError:
+                # Python's own text names neither the power nor p; the free
+                # case's power has an exponent of at most 1/2 and stays finite
+                raise OverflowError(
+                    f"|det A| ** (1/p - 1/2) is out of range for p={p:g} "
+                    f"(|det A| = {abs(self.det_A):g})"
+                ) from None
         if self.case is BoundednessCase.FREE:
             exponent = 0.5 - (0.0 if math.isinf(p) else 1.0 / p)
             return abs(self.det_B) ** exponent * beckner_constant(p, self.d)

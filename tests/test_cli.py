@@ -18,7 +18,7 @@ from metaplectic.io import (
     write_grid_function,
     write_matrix,
 )
-from metaplectic.metaplectic_numeric import Axis, Grid, GridFunction
+from metaplectic.metaplectic_numeric import Axis, Grid, GridFunction, wigner_projection
 from metaplectic.symplectic_core import (
     multiplier_block,
     random_symplectic,
@@ -104,6 +104,15 @@ def test_classify_reports_unbounded_pair(tmp_path, capsys):
     assert "case singular-nonzero-B" in out
     assert "bounded no" in out
     assert "norm" not in out.replace("bounded no", "")
+
+
+def test_classify_norm_overflow_names_the_power_and_p(tmp_path, capsys):
+    # Python's own text was "(34, 'Numerical result out of range')"
+    path = _matrix_file(tmp_path, np.diag([1e10, 1e-10]))
+    assert main(["classify", path, "--p", "0.01"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: |det A| ** (1/p - 1/2) is out of range for p=0.01 (|det A| = 1e+10)\n"
 
 
 def test_classify_ambiguous_tolerance_is_exit_3(tmp_path, capsys):
@@ -373,6 +382,12 @@ FAILING_RUNS = {
         "out of range",
     ),
     "sample-memory": (["sample", "--d", "4", "--n", "16384", "--out", "{t}"], "Unable to allocate"),
+    # the streamed Wigner norm: slabs built on the worker threads, |W|^3000
+    # overflowing in the reducer
+    "probe-normequiv-overflow": (
+        ["probe", "normequiv", "{W}", "--p", "3000", "--q", "1", "--n", "16", "--out", "{t}"],
+        "overflow encountered in power",
+    ),
 }
 
 
@@ -385,6 +400,7 @@ def test_a_failing_run_prints_one_error_line_and_nothing_on_stdout(tmp_path, cap
         "T": _matrix_file(tmp_path, np.diag([2.0, 0.5]), "T.mat"),
         "R": _matrix_file(tmp_path, random_symplectic(4, 2).mat, "R.mat"),
         "H": _matrix_file(tmp_path, np.diag([1e10, 1e-10]), "H.mat"),
+        "W": _matrix_file(tmp_path, wigner_projection(1).mat, "W.mat"),
         "o": str(tmp_path / "o.gf"),
         "t": str(tmp_path / "t.gf"),
     }
@@ -439,8 +455,6 @@ def test_probe_isometry(tmp_path, capsys):
 
 
 def test_probe_normequiv(tmp_path, capsys):
-    from metaplectic.metaplectic_numeric import wigner_projection
-
     path = _matrix_file(tmp_path, wigner_projection(1).mat)
     code = main(["probe", "normequiv", path, "--p", "1", "--q", "1", "--n", "256"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Sampling grids, centered transforms, and lattice norms."""
 
+import contextvars
 import math
 
 import numpy as np
@@ -27,7 +28,8 @@ from metaplectic.metaplectic_numeric import (
     wigner_projection,
 )
 
-from metaplectic.metaplectic_numeric.grid import form_sum, mirrored_exps, slab_norm
+from metaplectic.metaplectic_numeric import grid as grid_module
+from metaplectic.metaplectic_numeric.grid import form_sum, mirrored_exps, slab_norm, worker_map
 
 import oracles
 
@@ -321,3 +323,43 @@ def test_each_public_result_builds_one_grid_function(monkeypatch):
         call()
         counts[name] = len(built)
     assert counts == {**{name: 1 for name in calls}, "opA_build": 0}
+
+
+# --------------------------------------------------------------------------
+# worker threads
+
+_CALLER = contextvars.ContextVar("caller", default="unset")
+
+
+@pytest.fixture(params=["threads", "inline"])
+def workers(request, monkeypatch):
+    """Run a test on the worker threads, and again as a one-CPU process would."""
+    if request.param == "inline":
+        monkeypatch.setattr(grid_module, "_worker_pool", lambda: None)
+
+
+def test_worker_map_runs_each_call_in_its_own_copy_of_the_callers_context(workers):
+    def call(k):
+        seen = (k, _CALLER.get(), np.geterr()["over"])
+        _CALLER.set(f"call {k}")  # seen by no later call, nor by the caller
+        return seen
+
+    token = _CALLER.set("caller")
+    try:
+        with np.errstate(over="raise"):
+            assert list(worker_map(call, range(5))) == [(k, "caller", "raise") for k in range(5)]
+        assert _CALLER.get() == "caller"
+    finally:
+        _CALLER.reset(token)
+
+
+def test_worker_map_raises_a_calls_exception_in_the_caller(workers):
+    def call(k):
+        if k == 3:
+            raise ValueError(f"call {k} failed")
+        return k
+
+    results = worker_map(call, range(8))
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ValueError, match="call 3 failed"):
+        next(results)

@@ -1,5 +1,6 @@
 """Sampled operator stages against closed forms and the dense kernel oracle."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaplectic.metaplectic_numeric import grid as grid_module
 from metaplectic.metaplectic_numeric import operators
 from metaplectic.metaplectic_numeric import (
     Axis,
@@ -239,7 +241,7 @@ BLOCKED_GRIDS = {
 MIRROR_SCALES = BITWISE_SCALES + (0.5, 2.0, 3.0, 1e-3, -1e-300)
 
 
-@pytest.mark.parametrize("rows", [2, 7, None])
+@pytest.mark.parametrize("rows", [2, 4, 7, None])
 @pytest.mark.parametrize("name", sorted(BLOCKED_GRIDS))
 def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, name, rows):
     grid = BLOCKED_GRIDS[name]
@@ -252,6 +254,26 @@ def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, 
             L[axis, axis] = a
             got = rescale_apply(L, f).values
             assert got.tobytes() == oracles.blocked_axis_scale(f, axis, a).values.tobytes(), (a, axis)
+
+
+def test_rescale_apply_bitwise_builds_its_blocks_on_the_workers(monkeypatch):
+    # the two halves of the blocks run on the worker threads, or inline on
+    # the calling thread when the process has one CPU; the bytes are the
+    # serial blocked kernel's either way
+    threads = set()
+    kernel_block = operators._kernel_block
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        return kernel_block(*args)
+
+    monkeypatch.setattr(operators, "_kernel_block", recorded)
+    f = _random_function(Grid.selfdual(1, 4096), 11)
+    for a in BITWISE_SCALES:
+        got = rescale_apply([[a]], f).values
+        assert got.tobytes() == oracles.blocked_axis_scale(f, 0, a).values.tobytes(), a
+    inline = grid_module._worker_pool() is None
+    assert (threading.main_thread() in threads) == inline
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,11 +9,13 @@ mixed norm, ``lp_norm`` of the whole STFT for ``mp_norm`` with p = q.
 
 import gc
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from metaplectic.metaplectic_numeric import distributions
 from metaplectic.metaplectic_numeric.distributions import (
     distribution_norm,
     mp_norm,
@@ -25,6 +27,7 @@ from metaplectic.metaplectic_numeric.distributions import (
     wigner_projection,
 )
 from metaplectic.metaplectic_numeric.grid import (
+    MAX_WORKERS,
     SLAB_BYTES,
     Axis,
     Grid,
@@ -88,9 +91,9 @@ def test_mp_norm_equals_the_full_stft_norm(grid_name):
 
 def test_test_grids_cover_several_slabs_and_leftover_rows():
     doubled = {k: Grid(grid.axes * 2) for k, grid in GRIDS.items()}
-    assert [len(row_slabs(grid)) for grid in doubled.values()] == [4, 3, 1, 4, 1]
-    # 1000 rows of 16000 bytes: 263-row slabs, the last one takes 474 rows
-    assert [s.stop - s.start for s in row_slabs(doubled["1d-1000"])] == [263, 263, 474]
+    assert [len(row_slabs(grid)) for grid in doubled.values()] == [16, 15, 1, 16, 2]
+    # 1000 rows of 16000 bytes: 66-row slabs, the last one takes 76 rows
+    assert [s.stop - s.start for s in row_slabs(doubled["1d-1000"])] == [66] * 14 + [76]
 
 
 @pytest.mark.parametrize("grid_name", GRIDS)
@@ -145,6 +148,76 @@ def test_lp_norm_is_bitwise_the_direct_full_array_norm(grid_name, scale):
                     ours = _norm_outcome(lp_norm, g, p)
                     direct = _norm_outcome(direct_lp_norm, g, p)
                 assert ours == direct, (p, over)
+
+
+@pytest.mark.parametrize("grid_name", ["1d-1000", "2d-32"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_streamed_plain_norm_bitwise_equals_the_direct_norm(kind, grid_name):
+    # 1 MiB slabs (15 and 16 of them here), built on the worker threads and
+    # reduced in row order on the calling one
+    assert SLAB_BYTES == 2**20
+    grid = GRIDS[grid_name]
+    f, g = _random_function(grid, 12), _random_function(grid, 13)
+    full = KINDS[kind][0](f, g)
+    for p in PLAIN + [0.5, 1.5]:
+        assert distributions._streamed_norm(kind, f, g, p, None) == direct_lp_norm(full, p), p
+
+
+def test_streamed_norm_builds_at_most_two_slabs_ahead(monkeypatch):
+    # a slow consumer: unbounded look-ahead would let the workers build
+    # every slab before the reducer reached the second
+    started, ahead = [], []
+    stft_rows = distributions._ROW_BUILDERS["stft"]
+
+    def recorded_rows(f, g):
+        grid, build = stft_rows(f, g)
+
+        def recorded(rows):
+            started.append(rows.start)
+            return build(rows)
+
+        return grid, recorded
+
+    def slow_slab_norm(rows, grid, p, q=None):
+        def watched():
+            for k, slab in enumerate(rows):
+                ahead.append(len(started) - k)
+                time.sleep(0.005)
+                yield slab
+
+        return slab_norm(watched(), grid, p, q)
+
+    monkeypatch.setitem(distributions._ROW_BUILDERS, "stft", recorded_rows)
+    monkeypatch.setattr(distributions, "slab_norm", slow_slab_norm)
+    grid = GRIDS["1d-1024"]
+    f, g = _random_function(grid, 14), _random_function(grid, 15)
+    mp_norm(f, g, 2.0, 1.0)
+    assert len(ahead) == len(row_slabs(Grid(grid.axes * 2))) == 16
+    assert max(ahead) <= MAX_WORKERS == 2
+    assert sorted(started) == list(range(0, 1024, 64))
+
+
+@pytest.mark.parametrize("state", ["raise", "ignore"])
+def test_worker_built_slabs_keep_the_callers_errstate(state):
+    # numpy's errstate is a context variable, and each slab is built in a
+    # copy of the caller's context: f(x) conj(FT g)(xi) overflows in the
+    # Rihaczek rows of slab 14 of 16, and the streamed norm must fail (or
+    # not) as the full array does
+    grid = GRIDS["1d-1024"]
+    vals = np.zeros(grid.shape, dtype=complex)
+    vals[900] = 1e308
+    f = GridFunction(grid, vals)
+    g = GridFunction(grid, 10.0 * np.exp(-math.pi * grid.axes[0].points() ** 2))
+    A = rihacek_projection(1)
+    outcomes = []
+    for norm in (lambda: distribution_norm(A, f, g, 2.0, 1.0), lambda: lpq_norm(rihacek(f, g), 2.0, 1.0)):
+        with np.errstate(all=state):
+            try:
+                outcomes.append(repr(norm()))
+            except FloatingPointError as exc:
+                outcomes.append(f"FloatingPointError: {exc}")
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0].startswith("FloatingPointError: overflow") == (state == "raise")
 
 
 def test_slab_norm_checks_exponents_and_split():
