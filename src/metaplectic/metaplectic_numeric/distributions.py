@@ -24,8 +24,10 @@ and ``mp_norm`` call it slab by slab (``grid.row_slabs``: at least
 ``grid.SLAB_BYTES`` of entries per slab, leftover rows in the last) and
 stream the slabs into ``grid.slab_norm``, so their memory is a few slabs
 instead of n^(2d) points.  The slabs are built on the worker threads
-(``grid.worker_map``), at most two ahead of ``slab_norm``, which reduces
-them in row order on the calling thread.
+(``grid.worker_map``) and ``slab_norm`` reduces them in row order on the
+calling thread.  Slabs of about ``SLAB_BYTES`` are built up to two ahead
+of it; larger ones (one x-row of n^3 points at d = 2) one at a time, so
+that the norm holds no more of them than a serial loop would.
 
 The Wigner and STFT rows read the signals through read-only strided views:
 every read is a Toeplitz or Hankel pattern in (x-row j, column k), so once
@@ -70,7 +72,8 @@ from ..symplectic_core import (
     interchange,
 )
 from .grid import Axis, Grid, GridFunction, centered_dft, form_sum, mirrored_exps
-from .grid import lpq_norm, periodic_reads, row_slabs, shifted_dft, slab_norm, worker_map
+from .grid import MAX_WORKERS, SLAB_BYTES, lpq_norm, periodic_reads, row_slabs, shifted_dft
+from .grid import slab_norm, worker_map
 from .operators import apply_metaplectic
 
 
@@ -168,7 +171,12 @@ def _whole(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
 def _streamed_norm(kind: str, f: GridFunction, g: GridFunction, p: float, q: float | None) -> float:
     _check_same_grid(f, g)
     grid, build = _ROW_BUILDERS[kind](f, g)
-    with contextlib.closing(worker_map(build, row_slabs(grid))) as slabs:
+    # a slab built ahead is one more slab alive, with its temporaries: cheap
+    # for slabs of about SLAB_BYTES, but a slab is at least one x-row, n^3
+    # points at d = 2 (32 MiB at n = 128), and such slabs are built one at
+    # a time, as a serial loop holds them
+    ahead = MAX_WORKERS if 16 * math.prod(grid.shape[1:]) <= SLAB_BYTES else 1
+    with contextlib.closing(worker_map(build, row_slabs(grid), ahead)) as slabs:
         return slab_norm(slabs, grid, p, q)
 
 

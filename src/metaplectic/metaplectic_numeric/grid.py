@@ -53,13 +53,14 @@ holds (the accumulator, or the slab's largest power) reach inf.
 
 Worker threads.  ``worker_map`` runs the independent pieces of the two hot
 loops, the rescaling's kernel blocks and the distribution slabs, on a pool
-of two threads made on first use (none when the process may run on one
-CPU: the calls then run inline).  numpy releases the interpreter lock in
+of two threads made on first use (one when the process may run on one CPU;
+a forked child makes its own).  numpy releases the interpreter lock in
 its exps, FFTs and BLAS products, so the two threads overlap.  Results come
-back in order and no more than two run ahead, and each call runs in a copy
-of the caller's ``contextvars`` context, so ``np.errstate`` holds in the
-workers as in the caller.  A piece computes the same floats on any thread,
-so the output does not depend on the threads.
+back in order and no more than two run ahead (fewer if the caller says
+so), and each call runs in a copy of the caller's ``contextvars`` context,
+so ``np.errstate`` holds in the workers as in the caller.  A piece
+computes the same floats on any thread, so the output does not depend on
+the threads.
 """
 
 from __future__ import annotations
@@ -410,46 +411,49 @@ def row_blocks(n: int, per_block: int) -> list[slice]:
 
 @functools.cache
 def _worker_pool():
-    """The process's ``MAX_WORKERS`` worker threads, made on first use; None
-    when the process may run on one CPU only."""
+    """The process's worker threads, made on first use, and their number:
+    ``MAX_WORKERS``, or one when the process may run on one CPU only."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
-        return None
+    workers = min(MAX_WORKERS, cpus or 1)
     # imported here: the CLI's start-up does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="metaplectic-worker")
+    return ThreadPoolExecutor(workers, thread_name_prefix="metaplectic-worker"), workers
 
 
-def worker_map(fn, items: Iterable) -> Iterator:
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the cached pool but not its threads, and would
+    # wait for ever on the first call it submits
+    os.register_at_fork(after_in_child=_worker_pool.cache_clear)
+
+
+def worker_map(fn, items: Iterable, ahead: int = MAX_WORKERS) -> Iterator:
     """``fn(item)`` for each of ``items``, in order, computed on the worker
     threads.
 
-    The calls run ahead of the consumer by at most ``MAX_WORKERS``: a call
-    starts when the consumer asks for a result and fewer than that many
-    calls are started and not yet handed back.  Each call runs in its own
-    copy of the caller's ``contextvars`` context, which holds numpy's
-    ``errstate``, so a worker raises (or warns) on floating-point faults as
-    the caller would.  A call's exception is raised here when its result is
-    reached; the calls still in flight are then cancelled, or waited for if
-    they have started, as they are when the consumer stops early and closes
-    the iterator.  With one CPU the calls run inline, each when its result
-    is asked for and in its own copy of the context all the same.
+    The calls run ahead of the consumer by at most ``ahead``, and by no
+    more than there are workers: a call starts when the consumer asks for a
+    result and fewer than that many calls are started and not yet handed
+    back.  With a bound of one (one CPU, or ``ahead=1``) the calls run one
+    after the other, each when its result is asked for, as in a serial
+    loop.  Each call runs in its own copy of the caller's ``contextvars``
+    context, which holds numpy's ``errstate``, so a worker raises (or
+    warns) on floating-point faults as the caller would.  A call's
+    exception is raised here when its result is reached; the calls still in
+    flight are then cancelled, or waited for if they have started, as they
+    are when the consumer stops early and closes the iterator.
 
-    ``fn`` must not call ``worker_map`` itself: with both workers waiting
-    on it, the nested calls would never start.
+    ``fn`` must not call ``worker_map`` itself: with the workers waiting on
+    it, the nested calls would never start.
     """
-    pool = _worker_pool()
-    if pool is None:
-        for item in items:
-            yield contextvars.copy_context().run(fn, item)
-        return
     from concurrent.futures import wait
 
+    pool, workers = _worker_pool()
+    ahead = min(ahead, workers)
     pending = collections.deque()
     try:
         for item in items:
-            if len(pending) == MAX_WORKERS:
+            if len(pending) == ahead:
                 yield pending.popleft().result()
             pending.append(pool.submit(contextvars.copy_context().run, fn, item))
         while pending:

@@ -33,8 +33,9 @@ Rihaczek rows) copies as (re, 0.0 - im).  The copy has the bytes the
 entry's own exp would give, and every output row's dot product is computed
 as with the whole kernel, so the result is bit-equal to it.  The blocks
 fall into two contiguous halves, one per worker thread
-(``grid.worker_map``; one after the other with one CPU), each with its own
-block buffer and its own products into disjoint columns of the result.
+(``grid.worker_map``; one after the other on the one worker of a process
+that may run on one CPU), each with its own block buffer and its own
+products into disjoint columns of the result.
 Each block is the same product as in a serial loop, so the threads change
 no bit.
 
@@ -164,8 +165,8 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     Each block computes the exps of half its columns and mirrors the other
     half (``_kernel_block``); the mirrored entries are bit-equal to their
     own exps, so BLAS sees the same bytes in the same shapes.  The two
-    contiguous halves of the blocks run on the two worker threads (inline,
-    one after the other, with one CPU).
+    contiguous halves of the blocks run on the two worker threads (one
+    after the other with one CPU).
 
     The synthesis is periodic in the window: for |a| > 1 the points a x fall
     outside it and read wrapped samples, so periodic replicas of f enter the

@@ -2,6 +2,10 @@
 
 import contextvars
 import math
+import os
+import signal
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from metaplectic.metaplectic_numeric import (
     herm_inner,
     lp_norm,
     lpq_norm,
+    mp_norm,
     multiplier_apply,
     opA_build,
     partial_dft,
@@ -331,11 +336,27 @@ def test_each_public_result_builds_one_grid_function(monkeypatch):
 _CALLER = contextvars.ContextVar("caller", default="unset")
 
 
-@pytest.fixture(params=["threads", "inline"])
+@pytest.fixture(params=[2, 1])
 def workers(request, monkeypatch):
-    """Run a test on the worker threads, and again as a one-CPU process would."""
-    if request.param == "inline":
-        monkeypatch.setattr(grid_module, "_worker_pool", lambda: None)
+    """Run a test on the worker threads of a process that may run on 2 CPUs,
+    and on those of a process that may run on one."""
+    monkeypatch.setattr(grid_module.os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    grid_module._worker_pool.cache_clear()
+    yield request.param
+    grid_module._worker_pool()[0].shutdown()
+    grid_module._worker_pool.cache_clear()
+
+
+def test_worker_map_starts_no_more_calls_than_workers_or_ahead(workers):
+    # a call starts only while fewer than min(ahead, workers) calls are
+    # started and not yet handed back
+    started = []
+    for ahead in (1, 2, 3):
+        started.clear()
+        ahead_of_consumer = []
+        for k, _ in enumerate(worker_map(started.append, range(6), ahead)):
+            ahead_of_consumer.append(len(started) - k)
+        assert max(ahead_of_consumer) <= min(ahead, workers), ahead
 
 
 def test_worker_map_runs_each_call_in_its_own_copy_of_the_callers_context(workers):
@@ -363,3 +384,29 @@ def test_worker_map_raises_a_calls_exception_in_the_caller(workers):
     assert [next(results) for _ in range(3)] == [0, 1, 2]
     with pytest.raises(ValueError, match="call 3 failed"):
         next(results)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_makes_its_own_worker_threads():
+    # the child inherits the parent's cached pool but not its threads; the
+    # fork hook clears the cache, else the child's first call waits for ever
+    grid = Grid.selfdual(1, 256)
+    f = GridFunction(grid, np.exp(-math.pi * grid.axes[0].points() ** 2) + 0j)
+    norm = mp_norm(f, f, 2.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if mp_norm(f, f, 2.0, 1.0) == norm else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's norm did not finish in 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic.metaplectic_numeric import grid as grid_module
 from metaplectic.metaplectic_numeric import operators
 from metaplectic.metaplectic_numeric import (
     Axis,
@@ -257,9 +256,9 @@ def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, 
 
 
 def test_rescale_apply_bitwise_builds_its_blocks_on_the_workers(monkeypatch):
-    # the two halves of the blocks run on the worker threads, or inline on
-    # the calling thread when the process has one CPU; the bytes are the
-    # serial blocked kernel's either way
+    # the two halves of the blocks run on the worker threads (both on the
+    # one worker when the process has one CPU); the bytes are the serial
+    # blocked kernel's
     threads = set()
     kernel_block = operators._kernel_block
 
@@ -272,8 +271,7 @@ def test_rescale_apply_bitwise_builds_its_blocks_on_the_workers(monkeypatch):
     for a in BITWISE_SCALES:
         got = rescale_apply([[a]], f).values
         assert got.tobytes() == oracles.blocked_axis_scale(f, 0, a).values.tobytes(), a
-    inline = grid_module._worker_pool() is None
-    assert (threading.main_thread() in threads) == inline
+    assert threads and threading.main_thread() not in threads
 
 
 @settings(max_examples=200, deadline=None)

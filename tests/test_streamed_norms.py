@@ -197,6 +197,30 @@ def test_streamed_norm_builds_at_most_two_slabs_ahead(monkeypatch):
     assert sorted(started) == list(range(0, 1024, 64))
 
 
+@pytest.mark.parametrize("kind", ["wigner", "stft"])
+def test_streamed_norm_of_one_row_slabs_peaks_as_the_serial_loop(kind):
+    # at d = 2 a slab is one x-row of n^3 points (4 MiB at n = 64, above
+    # SLAB_BYTES); such slabs are built one at a time, and the norm's peak
+    # stays at the serial loop's (built two ahead, it rose by 4 slabs)
+    grid = Grid.selfdual(2, 64)
+    f, g = _random_function(grid, 16), _random_function(grid, 17)
+    doubled, build = distributions._ROW_BUILDERS[kind](f, g)
+    slab = 16 * math.prod(doubled.shape[1:])
+    assert slab > SLAB_BYTES and len(row_slabs(doubled)) == 64
+    serial = lambda: slab_norm((build(rows) for rows in row_slabs(doubled)), doubled, 2.0, 1.0)
+    values, peaks = [], []
+    for norm in (serial, lambda: distributions._streamed_norm(kind, f, g, 2.0, 1.0)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            values.append(norm())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert values[0] == values[1]
+    assert peaks[1] < peaks[0] + slab / 2, [peak / slab for peak in peaks]
+
+
 @pytest.mark.parametrize("state", ["raise", "ignore"])
 def test_worker_built_slabs_keep_the_callers_errstate(state):
     # numpy's errstate is a context variable, and each slab is built in a
