@@ -25,19 +25,22 @@ The dense synthesis of a per-axis scaling is the O(n^2) product of the
 spectrum with the n x n kernel exp(2 pi i a x_k xi_m) * step.  It builds
 that kernel in blocks of output rows (``KERNEL_BLOCK_BYTES`` of complex
 entries each, at least 2 rows), so its memory is a few blocks, not the
-whole kernel (268 MB at n = 4096).  Each block takes the exp of only half
-its columns, xi_0 and xi_h..xi_{n-1} (h = n / 2): the centered lattice has
-xi_{h-j} = -xi_{h+j} exactly, so each other column is a mirrored column
-with its phase negated, which ``grid.mirrored_exps`` (shared with the
-Rihaczek rows) copies as (re, 0.0 - im).  The copy has the bytes the
-entry's own exp would give, and every output row's dot product is computed
-as with the whole kernel, so the result is bit-equal to it.  The blocks
-fall into two contiguous halves, one per worker thread
-(``grid.worker_map``; one after the other on the one worker of a process
-that may run on one CPU), each with its own block buffer and its own
-products into disjoint columns of the result.
-Each block is the same product as in a serial loop, so the threads change
-no bit.
+whole kernel (268 MB at n = 4096).  It takes the exps of about a quarter
+of the kernel.  The centered lattices have xi_{h-j} = -xi_{h+j} and
+x_{n-r} = -x_r exactly (h = n / 2), so an entry whose column or row is
+mirrored is a computed entry with its phase negated.  Each block takes
+the exp of columns xi_0 and xi_h..xi_{n-1} only, and ``grid.mirrored_exps``
+(shared with the Rihaczek rows) copies the other columns as (re, 0.0 - im).
+The blocks pair up, upper block c with lower block nb-1-c, and each lower
+block is a copy of upper rows in the same way.  The copies have the bytes
+the entries' own exps would give, and every output row's dot product is
+computed with the same block shapes and BLAS calls as with the per-entry
+kernel, so the result is bit-equal to it.  The pairs fall into two
+contiguous halves, one per worker thread (``grid.worker_map``; one after
+the other on the one worker of a process that may run on one CPU), each
+with its own buffer and its own products into disjoint columns of the
+result.  Each block is the same product as in a serial loop, so the
+threads change no bit.
 
 ``tf_shift`` shifts in time and frequency (trigonometric interpolation off
 the lattice).
@@ -70,11 +73,12 @@ MAX_DENSE_AXIS = 4096
 #: at n = 4096, one BLAS thread and no workers on a 2-core Xeon with 2 MiB
 #: of L2 per core, 2-16 rows took 359-384 ms per line, 64 rows 383-392 ms,
 #: 256 rows 443-464 ms and the whole kernel 505-600 ms (medians of 7, two
-#: runs).  With the blocks on the two workers, 4 rows took a median of
-#: 171 ms and 8 rows 159 ms at one BLAS thread, but 195 against 348 ms at
-#: two (medians of 15): OpenBLAS runs an 8-row gemv on its own threads
-#: (alone, 9-10 us at two BLAS threads against 13-16 us at one), and
-#: those contend with the workers.
+#: runs; exps of half the kernel).  With the blocks on the two workers, 4
+#: rows took a median of 171 ms and 8 rows 159 ms at one BLAS thread, but
+#: 195 against 348 ms at two (medians of 15): OpenBLAS runs an 8-row gemv
+#: on its own threads (alone, 9-10 us at two BLAS threads against 13-16 us
+#: at one), and those contend with the workers.  With the exps of about a
+#: quarter of the kernel, a line on 4-row blocks takes about 100-120 ms.
 #: Blocks always hold at least 2 rows: a one-row product goes down BLAS's
 #: dot path instead of gemv and rounds differently.
 KERNEL_BLOCK_BYTES = 256 * 2**10
@@ -142,7 +146,9 @@ def _kernel_block(a_x: np.ndarray, xi: np.ndarray, step: float, out: np.ndarray)
     ``grid.mirrored_exps`` copies every other column from its mirror.  Each
     step that makes an entry (the product a_x xi, the exp, the scaling by
     step) is symmetric in the sign of the phase, so the copies have the
-    bytes of their own exps.
+    bytes of their own exps.  ``_axis_scale`` asks for about half the rows
+    of the kernel and mirrors the rest, so the kernel takes the exps of
+    about a quarter of its entries.
     """
 
     def fill(sl, part):
@@ -154,6 +160,53 @@ def _kernel_block(a_x: np.ndarray, xi: np.ndarray, step: float, out: np.ndarray)
     return mirrored_exps(out, 1, fill)
 
 
+def _kernel_halves(blocks: list[slice]) -> list[list[tuple[slice, slice | None]]]:
+    """The row blocks as pairs (upper block c, lower block nb-1-c), in two
+    contiguous halves, one per worker, each from the top down.  The middle
+    block of an odd count has no pair (None) and opens the half next to it."""
+    pairs = [(blocks[c], blocks[-1 - c]) for c in range(len(blocks) // 2)]
+    half = (len(pairs) + 1) // 2
+    middle = [(blocks[len(blocks) // 2], None)] if len(blocks) % 2 else []
+    return [part for part in (pairs[:half][::-1], middle + pairs[half:][::-1]) if part]
+
+
+def _kernel_rows(a_x: np.ndarray, xi: np.ndarray, step: float, blocks: list[slice], part):
+    """``(rows, kernel block)`` for each block of ``part`` (one of
+    ``_kernel_halves(blocks)``), in its order.  Each kernel block is a view
+    into one buffer, valid until the next one is asked for.
+
+    Upper block c comes from ``_kernel_block``.  Lower block nb-1-c is a copy
+    of upper rows: a x_{n-r} = -(a x_r) exactly, so row n - r is row r with
+    its phase negated, copied as (re, 0.0 - im) like the mirrored columns.
+    Those rows r are block c and the first rem+1 rows of block c+1 (rem is
+    the last block's leftover), which are the first rows of the upper block
+    of the step before; for the top pair they are built here.
+    """
+    # k rows per block (n for a single block); the last block also takes
+    # the rem leftover rows.  Buffer rows 0..k+rem hold lattice rows
+    # ck..(c+1)k+rem, and the mirrored lower block follows them.  One buffer
+    # serves the part: with a fresh array per block, n = 4096 took 256 page
+    # faults per block
+    k = blocks[0].stop - blocks[0].start
+    rem = blocks[-1].stop - blocks[-1].start - k
+    low = max((b.stop - b.start for _, b in part if b is not None), default=0)
+    buf = np.empty((k + rem + 1 + low, xi.size), dtype=complex)
+    held, below = buf[k : k + rem + 1], part[0][0].stop
+    if part[0][1] is not None:  # block c+1 of the top pair is not this part's
+        _kernel_block(a_x[below : below + rem + 1], xi, step, held)
+    for i, (upper, lower) in enumerate(part):
+        if i:  # block c+1 is the upper block of the step before
+            np.copyto(held, buf[: rem + 1])
+        yield upper, _kernel_block(a_x[upper], xi, step, buf[: upper.stop - upper.start])
+        if lower is not None:
+            # lattice row (nb-1-c)k + j mirrors buffer row k + rem - j
+            size = lower.stop - lower.start
+            kernel = buf[k + rem + 1 : k + rem + 1 + size]
+            np.copyto(kernel, buf[k + rem : k + rem - size : -1])
+            np.subtract(0.0, kernel.imag, out=kernel.imag)
+            yield lower, kernel
+
+
 def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     """|a|^{1/2} f(a x) along one axis by dense trigonometric synthesis.
 
@@ -162,11 +215,15 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     of ``KERNEL_BLOCK_BYTES`` (the leftover rows join the last block, so
     every block has at least 2 rows), which holds the memory to a few blocks
     and keeps the result bit-equal to the product with the whole kernel.
-    Each block computes the exps of half its columns and mirrors the other
-    half (``_kernel_block``); the mirrored entries are bit-equal to their
-    own exps, so BLAS sees the same bytes in the same shapes.  The two
-    contiguous halves of the blocks run on the two worker threads (one
-    after the other with one CPU).
+    The kernel takes the exps of about a quarter of its entries.  Upper
+    block c computes the exps of half its columns and mirrors the other
+    half (``_kernel_block``).  Lower block nb-1-c is then a copy of upper
+    rows: row n - r is row r as (re, 0.0 - im), for r = 1..h-1
+    (``_kernel_rows``).  Row 0 has no mirror, and the middle block of an
+    odd count takes its own exps.  The mirrored entries are bit-equal to
+    their own exps, so BLAS sees the same bytes in the same shapes.  The
+    two contiguous halves of the pairs (``_kernel_halves``) run on the two
+    worker threads (one after the other with one CPU).
 
     The synthesis is periodic in the window: for |a| > 1 the points a x fall
     outside it and read wrapped samples, so periodic replicas of f enter the
@@ -187,17 +244,11 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     vals = np.empty(spec.shape, dtype=complex)
     blocks = row_blocks(ax.n, max(2, -(-KERNEL_BLOCK_BYTES // (16 * ax.n))))
 
-    def synthesize(part: list[slice]) -> None:
-        # one buffer serves every block of the part: with a fresh array per
-        # block, n = 4096 took 256 page faults per block, which cost about
-        # as much as the exps the mirror saves
-        buf = np.empty((max(b.stop - b.start for b in part), ax.n), dtype=complex)
-        for rows in part:
-            kernel = _kernel_block(a_x[rows], xi, dual.step, buf[: rows.stop - rows.start])
+    def synthesize(part: list[tuple[slice, slice | None]]) -> None:
+        for rows, kernel in _kernel_rows(a_x, xi, dual.step, blocks, part):
             vals[..., rows] = spec @ kernel.T
 
-    half = len(blocks) // 2
-    list(worker_map(synthesize, [part for part in (blocks[:half], blocks[half:]) if part]))
+    list(worker_map(synthesize, _kernel_halves(blocks)))
     return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 
 

@@ -316,7 +316,13 @@ def norm_equiv_probe(
     ratios = []
     for lam in lambdas:
         f = GaussianChirp.dilated(d, float(lam) ** 2).sample(g)
-        ratios.append(distribution_norm(A, f, window, p, q) / mp_norm(f, window, p, q))
+        reference = mp_norm(f, window, p, q)
+        if reference == 0.0:  # |V_g f|^p underflows in every sample at a large p
+            raise ArithmeticError(
+                f"mp_norm underflows to 0.0 at p = {p:g}, q = {q:g} (lambda = {float(lam):g}), "
+                "so the norm ratio is undefined"
+            )
+        ratios.append(distribution_norm(A, f, window, p, q) / reference)
     spread = max(ratios) / min(ratios)
     return ProbeReport(
         probe="norm-equivalence",

@@ -260,8 +260,9 @@ def blocked_axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     the block size read from ``operators.KERNEL_BLOCK_BYTES`` at call time,
     so a test that changes it changes the blocks here too.  BLAS may round a
     product differently with the number of rows in a block, so the package's
-    half-computed, half-mirrored kernel must match this form, not only the
-    whole kernel.
+    kernel, which takes the exps of about a quarter of its entries and
+    mirrors the rest across columns and across rows, must match this form,
+    not only the whole kernel.
     """
     ax = f.grid.axes[axis]
     spec = np.moveaxis(centered_dft(f.values, f.grid, (axis,)), axis, -1)

@@ -18,7 +18,13 @@ from metaplectic.io import (
     write_grid_function,
     write_matrix,
 )
-from metaplectic.metaplectic_numeric import Axis, Grid, GridFunction, wigner_projection
+from metaplectic.metaplectic_numeric import (
+    Axis,
+    Grid,
+    GridFunction,
+    rihacek_projection,
+    wigner_projection,
+)
 from metaplectic.symplectic_core import (
     multiplier_block,
     random_symplectic,
@@ -351,7 +357,8 @@ def test_non_finite_samples_are_exit_2(tmp_path, capsys, case, token):
 # -- failing runs ------------------------------------------------------------------
 
 FAILING_RUNS = {
-    # argv around the files {I, T, R, big, b} and the file the run must not write
+    # argv around the files {I, T, R, H, W, Rh, big, b} and the file the run
+    # must not write
     "sample-overflow": (["sample", "--n", "8", "--shift", "1e200", "--out", "{t}"], "overflow"),
     "apply-csv-overflow": (["apply", "{I}", "{big}", "--out", "{o}", "--csv", "{t}"], "overflow"),
     "wigner-overflow": (["wigner", "{b}", "--out", "{t}"], "overflow"),
@@ -388,6 +395,12 @@ FAILING_RUNS = {
         ["probe", "normequiv", "{W}", "--p", "3000", "--q", "1", "--n", "16", "--out", "{t}"],
         "overflow encountered in power",
     ),
+    # |V_g f|^3000 underflows in every sample, so the reference norm is 0.0;
+    # this used to say "float division by zero"
+    "probe-normequiv-underflow": (
+        ["probe", "normequiv", "{Rh}", "--p", "3000", "--q", "1", "--n", "8", "--out", "{t}"],
+        "mp_norm underflows to 0.0 at p = 3000, q = 1",
+    ),
 }
 
 
@@ -401,6 +414,7 @@ def test_a_failing_run_prints_one_error_line_and_nothing_on_stdout(tmp_path, cap
         "R": _matrix_file(tmp_path, random_symplectic(4, 2).mat, "R.mat"),
         "H": _matrix_file(tmp_path, np.diag([1e10, 1e-10]), "H.mat"),
         "W": _matrix_file(tmp_path, wigner_projection(1).mat, "W.mat"),
+        "Rh": _matrix_file(tmp_path, rihacek_projection(1).mat, "Rh.mat"),
         "o": str(tmp_path / "o.gf"),
         "t": str(tmp_path / "t.gf"),
     }

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaplectic.metaplectic_numeric import operators
+from metaplectic.metaplectic_numeric.grid import row_blocks
 from metaplectic.metaplectic_numeric import (
     Axis,
     GaussianChirp,
@@ -220,15 +221,22 @@ def test_rescale_apply_bitwise_folds_a_leftover_row(monkeypatch):
         assert np.array_equal(got, oracles.dense_axis_scale(f, 0, a).values), a
 
 
-# the kernel computes half its columns and mirrors the rest; it must match
-# the per-entry kernel in the same blocks of rows, since BLAS may round a
-# product differently with the number of rows it is given
+# the kernel computes about a quarter of its entries and mirrors the rest,
+# columns within a block and lower blocks from upper ones; it must match the
+# per-entry kernel in the same blocks of rows, since BLAS may round a
+# product differently with the number of rows it is given.  At 4 rows
+# axis-20 has 5 blocks, the middle one alone, and at 7 rows 2 blocks with 6
+# leftover rows; at 5 rows axis-36 has 7 blocks and one leftover row, so a
+# lower block mirrors rows of its pair's upper block and two rows of the
+# next, and selfdual-4096 has 819 blocks and one leftover row
 BLOCKED_GRIDS = {
     "selfdual-8": Grid.selfdual(1, 8),
     "selfdual-64": Grid.selfdual(1, 64),
     "selfdual-512": Grid.selfdual(1, 512),
     "selfdual-4096": Grid.selfdual(1, 4096),
     "regular-1024": Grid.regular(1, 1024, 7.0),
+    "axis-20": Grid((Axis(20, 0.17),)),
+    "axis-36": Grid((Axis(36, 0.2),)),
     "axis-100": Grid((Axis(100, 0.1),)),
     "32x24": Grid((Axis(32, 0.21), Axis(24, 0.35))),
     "256x16": Grid((Axis(256, 0.13), Axis(16, 0.4))),
@@ -240,7 +248,7 @@ BLOCKED_GRIDS = {
 MIRROR_SCALES = BITWISE_SCALES + (0.5, 2.0, 3.0, 1e-3, -1e-300)
 
 
-@pytest.mark.parametrize("rows", [2, 4, 7, None])
+@pytest.mark.parametrize("rows", [2, 4, 5, 7, None])
 @pytest.mark.parametrize("name", sorted(BLOCKED_GRIDS))
 def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, name, rows):
     grid = BLOCKED_GRIDS[name]
@@ -256,21 +264,38 @@ def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, 
 
 
 def test_rescale_apply_bitwise_builds_its_blocks_on_the_workers(monkeypatch):
-    # the two halves of the blocks run on the worker threads (both on the
-    # one worker when the process has one CPU); the bytes are the serial
+    # the two halves of the block pairs run on the worker threads (both on
+    # the one worker when the process has one CPU), and the kernel takes the
+    # exps of about a quarter of its entries; the bytes are the serial
     # blocked kernel's
-    threads = set()
-    kernel_block = operators._kernel_block
+    threads, exps = set(), []
+    kernel_block, mirrored_exps = operators._kernel_block, operators.mirrored_exps
 
     def recorded(*args):
         threads.add(threading.current_thread())
         return kernel_block(*args)
 
+    def counted(out, d, fill):
+        def fill_counted(sl, part):
+            exps.append(part.size)
+            fill(sl, part)
+
+        return mirrored_exps(out, d, fill_counted)
+
     monkeypatch.setattr(operators, "_kernel_block", recorded)
-    f = _random_function(Grid.selfdual(1, 4096), 11)
-    for a in BITWISE_SCALES:
-        got = rescale_apply([[a]], f).values
-        assert got.tobytes() == oracles.blocked_axis_scale(f, 0, a).values.tobytes(), a
+    monkeypatch.setattr(operators, "mirrored_exps", counted)
+    n = 4096
+    f = _random_function(Grid.selfdual(1, n), 11)
+    # 4 rows per block, and 7: 4096 = 585 * 7 + 1, an odd count and a leftover row
+    for rows in (None, 7):
+        if rows is not None:
+            monkeypatch.setattr(operators, "KERNEL_BLOCK_BYTES", rows * 16 * n)
+        k = max(2, -(-operators.KERNEL_BLOCK_BYTES // (16 * n)))
+        for a in BITWISE_SCALES:
+            exps.clear()
+            got = rescale_apply([[a]], f).values
+            assert got.tobytes() == oracles.blocked_axis_scale(f, 0, a).values.tobytes(), (rows, a)
+            assert sum(exps) <= n * n / 4 + 2 * k * n, (rows, a, sum(exps))
     assert threads and threading.main_thread() not in threads
 
 
@@ -298,6 +323,28 @@ def test_kernel_block_bitwise_equals_its_exps(n, a):
     assert got[h].tobytes() == want[h].tobytes()
     assert got[:, h].tobytes() == want[:, h].tobytes()
     assert not np.signbit(got[h].imag).any()
+
+
+@pytest.mark.parametrize(
+    "n, rows", [(2, 2), (6, 4), (8, 2), (20, 4), (20, 7), (36, 5), (64, 7), (100, 3)]
+)
+@pytest.mark.parametrize("a", [0.37, -1.3, -1e-300])
+def test_kernel_rows_bitwise_equal_their_exps(n, rows, a):
+    # every block, built or mirrored from upper rows, has the bytes of the
+    # per-entry kernel, signed zeros included (np.conj would give -0 where
+    # the exp gives +0, which no BLAS product shows); the two halves cover
+    # each block once
+    ax = Axis(n, 0.17)
+    dual = ax.dual()
+    a_x, xi = a * ax.points(), dual.points()
+    want = np.exp(2j * np.pi * np.outer(a_x, xi)) * dual.step
+    blocks = row_blocks(n, rows)
+    seen = []
+    for part in operators._kernel_halves(blocks):
+        for block, kernel in operators._kernel_rows(a_x, xi, dual.step, blocks, part):
+            assert kernel.tobytes() == want[block].tobytes(), block
+            seen.append(block)
+    assert sorted(seen, key=lambda b: b.start) == blocks
 
 
 def test_rescale_apply_memory_is_a_few_kernel_blocks():
