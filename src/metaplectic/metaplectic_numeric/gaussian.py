@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..tolerances import require_symmetric
 from .grid import Grid, GridFunction, form_sum
 
 
@@ -36,9 +37,7 @@ def _as_matrix(M, d: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if d is not None and M.shape[0] != d:
         raise ValueError(f"expected size {d}, got {M.shape[0]}")
-    if not np.allclose(M, M.T, atol=1e-12 * max(1.0, float(np.abs(M).max()))):
-        raise ValueError("quadratic form matrix must be symmetric")
-    return M
+    return require_symmetric(M, "quadratic form matrix", complex)
 
 
 @dataclass(frozen=True)

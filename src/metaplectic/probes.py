@@ -47,6 +47,12 @@ CONSTANT_RTOL = 1e-3
 #: eigenvalues of the retained multiplier corner below this, relative to its
 #: largest, count as null directions
 WITNESS_TOL = 1e-8
+#: the refusal of a matrix outside the case a probe measures
+_NEEDS = {
+    BoundednessCase.FREE: "sharp-constant probe needs an invertible upper-right block",
+    BoundednessCase.LOWER_TRIANGULAR: "fixed-ratio probe needs a vanishing upper-right block",
+    BoundednessCase.SINGULAR_NONZERO_B: "witness probe needs a singular nonzero upper-right block",
+}
 
 __all__ = [
     "CONSTANT_RTOL",
@@ -73,9 +79,11 @@ class ProbeReport:
     @property
     def spread(self) -> float:
         """max/min of the measured ratios (1.0 for an empty run)."""
-        if not self.ratios:
-            return 1.0
-        return max(self.ratios) / min(self.ratios)
+        return _spread(self.ratios) if self.ratios else 1.0
+
+
+def _spread(ratios) -> float:
+    return max(ratios) / min(ratios)
 
 
 def _as_symplectic(S) -> SymplecticMatrix:
@@ -90,8 +98,52 @@ def _probe_grid(d: int, n: int | None, grid: Grid | None) -> Grid:
     return Grid.selfdual(d, n)
 
 
-def _ratio(out: GridFunction, f: GridFunction, p: float, q: float) -> float:
-    return lp_norm(out, q) / lp_norm(f, p)
+def _setup(S, case: BoundednessCase, pq, n, grid, tol):
+    """Classify S and refuse it unless it is in ``case``; then d, the
+    closed-form norm for the exponent pair ``pq`` (None for no pair), the
+    probe grid and the factorization."""
+    S = _as_symplectic(S)
+    verdict = classify_lp(S, tol)
+    if verdict.case is not case:
+        raise ValueError(_NEEDS[case])
+    reference = None if pq is None else verdict.norm(*pq)
+    return S.d, reference, _probe_grid(S.d, n, grid), dj_factorize(S, tol)
+
+
+def _ratio(top, bottom, p: float, q: float, label: str) -> float:
+    """top / bottom for two ``(name, norm)`` pairs, the bottom checked first.
+
+    At a large exponent |f|^p can underflow in every sample; a norm of 0.0
+    leaves the ratio undefined, so it is refused rather than read as a
+    ratio of 0 or divided by.  A norm given as a function is computed only
+    once the bottom norm has passed.
+    """
+    norms = []
+    for name, norm in (bottom, top):
+        norms.append(norm() if callable(norm) else norm)
+        if norms[-1] == 0.0:
+            raise ArithmeticError(
+                f"{name} underflows to 0.0 at p = {p:g}, q = {q:g} ({label}), "
+                "so the norm ratio is undefined"
+            )
+    return norms[1] / norms[0]
+
+
+def _measure(fact, g: Grid, family, p: float, q: float, keep=lambda f, out: True):
+    """The ratios ||out||_q / ||f||_p over a family of ``(label, chirp)``
+    members, f the chirp sampled on g and out the factorized operator
+    applied to it, and the number of members skipped as ``keep(f, out)``
+    refused them."""
+    ratios, skipped = [], 0
+    for label, member in family:
+        f = member.sample(g)
+        out = apply_metaplectic(fact, f)
+        if not keep(f, out):
+            skipped += 1
+            continue
+        top = ("lp_norm of the output", lp_norm(out, q))
+        ratios.append(_ratio(top, ("lp_norm of the input", lp_norm(f, p)), p, q, label))
+    return ratios, skipped
 
 
 def _spread_verdict(spread: float) -> str:
@@ -121,29 +173,16 @@ def beckner_probe(
     constant.  Verdict ``bounded`` when every measured ratio stays within
     CONSTANT_RTOL above the constant, ``diverges`` otherwise.
     """
-    S = _as_symplectic(S)
-    verdict_obj = classify_lp(S, tol)
-    if verdict_obj.case is not BoundednessCase.FREE:
-        raise ValueError("sharp-constant probe needs an invertible upper-right block")
+    # the free case's norm reads q = None as the conjugate exponent
+    d, reference, g, fact = _setup(S, BoundednessCase.FREE, (p, q), n, grid, tol)
     if q is None:
         q = conjugate_exponent(p)
-    reference = verdict_obj.norm(p, q)
-    g = _probe_grid(S.d, n, grid)
-    fact = dj_factorize(S, tol)
-    ratios = []
-    for lam in lambdas:
-        f = GaussianChirp.dilated(S.d, float(lam)).sample(g)
-        out = apply_metaplectic(fact, f)
-        ratios.append(_ratio(out, f, p, q))
+    family = ((f"lambda = {float(lam):g}", GaussianChirp.dilated(d, float(lam))) for lam in lambdas)
+    ratios, _ = _measure(fact, g, family, p, q)
     over = max(ratios) / reference - 1.0
     verdict = "bounded" if over <= CONSTANT_RTOL else "diverges"
-    return ProbeReport(
-        probe="beckner",
-        parameters={"p": p, "q": q, "d": S.d, "n": g.axes[0].n, "overshoot": over},
-        ratios=tuple(ratios),
-        reference=reference,
-        verdict=verdict,
-    )
+    parameters = {"p": p, "q": q, "d": d, "n": g.axes[0].n, "overshoot": over}
+    return ProbeReport("beckner", parameters, tuple(ratios), reference, verdict)
 
 
 def quasi_isometry_probe(
@@ -159,36 +198,19 @@ def quasi_isometry_probe(
     chirped Gaussians.  Verdict ``converges`` when all ratios match the
     constant to CONSTANT_RTOL relative.
     """
-    S = _as_symplectic(S)
-    verdict_obj = classify_lp(S, tol)
-    if verdict_obj.case is not BoundednessCase.LOWER_TRIANGULAR:
-        raise ValueError("fixed-ratio probe needs a vanishing upper-right block")
-    reference = verdict_obj.norm(p, p)
-    d = S.d
-    g = _probe_grid(d, n, grid)
-    fact = dj_factorize(S, tol)
-
-    family = [GaussianChirp.dilated(d, float(lam)) for lam in lambdas]
+    d, reference, g, fact = _setup(S, BoundednessCase.LOWER_TRIANGULAR, (p, p), n, grid, tol)
+    family = [(f"lambda = {float(lam):g}", GaussianChirp.dilated(d, float(lam))) for lam in lambdas]
     # shift snapped to the lattice so the discrete sup norm reads the true peak
     shift = np.array([max(1.0, round(0.4 / ax.step)) * ax.step for ax in g.axes])
-    family.append(GaussianChirp.dilated(d, 1.3).tf_shift(shift, 0.6 * np.ones(d)))
+    shifted = GaussianChirp.dilated(d, 1.3).tf_shift(shift, 0.6 * np.ones(d))
     chirp_q = 0.3 * np.eye(d) + 0.1 * (np.ones((d, d)) - np.eye(d))
-    family.append(GaussianChirp.standard(d).chirp(chirp_q))
-
-    ratios = []
-    for member in family:
-        f = member.sample(g)
-        out = apply_metaplectic(fact, f)
-        ratios.append(_ratio(out, f, p, p))
+    chirped = GaussianChirp.standard(d).chirp(chirp_q)
+    family += [("the shifted member", shifted), ("the chirped member", chirped)]
+    ratios, _ = _measure(fact, g, family, p, p)
     worst = max(abs(r / reference - 1.0) for r in ratios)
     verdict = "converges" if worst <= CONSTANT_RTOL else "diverges"
-    return ProbeReport(
-        probe="quasi-isometry",
-        parameters={"p": p, "d": d, "n": g.axes[0].n, "worst_rel_err": worst},
-        ratios=tuple(ratios),
-        reference=reference,
-        verdict=verdict,
-    )
+    parameters = {"p": p, "d": d, "n": g.axes[0].n, "worst_rel_err": worst}
+    return ProbeReport("quasi-isometry", parameters, tuple(ratios), reference, verdict)
 
 
 def _witness_chirps(fact, d: int):
@@ -236,56 +258,34 @@ def unbounded_probe(
     ``diverges`` if some family grows by DIVERGENCE_FACTOR; ``bounded`` if
     every family stays within FLATNESS_FACTOR; ``inconclusive`` otherwise.
     """
-    S = _as_symplectic(S)
-    verdict_obj = classify_lp(S, tol)
-    if verdict_obj.case is not BoundednessCase.SINGULAR_NONZERO_B:
-        raise ValueError("witness probe needs a singular nonzero upper-right block")
-    d = S.d
-    g = _probe_grid(d, n, grid)
-    fact = dj_factorize(S, tol)
+    d, _, g, fact = _setup(S, BoundednessCase.SINGULAR_NONZERO_B, None, n, grid, tol)
     j_pos = tuple(fact.J.positions())
     directions = _witness_chirps(fact, d)
     if not directions:
         raise ValueError("no null direction found in the retained multiplier corner")
 
-    best_growth = None
-    best_ratios: tuple = ()
-    skipped = 0
+    def witnesses(direction, orient):
+        for lam in lambdas:
+            a = float(lam) ** (2.0 * orient)
+            m = np.eye(d) + (a - 1.0) * np.outer(direction, direction)
+            chirp = GaussianChirp(1.0, 1j * m, np.zeros(d)).partial_ft(j_pos, inverse=True)
+            yield f"lambda = {float(lam):g}", chirp
+
+    def decay_ok(f, out):
+        return f.decay_ok and out.decay_ok
+
+    families, skipped = [], 0
     for direction in directions[:2]:
         for orient in (1.0, -1.0):
-            ratios = []
-            for lam in lambdas:
-                a = float(lam) ** (2.0 * orient)
-                m = np.eye(d) + (a - 1.0) * np.outer(direction, direction)
-                witness = GaussianChirp(1.0, 1j * m, np.zeros(d)).partial_ft(j_pos, inverse=True)
-                f = witness.sample(g)
-                out = apply_metaplectic(fact, f)
-                if not (f.decay_ok and out.decay_ok):
-                    skipped += 1
-                    continue
-                ratios.append(_ratio(out, f, p, q))
-            if len(ratios) < 3:
-                continue
-            growth = max(ratios) / min(ratios)
-            if best_growth is None or growth > best_growth:
-                best_growth = growth
-                best_ratios = tuple(ratios)
-    if best_growth is None:
-        best_growth = math.nan
-    return ProbeReport(
-        probe="unbounded-witness",
-        parameters={
-            "p": p,
-            "q": q,
-            "d": d,
-            "n": g.axes[0].n,
-            "growth": best_growth,
-            "skipped": skipped,
-        },
-        ratios=best_ratios,
-        reference=None,
-        verdict=_spread_verdict(best_growth),
-    )
+            ratios, dropped = _measure(fact, g, witnesses(direction, orient), p, q, keep=decay_ok)
+            skipped += dropped
+            if len(ratios) >= 3:
+                families.append(tuple(ratios))
+    # max keeps the first of equal spreads
+    best_ratios = max(families, key=_spread, default=())
+    growth = _spread(best_ratios) if families else math.nan
+    parameters = {"p": p, "q": q, "d": d, "n": g.axes[0].n, "growth": growth, "skipped": skipped}
+    return ProbeReport("unbounded-witness", parameters, best_ratios, None, _spread_verdict(growth))
 
 
 def norm_equiv_probe(
@@ -316,18 +316,10 @@ def norm_equiv_probe(
     ratios = []
     for lam in lambdas:
         f = GaussianChirp.dilated(d, float(lam) ** 2).sample(g)
-        reference = mp_norm(f, window, p, q)
-        if reference == 0.0:  # |V_g f|^p underflows in every sample at a large p
-            raise ArithmeticError(
-                f"mp_norm underflows to 0.0 at p = {p:g}, q = {q:g} (lambda = {float(lam):g}), "
-                "so the norm ratio is undefined"
-            )
-        ratios.append(distribution_norm(A, f, window, p, q) / reference)
-    spread = max(ratios) / min(ratios)
-    return ProbeReport(
-        probe="norm-equivalence",
-        parameters={"p": p, "q": q, "d": d, "n": g.axes[0].n, "spread": spread},
-        ratios=tuple(ratios),
-        reference=None,
-        verdict=_spread_verdict(spread),
-    )
+        # mp_norm is computed and checked before the distribution is built
+        top = ("distribution_norm", lambda: distribution_norm(A, f, window, p, q))
+        bottom = ("mp_norm", mp_norm(f, window, p, q))
+        ratios.append(_ratio(top, bottom, p, q, f"lambda = {float(lam):g}"))
+    spread = _spread(ratios)
+    parameters = {"p": p, "q": q, "d": d, "n": g.axes[0].n, "spread": spread}
+    return ProbeReport("norm-equivalence", parameters, tuple(ratios), None, _spread_verdict(spread))

@@ -120,9 +120,10 @@ def rel_zero(
     return _verdict(smax, tol, 1.0 if scale is None else scale, what, below=True)
 
 
-def require_symmetric(mat: np.ndarray, name: str) -> np.ndarray:
-    """Validate approximate symmetry and return the matrix as float array."""
-    mat = np.asarray(mat, dtype=float)
+def require_symmetric(mat: np.ndarray, name: str, dtype=float) -> np.ndarray:
+    """Validate approximate symmetry and return the matrix as a ``dtype``
+    array (float, or complex for a complex quadratic form)."""
+    mat = np.asarray(mat, dtype=dtype)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))

@@ -357,7 +357,7 @@ def test_non_finite_samples_are_exit_2(tmp_path, capsys, case, token):
 # -- failing runs ------------------------------------------------------------------
 
 FAILING_RUNS = {
-    # argv around the files {I, T, R, H, W, Rh, big, b} and the file the run
+    # argv around the files {I, J, T, R, H, W, Rh, big, b} and the file the run
     # must not write
     "sample-overflow": (["sample", "--n", "8", "--shift", "1e200", "--out", "{t}"], "overflow"),
     "apply-csv-overflow": (["apply", "{I}", "{big}", "--out", "{o}", "--csv", "{t}"], "overflow"),
@@ -401,6 +401,17 @@ FAILING_RUNS = {
         ["probe", "normequiv", "{Rh}", "--p", "3000", "--q", "1", "--n", "8", "--out", "{t}"],
         "mp_norm underflows to 0.0 at p = 3000, q = 1",
     ),
+    # these used to exit 0 and print a ratio of 0: |out|^3000 underflows in
+    # every sample of the L^3000 norm (and |out|^2001 of the conjugate norm),
+    # and the isometry run then said "diverges" for a bounded operator
+    "probe-isometry-underflow": (
+        ["probe", "isometry", "{T}", "--p", "3000", "--out", "{t}"],
+        "lp_norm of the output underflows to 0.0 at p = 3000, q = 3000",
+    ),
+    "probe-beckner-underflow": (
+        ["probe", "beckner", "{J}", "--p", "1.0005", "--lambdas", "1,2,4", "--out", "{t}"],
+        "lp_norm of the output underflows to 0.0 at p = 1.0005, q = 2001",
+    ),
 }
 
 
@@ -410,6 +421,7 @@ def test_a_failing_run_prints_one_error_line_and_nothing_on_stdout(tmp_path, cap
     # for a flag the probe ignores
     files = {
         "I": _matrix_file(tmp_path, np.eye(2), "I.mat"),
+        "J": _matrix_file(tmp_path, standard_involution(1).mat, "J.mat"),
         "T": _matrix_file(tmp_path, np.diag([2.0, 0.5]), "T.mat"),
         "R": _matrix_file(tmp_path, random_symplectic(4, 2).mat, "R.mat"),
         "H": _matrix_file(tmp_path, np.diag([1e10, 1e-10]), "H.mat"),

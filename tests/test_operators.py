@@ -119,6 +119,22 @@ def test_gaussian_chirp_refuses_non_finite_parameters(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianChirp(1.0, [[1j, 1 + 5e-6], [1, 1j]], [0.0, 0.0]),
+        lambda: GaussianChirp.standard(2).chirp([[1.0, 1 + 5e-6], [1.0, 1.0]]),
+    ],
+    ids=["M", "chirp"],
+)
+def test_gaussian_chirp_symmetry_is_the_matrix_layers_rule(build):
+    # an asymmetry of 5e-6 is past tolerances.require_symmetric's 1e-8 *
+    # max(1, max|M|), which chirp_block applies; np.allclose's default rtol
+    # of 1e-5 used to let it through here
+    with pytest.raises(ValueError, match="quadratic form matrix must be symmetric"):
+        build()
+
+
 def test_gaussian_chirp_modulate_and_shift_sampling():
     gc = GaussianChirp.standard(1).tf_shift(np.array([0.75]), np.array([-0.5]))
     g = Grid.regular(1, 128, 8.0)
@@ -248,26 +264,17 @@ BLOCKED_GRIDS = {
 MIRROR_SCALES = BITWISE_SCALES + (0.5, 2.0, 3.0, 1e-3, -1e-300)
 
 
-@pytest.mark.parametrize("rows", [2, 4, 5, 7, None])
-@pytest.mark.parametrize("name", sorted(BLOCKED_GRIDS))
+@pytest.mark.parametrize(
+    "name, rows",
+    # 4 rows is the default block size at n = 4096, which rows=None covers
+    [(name, rows) for name in sorted(BLOCKED_GRIDS) for rows in (2, 4, 5, 7, None)
+     if (name, rows) != ("selfdual-4096", 4)],
+)
 def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, name, rows):
-    grid = BLOCKED_GRIDS[name]
-    f = _random_function(grid, sum(grid.shape))
-    for axis in range(grid.d):
-        if rows is not None:  # else the default KERNEL_BLOCK_BYTES
-            monkeypatch.setattr(operators, "KERNEL_BLOCK_BYTES", rows * 16 * grid.shape[axis])
-        for a in MIRROR_SCALES:
-            L = np.eye(grid.d)
-            L[axis, axis] = a
-            got = rescale_apply(L, f).values
-            assert got.tobytes() == oracles.blocked_axis_scale(f, axis, a).values.tobytes(), (a, axis)
-
-
-def test_rescale_apply_bitwise_builds_its_blocks_on_the_workers(monkeypatch):
-    # the two halves of the block pairs run on the worker threads (both on
-    # the one worker when the process has one CPU), and the kernel takes the
-    # exps of about a quarter of its entries; the bytes are the serial
-    # blocked kernel's
+    # besides the bytes: the blocks are built on the worker threads (both
+    # halves of the block pairs on the one worker when the process has one
+    # CPU), and the kernel takes the exps of about a quarter of its entries,
+    # at most n^2/4 + 2kn for k rows a block
     threads, exps = set(), []
     kernel_block, mirrored_exps = operators._kernel_block, operators.mirrored_exps
 
@@ -284,19 +291,22 @@ def test_rescale_apply_bitwise_builds_its_blocks_on_the_workers(monkeypatch):
 
     monkeypatch.setattr(operators, "_kernel_block", recorded)
     monkeypatch.setattr(operators, "mirrored_exps", counted)
-    n = 4096
-    f = _random_function(Grid.selfdual(1, n), 11)
-    # 4 rows per block, and 7: 4096 = 585 * 7 + 1, an odd count and a leftover row
-    for rows in (None, 7):
-        if rows is not None:
+    grid = BLOCKED_GRIDS[name]
+    f = _random_function(grid, sum(grid.shape))
+    for axis in range(grid.d):
+        n = grid.shape[axis]
+        if rows is not None:  # else the default KERNEL_BLOCK_BYTES
             monkeypatch.setattr(operators, "KERNEL_BLOCK_BYTES", rows * 16 * n)
         k = max(2, -(-operators.KERNEL_BLOCK_BYTES // (16 * n)))
-        for a in BITWISE_SCALES:
+        for a in MIRROR_SCALES:
+            L = np.eye(grid.d)
+            L[axis, axis] = a
+            threads.clear()
             exps.clear()
-            got = rescale_apply([[a]], f).values
-            assert got.tobytes() == oracles.blocked_axis_scale(f, 0, a).values.tobytes(), (rows, a)
-            assert sum(exps) <= n * n / 4 + 2 * k * n, (rows, a, sum(exps))
-    assert threads and threading.main_thread() not in threads
+            got = rescale_apply(L, f).values
+            assert got.tobytes() == oracles.blocked_axis_scale(f, axis, a).values.tobytes(), (a, axis)
+            assert threads and threading.main_thread() not in threads, (a, axis)
+            assert sum(exps) <= n * n / 4 + 2 * k * n, (a, axis, sum(exps))
 
 
 @settings(max_examples=200, deadline=None)

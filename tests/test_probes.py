@@ -92,6 +92,14 @@ def test_beckner_determinant_scaling():
     assert all(np.isclose(x, 0.5, rtol=1e-9) for x in r.ratios)
 
 
+def test_beckner_refuses_a_norm_that_underflows():
+    # q = 2001; the output of lambda = 4 peaks at 1/2, so |out|^q underflows
+    # in every sample and the ratio is undefined, not 0 under "bounded"
+    message = "lp_norm of the output underflows to 0.0 at p = 1.0005, q = 2001"
+    with pytest.raises(ArithmeticError, match=message):
+        beckner_probe(standard_involution(1), 1.0005, lambdas=(1.0, 2.0, 4.0))
+
+
 def test_beckner_requires_free_matrix():
     with pytest.raises(ValueError, match="invertible upper-right block"):
         beckner_probe(np.eye(2), 2.0)
@@ -114,6 +122,14 @@ def test_quasi_isometry_converges_for_all_exponents():
         assert r.parameters["worst_rel_err"] < 1e-4
         # the family includes shifted and chirped members — all at the ratio
         assert len(r.ratios) == 7
+
+
+def test_quasi_isometry_refuses_a_norm_that_underflows():
+    # the output peaks at 2^(-1/2), so |out|^3000 underflows in every sample;
+    # the operator is bounded on every L^p, and a ratio of 0 is no evidence
+    message = "lp_norm of the output underflows to 0.0 at p = 3000, q = 3000"
+    with pytest.raises(ArithmeticError, match=message):
+        quasi_isometry_probe(np.diag([2.0, 0.5]), 3000.0)
 
 
 def test_quasi_isometry_requires_vanishing_block():
