@@ -7,10 +7,11 @@ up to one global unimodular constant, as the stages
     partial FT on J -> multiplier by P -> rescale by L -> chirp by Q.
 
 ``stage_plan`` compiles a factorization into that list of ``(stage, param)``
-pairs without the identity stages (J empty, P = 0, L = I, Q = 0), and
-``adjoint_plan`` reverses it with inverted stages.  ``run_plan`` interprets a
-plan on sampled functions; ``apply_metaplectic`` and the quantization adjoint
-wrap it.  The stages:
+pairs without the identity stages (J empty, P = 0, L = I, Q = 0).  The table
+``_STAGES`` defines each stage once, by its action and its inverse:
+``adjoint_plan`` reverses a plan with inverted stages, ``run_plan`` runs it on
+sampled functions, and ``plan_grid`` walks it for the grid it ends on and
+checks the rescaling's axes, before any stage runs.  The stages:
 
 * ``partial_ft``       — centered DFT on a subset of axes (exact quadrature);
 * ``multiplier_apply`` — full DFT, multiply by exp(-i pi xi . P xi), inverse
@@ -375,44 +376,40 @@ def stage_plan(fact: DJFactorization) -> list[tuple[str, object]]:
     return [(stage, param) for stage, param, active in stages if active]
 
 
-#: each stage's inverse, which is its adjoint: every stage is unitary
-#: (on samples, up to the interpolation error of the dense rescaling)
-_INVERSE = {
-    "ft": lambda J: ("ift", J),
-    "multiplier": lambda P: ("multiplier", -P),
-    "rescale": lambda L: ("rescale", np.linalg.inv(L)),
-    "chirp": lambda Q: ("chirp", -Q),
+#: each stage: its action, which calls the stage function by its module-level
+#: name at call time, and its inverse, which is its adjoint: every stage is
+#: unitary (on samples, up to the interpolation error of the dense rescaling)
+_STAGES = {
+    "ft": (lambda J, f: partial_ft(f, J), lambda J: ("ift", J)),
+    "ift": (lambda J, f: partial_idft(f, tuple(J.positions())), lambda J: ("ft", J)),
+    "multiplier": (lambda P, f: multiplier_apply(P, f), lambda P: ("multiplier", -P)),
+    "rescale": (lambda L, f: rescale_apply(L, f), lambda L: ("rescale", np.linalg.inv(L))),
+    "chirp": (lambda Q, f: chirp_apply(Q, f), lambda Q: ("chirp", -Q)),
 }
 
 
 def adjoint_plan(fact: DJFactorization) -> list[tuple[str, object]]:
     """The plan of the adjoint operator: stages reversed, each inverted."""
-    return [_INVERSE[stage](param) for stage, param in reversed(stage_plan(fact))]
+    return [_STAGES[stage][1](param) for stage, param in reversed(stage_plan(fact))]
 
 
-def require_rescale_axes(plan: list[tuple[str, object]], grid: Grid, where: str) -> None:
-    """Check, before ``plan`` runs, that its rescaling stage permutes only
-    matching axes of ``grid``, the grid that stage will run on (described by
-    ``where``), so the error names the grid requirement, not the stage."""
-    for stage, L in plan:
-        if stage == "rescale":
-            _require_matching_axes(_pivoted_lu(L)[0], grid, where)
+def plan_grid(plan: list[tuple[str, object]], grid: Grid, where: str | None = None) -> Grid:
+    """The grid ``plan`` ends on when it runs on ``grid``: ``ft`` and ``ift``
+    dualize the axes of J, and every other stage keeps its grid.  Given
+    ``where``, the caller's name for the grid the rescaling runs on, it also
+    checks that stage's permuted axes there, so the error names the grid."""
+    for stage, param in plan:
+        if stage in ("ft", "ift"):
+            grid = grid.dualized(param.positions())
+        elif stage == "rescale" and where is not None:
+            _require_matching_axes(_pivoted_lu(param)[0], grid, where)
+    return grid
 
 
 def run_plan(plan: list[tuple[str, object]], f: GridFunction) -> GridFunction:
-    """Interpret a plan on sampled functions.  The stages are called by their
-    module-level names, looked up at call time."""
+    """Interpret a plan on sampled functions, one ``_STAGES`` action a stage."""
     for stage, param in plan:
-        if stage == "ft":
-            f = partial_ft(f, param)
-        elif stage == "ift":
-            f = partial_idft(f, tuple(param.positions()))
-        elif stage == "multiplier":
-            f = multiplier_apply(param, f)
-        elif stage == "rescale":
-            f = rescale_apply(param, f)
-        else:
-            f = chirp_apply(param, f)
+        f = _STAGES[stage][0](param, f)
     return f
 
 
@@ -426,6 +423,5 @@ def apply_metaplectic(S, f: GridFunction, tol: float | None = None) -> GridFunct
     if fact.d != f.grid.d:
         raise ValueError(f"matrix acts in dimension {fact.d}, function lives in {f.grid.d}")
     plan = stage_plan(fact)
-    where = f"after the partial Fourier transform on J = {list(fact.J.members)}"
-    require_rescale_axes(plan, f.grid.dualized(fact.J.positions()), where)
+    plan_grid(plan, f.grid, f"after the partial Fourier transform on J = {list(fact.J.members)}")
     return run_plan(plan, f)

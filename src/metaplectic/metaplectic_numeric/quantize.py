@@ -16,7 +16,9 @@ Wigner matrix it is the adjoint of the exact doubled-argument evaluation, a
 scatter through (x, u) -> (x + u, x - u) whose indices ``grid.periodic_reads``
 reads (phases pinned, so the constant symbol gives the identity); for a
 general matrix the factorization pipeline's stage-by-stage adjoint is used and
-the operator inherits the pipeline's global unimodular constant.
+the operator inherits the pipeline's global unimodular constant.  The walk
+``operators.plan_grid`` gives that adjoint's output grid, which must be the
+doubled signal grid, before the adjoint runs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from ..symplectic_core import SymplecticMatrix, dj_factorize
 from .distributions import classical_kind, wigner_grid
 from .grid import Grid, GridFunction, centered_dft, periodic_reads
-from .operators import adjoint_plan, require_rescale_axes, run_plan
+from .operators import adjoint_plan, plan_grid, run_plan
 
 #: refuse to build dense operators beyond this many signal lattice points
 MAX_OPERATOR_POINTS = 4096
@@ -96,16 +98,13 @@ def opA_build(a: GridFunction, A: SymplecticMatrix) -> np.ndarray:
         tensor_vals = _wigner_adjoint(a)
         sig = Grid(a.grid.axes[:d])
     else:
-        fact = dj_factorize(A)
-        # the adjoint ends with the inverse DFT on J: its output must be the
-        # doubled signal grid
-        tensor_grid = a.grid.dualized(fact.J.positions())
+        # the adjoint's output must be the doubled signal grid; that is
+        # checked before its rescaling's axes
+        plan = adjoint_plan(dj_factorize(A))
+        tensor_grid = plan_grid(plan, a.grid)
         if not tensor_grid.close_to(Grid(tensor_grid.axes[:d] * 2)):
             raise ValueError("symbol grid is not the distribution's output grid for this matrix")
-        # the adjoint runs the inverse chirp, then the inverse rescaling, on
-        # the symbol grid
-        plan = adjoint_plan(fact)
-        require_rescale_axes(plan, a.grid, "on the symbol grid")
+        plan_grid(plan, a.grid, "on the symbol grid")
         tensor = run_plan(plan, a)
         tensor_vals = tensor.values
         sig = Grid(tensor.grid.axes[:d])

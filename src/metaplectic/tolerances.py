@@ -122,10 +122,13 @@ def rel_zero(
 
 def require_symmetric(mat: np.ndarray, name: str, dtype=float) -> np.ndarray:
     """Validate approximate symmetry and return the matrix as a ``dtype``
-    array (float, or complex for a complex quadratic form)."""
+    array (float, or complex for a complex quadratic form).  Non-finite
+    entries are refused first, since a nan passes every cutoff."""
     mat = np.asarray(mat, dtype=dtype)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
     if float(np.abs(mat - mat.T).max(initial=0.0)) > 1e-8 * scale:
         raise ValueError(f"{name} must be symmetric")

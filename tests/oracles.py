@@ -7,8 +7,9 @@ FFT-based fast paths, so agreement between the two is evidence of
 correctness rather than a tautology.  The exceptions are the slow exact
 forms that a fast path must match bit for bit: ``dense_axis_scale``, the
 whole-kernel form of the per-axis rescaling, which shares the package's
-spectrum; ``blocked_axis_scale``, the same rescaling with every kernel
-entry an exp of its own, in the package's blocks of rows;
+spectrum; ``blocked_axis_scales``, the same rescaling with every kernel
+entry an exp of its own, in the package's blocks of rows, for several
+block sizes from one pass over the kernel;
 ``looped_centered_dft``, the transform as one shift, FFT, shift and scaling
 per axis; ``gathered_rows``, the Wigner and STFT rows by index gathers and
 the Rihaczek rows with an exp per entry;
@@ -43,7 +44,6 @@ import math
 import numpy as np
 
 from metaplectic.metaplectic_numeric.gaussian import GaussianChirp
-from metaplectic.metaplectic_numeric import operators
 from metaplectic.metaplectic_numeric.grid import (
     Grid,
     GridFunction,
@@ -252,27 +252,44 @@ def dense_axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 
 
-def blocked_axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
-    """|a|^{1/2} f(a x) along one axis, the kernel built per entry in the
-    package's blocks of rows (a != +-1).
+#: per-entry kernel rows that ``blocked_axis_scales`` computes at a time
+KERNEL_CHUNK_ROWS = 128
 
-    Each block is exp(2 pi i a x_k xi_m) * step over all n columns, with
-    the block size read from ``operators.KERNEL_BLOCK_BYTES`` at call time,
-    so a test that changes it changes the blocks here too.  BLAS may round a
-    product differently with the number of rows in a block, so the package's
-    kernel, which takes the exps of about a quarter of its entries and
-    mirrors the rest across columns and across rows, must match this form,
-    not only the whole kernel.
+
+def blocked_axis_scales(f: GridFunction, axis: int, a: float, per_block) -> list[GridFunction]:
+    """|a|^{1/2} f(a x) along one axis, the kernel built per entry, once for
+    each block size in ``per_block`` (rows a block, split as
+    ``grid.row_blocks`` splits them; a != +-1).
+
+    Each block is the spectrum's product with exp(2 pi i a x_k xi_m) * step
+    over all n columns.  BLAS may round a product differently with the
+    number of rows in a block, so the package's kernel, which takes the exps
+    of about a quarter of its entries and mirrors the rest across columns
+    and across rows, must match this form in the same blocks, not only the
+    whole kernel.  The per-entry rows do not depend on the blocks, so they
+    are computed once, ``KERNEL_CHUNK_ROWS`` at a time, and each block's
+    product runs as soon as the rows it needs are held: the memory is a
+    chunk and the unfinished blocks, not the whole kernel.
     """
     ax = f.grid.axes[axis]
     spec = np.moveaxis(centered_dft(f.values, f.grid, (axis,)), axis, -1)
     dual = ax.dual()
     a_x, xi = a * ax.points(), dual.points()
-    vals = np.empty(spec.shape, dtype=complex)
-    for rows in row_blocks(ax.n, max(2, -(-operators.KERNEL_BLOCK_BYTES // (16 * ax.n)))):
-        kernel = np.exp(2j * math.pi * np.outer(a_x[rows], xi)) * dual.step
-        vals[..., rows] = spec @ kernel.T
-    return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
+    todo = [row_blocks(ax.n, k) for k in per_block]
+    vals = [np.empty(spec.shape, dtype=complex) for _ in todo]
+    # kernel holds the per-entry rows first, first + 1, ... of every block not yet applied
+    kernel, first = np.empty((0, ax.n), dtype=complex), 0
+    for stop in range(KERNEL_CHUNK_ROWS, ax.n + KERNEL_CHUNK_ROWS, KERNEL_CHUNK_ROWS):
+        rows = slice(first + len(kernel), min(stop, ax.n))
+        chunk = np.exp(2j * math.pi * np.outer(a_x[rows], xi)) * dual.step
+        kernel = np.concatenate((kernel, chunk))
+        for blocks, out in zip(todo, vals):
+            while blocks and blocks[0].stop <= rows.stop:
+                block = blocks.pop(0)
+                out[..., block] = spec @ kernel[block.start - first : block.stop - first].T
+        keep = min((blocks[0].start for blocks in todo if blocks), default=rows.stop)
+        kernel, first = kernel[keep - first :], keep
+    return [f.with_values(math.sqrt(abs(a)) * np.moveaxis(v, -1, axis)) for v in vals]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Sampled operator stages against closed forms and the dense kernel oracle."""
 
+import functools
+import re
 import threading
 import tracemalloc
 
@@ -23,7 +25,10 @@ from metaplectic.metaplectic_numeric import (
     partial_ft,
     phase_align_distance,
     rescale_apply,
+    rihacek_projection,
+    stft_projection,
     tf_shift,
+    wigner_metaplectic,
 )
 from metaplectic.symplectic_core import (
     IndexSet,
@@ -264,12 +269,35 @@ BLOCKED_GRIDS = {
 MIRROR_SCALES = BITWISE_SCALES + (0.5, 2.0, 3.0, 1e-3, -1e-300)
 
 
-@pytest.mark.parametrize(
-    "name, rows",
-    # 4 rows is the default block size at n = 4096, which rows=None covers
-    [(name, rows) for name in sorted(BLOCKED_GRIDS) for rows in (2, 4, 5, 7, None)
-     if (name, rows) != ("selfdual-4096", 4)],
-)
+#: rows a block for each grid; None keeps the default KERNEL_BLOCK_BYTES,
+#: which is 4 rows at n = 4096, so selfdual-4096 skips 4
+BLOCKED_CASES = [
+    (name, rows)
+    for name in sorted(BLOCKED_GRIDS)
+    for rows in (2, 4, 5, 7, None)
+    if (name, rows) != ("selfdual-4096", 4)
+]
+DEFAULT_KERNEL_BLOCK_BYTES = operators.KERNEL_BLOCK_BYTES
+
+
+def _rows_per_block(rows, n):
+    size = DEFAULT_KERNEL_BLOCK_BYTES if rows is None else rows * 16 * n
+    return max(2, -(-size // (16 * n)))
+
+
+@functools.lru_cache(maxsize=2 * len(MIRROR_SCALES))
+def _blocked_oracle(name, axis, a):
+    # one pass over the per-entry kernel gives the blocked rescaling for
+    # every rows value of the grid, by rows; a grid's cases run in a row, so
+    # the cache holds one grid's axes and scales
+    grid = BLOCKED_GRIDS[name]
+    f = _random_function(grid, sum(grid.shape))
+    rows_values = [rows for case, rows in BLOCKED_CASES if case == name]
+    ks = [_rows_per_block(rows, grid.shape[axis]) for rows in rows_values]
+    return dict(zip(rows_values, oracles.blocked_axis_scales(f, axis, a, ks)))
+
+
+@pytest.mark.parametrize("name, rows", BLOCKED_CASES)
 def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, name, rows):
     # besides the bytes: the blocks are built on the worker threads (both
     # halves of the block pairs on the one worker when the process has one
@@ -295,16 +323,17 @@ def test_rescale_apply_bitwise_equals_the_blocked_per_entry_kernel(monkeypatch, 
     f = _random_function(grid, sum(grid.shape))
     for axis in range(grid.d):
         n = grid.shape[axis]
+        k = _rows_per_block(rows, n)
         if rows is not None:  # else the default KERNEL_BLOCK_BYTES
             monkeypatch.setattr(operators, "KERNEL_BLOCK_BYTES", rows * 16 * n)
-        k = max(2, -(-operators.KERNEL_BLOCK_BYTES // (16 * n)))
         for a in MIRROR_SCALES:
             L = np.eye(grid.d)
             L[axis, axis] = a
             threads.clear()
             exps.clear()
             got = rescale_apply(L, f).values
-            assert got.tobytes() == oracles.blocked_axis_scale(f, axis, a).values.tobytes(), (a, axis)
+            want = _blocked_oracle(name, axis, a)[rows].values
+            assert got.tobytes() == want.tobytes(), (a, axis)
             assert threads and threading.main_thread() not in threads, (a, axis)
             assert sum(exps) <= n * n / 4 + 2 * k * n, (a, axis, sum(exps))
 
@@ -564,3 +593,46 @@ def test_rescale_apply_names_the_grid_requirement():
     f = GaussianChirp.standard(2).sample(Grid((Axis(16, 0.31), Axis(8, 0.7))))
     with pytest.raises(ValueError, match=r"permutes grid axes 1 and 2.*equal size and step on the input grid"):
         rescale_apply(np.array([[0.0, 1.0], [1.0, 0.0]]), f)
+
+
+
+WALK_GRIDS = {
+    "selfdual": Grid.selfdual,
+    "regular": lambda d, n: Grid.regular(d, n, 6.0),
+    "mixed": lambda d, n: Grid((Axis(n, 0.31), Axis(n // 2, 0.7))[:d]),
+}
+
+
+def _walks_as_it_runs(plan, f) -> None:
+    # the walk ends on the grid the plan's run ends on, and it refuses a
+    # rescaling's swapped axes with the text of the stage itself, so it
+    # checks them on the grid that stage runs on
+    try:
+        walked = operators.plan_grid(plan, f.grid, "on the input grid")
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            operators.run_plan(plan, f)
+        return
+    assert walked.close_to(operators.run_plan(plan, f).grid)
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_GRIDS))
+@pytest.mark.parametrize("d", [1, 2])
+def test_plan_grid_is_the_grid_the_plan_produces(d, kind):
+    f = _random_function(WALK_GRIDS[kind](d, 16), d)
+    for seed in range(12):
+        _walks_as_it_runs(operators.stage_plan(dj_factorize(random_symplectic(seed, d))), f)
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_GRIDS))
+@pytest.mark.parametrize(
+    "A",
+    [stft_projection(1), rihacek_projection(1), random_symplectic(3, 2)],
+    ids=["stft", "rihacek", "non-classical"],
+)
+def test_plan_grid_is_the_grid_the_adjoint_plan_produces(A, kind):
+    # the adjoint runs on the distribution's output grid, the symbol grid of
+    # opA_build, which reads the adjoint's output grid from the walk
+    f = _random_function(WALK_GRIDS[kind](1, 16), 1)
+    a = _random_function(wigner_metaplectic(A, f, f).grid, 2)
+    _walks_as_it_runs(operators.adjoint_plan(dj_factorize(A)), a)

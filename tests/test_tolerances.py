@@ -14,6 +14,7 @@ import pytest
 from metaplectic import ToleranceAmbiguityError, default_tol, tolerances
 from metaplectic.symplectic_core import (
     SymplecticMatrix,
+    chirp_block,
     classify_lp,
     dj_factorize,
     is_symplectic,
@@ -147,6 +148,23 @@ def test_non_finite_matrix_fails_the_block_relations():
     assert not is_symplectic(mat)
     with pytest.raises(ValueError, match="not symplectic"):
         SymplecticMatrix(mat)
+
+
+@pytest.mark.parametrize(
+    "build, P, name",
+    [
+        (chirp_block, [[np.nan, 0.0], [1.0, 0.0]], "chirp parameter P"),
+        (multiplier_block, [[np.nan]], "multiplier parameter P"),
+        (chirp_block, [[np.inf]], "chirp parameter P"),
+    ],
+    ids=["chirp-nan", "multiplier-nan", "chirp-inf"],
+)
+def test_symmetry_policy_refuses_non_finite_entries(build, P, name):
+    # max|P - P^T| is nan for a nan entry, which no cutoff refuses, and an
+    # inf entry makes inf - inf; the policy refuses both before it subtracts
+    with np.errstate(all="raise"), pytest.raises(ValueError) as info:
+        build(np.array(P))
+    assert str(info.value) == f"{name} must be finite"
 
 
 def test_dj_factorize_resolves_the_default_tolerance_once(monkeypatch):
