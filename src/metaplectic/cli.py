@@ -17,6 +17,7 @@ are byte-for-byte reproducible.  Exit codes: 0 success, 2 invalid input,
 failed validation, an overflow, a nan or a refused allocation, 3 a
 tolerance ambiguity (the decision sits too close to the cutoff; rerun with
 --tol or METAPLECTIC_TOL).  A failing run prints nothing on stdout.
+``--tol`` and ``METAPLECTIC_TOL`` accept 0 < tol < 1; any other value exits 2.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ def _maybe_write_function(args, out) -> None:
 
 def cmd_check(args) -> int:
     mat = formats.parse_matrix(_read_text(args.matrix))
-    tol = args.tol if args.tol is not None else DEFAULT_RELATION_TOL
-    ok = is_symplectic(mat, tol)
+    ok = is_symplectic(mat, args.tol)
     print(f"d {mat.shape[0] // 2}")
     print(f"residual {_g(symplectic_residual(mat))}")
     print(f"symplectic {'yes' if ok else 'no'}")
@@ -160,6 +160,8 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    if (args.out or args.csv) and not args.signal:
+        raise ValueError("quantize writes --out and --csv only with --signal")
     a = _load_signal(args.symbol)
     if a.grid.d % 2 != 0:
         raise ValueError("symbol must live on a doubled grid (even dimension)")
@@ -252,8 +254,8 @@ def cmd_demo(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+def _add_tol(p: argparse.ArgumentParser, default: float | None = None) -> None:
+    p.add_argument("--tol", type=float, default=default, help="relative tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a matrix file against the block relations")
     p.add_argument("matrix")
-    _add_tol(p)
+    _add_tol(p, DEFAULT_RELATION_TOL)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("factorize", help="generator factorization of a symplectic matrix")

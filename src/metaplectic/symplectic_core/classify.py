@@ -38,12 +38,12 @@ def is_symplectic(mat, tol: float = DEFAULT_RELATION_TOL) -> bool:
 
 
 def is_free(S: SymplecticMatrix, tol: float | None = None) -> bool:
-    """Whether the upper-right block is invertible relative to the matrix scale.
+    """Whether :func:`classify_lp` finds the upper-right block invertible.
 
-    Cutoff: sigma_min(B) >= tol * sigma_max(S).
+    Cutoff: sigma_min(B) >= tol * sigma_max(S).  Raises
+    :class:`ToleranceAmbiguityError` inside the band, as ``classify_lp`` does.
     """
-    _, scale = singular_extremes(S.mat)
-    return rel_invertible(S.B, tol, scale)
+    return classify_lp(S, tol).case is BoundednessCase.FREE
 
 
 class BoundednessCase(Enum):
@@ -140,8 +140,10 @@ class BoundednessVerdict:
 def classify_lp(S: SymplecticMatrix, tol: float | None = None) -> BoundednessVerdict:
     """Classify by the upper-right block: zero, invertible, or in between.
 
-    Raises :class:`ToleranceAmbiguityError` when the block sits inside the
-    ambiguity band of either test, rather than silently picking a side.
+    This is the one verdict on the block; :func:`is_free`, ``free_factorize``
+    and ``lower_tri_factorize`` ask it.  Raises :class:`ToleranceAmbiguityError`
+    when the block sits inside the ambiguity band of either test, rather than
+    silently picking a side.
     """
     _, scale = singular_extremes(S.mat)
     if rel_zero(S.B, tol, scale, what="upper-right block zero test"):

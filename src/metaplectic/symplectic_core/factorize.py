@@ -24,7 +24,8 @@ real repeats: ``shift_perturb``, ``admissible_shift_range`` and
 
 Specializations: ``free_factorize`` (B invertible, a three-generator form
 around the full interchange) and ``lower_tri_factorize`` (B = 0, no
-interchange at all).
+interchange at all).  Both take the verdict on B from ``classify_lp``, so
+inside its ambiguity band they raise ``ToleranceAmbiguityError``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..tolerances import default_tol, rel_invertible, rel_zero, singular_extremes
-from .classify import is_free, is_symplectic
+from ..tolerances import rel_invertible, resolve_tol, singular_extremes
+from .classify import BoundednessCase, classify_lp, is_free, is_symplectic
 from .generators import chirp_block, dilation_block, interchange, multiplier_block
 from .types import DJFactorization, IndexSet, SymplecticMatrix
 
@@ -99,7 +100,7 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
     d = S.d
     if d > MAX_SEARCH_DIM:
         raise ValueError(f"exhaustive index-set search supports d <= {MAX_SEARCH_DIM}, got d={d}")
-    mask = _search(S.mat.tobytes(), d, default_tol() if tol is None else tol)
+    mask = _search(S.mat.tobytes(), d, resolve_tol(tol))
     x = _x_of(S, mask)
     L = np.linalg.inv(x)
     P = L @ (np.where(mask, -S.A, S.B) + 0.0)
@@ -142,8 +143,7 @@ def lower_tri_factorize(S: SymplecticMatrix, tol: float | None = None) -> tuple[
 
         S = V_Q . D_L        with Q = C A^{-1}, L = A^{-1}.
     """
-    _, scale = singular_extremes(S.mat)
-    if not rel_zero(S.B, tol, scale):
+    if classify_lp(S, tol).case is not BoundednessCase.LOWER_TRIANGULAR:
         raise ValueError("lower-triangular factorization requires a vanishing upper-right block")
     ainv = np.linalg.inv(S.A)
     return S.C @ ainv, ainv

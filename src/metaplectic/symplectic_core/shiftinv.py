@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tolerances import default_tol, rel_invertible, singular_extremes
+from ..tolerances import rel_invertible, resolve_tol, singular_extremes
 from .factorize import dj_compose, dj_factorize
 from .generators import chirp_block, dilation_block, interchange, multiplier_block
 from .identities import redox_split
@@ -78,13 +78,11 @@ def _swap_matrix(d: int) -> np.ndarray:
 
 def _shift_range(f: DJFactorization, tol: float | None) -> float:
     """tau_max of :func:`admissible_shift_range`, read off a factorization."""
-    if tol is None:
-        tol = default_tol()
     d = f.d // 2
     p12 = f.P[:d, d:]
     scale = max(1.0, float(np.linalg.norm(p12, 2)))
     moduli = np.abs(np.linalg.eigvals(p12))
-    nonzero = moduli[moduli > tol * scale]
+    nonzero = moduli[moduli > resolve_tol(tol) * scale]
     if nonzero.size == 0:
         return float(np.inf)
     return float(nonzero.min())

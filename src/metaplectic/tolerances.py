@@ -6,9 +6,11 @@ comparison in ``_verdict``: ``sigma_min >= tol * scale`` (:func:`rel_invertible`
 or ``sigma_max <= tol * scale`` (:func:`rel_zero`).  Each verdict is about
 one matrix; the interchange-set search ranks its candidates by |det| and
 asks for one verdict at a time, in rank order.  Passing ``what=`` turns on
-the ambiguity band; only ``classify_lp`` does.  ``tol=None`` means
-:func:`default_tol`, which the ``METAPLECTIC_TOL`` environment variable
-overrides (used by the CLI; library callers pass ``tol=`` explicitly).
+the ambiguity band; only ``classify_lp`` does, and it is the one judge of the
+upper-right block.  :func:`resolve_tol` turns every ``tol`` argument into a
+cutoff: ``tol=None`` means :func:`default_tol`, which the ``METAPLECTIC_TOL``
+environment variable overrides (used by the CLI; library callers pass ``tol=``
+explicitly), and every value must pass :func:`positive_tol`, 0 < tol < 1.
 """
 
 from __future__ import annotations
@@ -47,14 +49,17 @@ class ToleranceAmbiguityError(ValueError):
 
 
 def positive_tol(raw: str | float, name: str) -> float:
-    """``raw`` as a positive float (nan is not); otherwise a ValueError
-    that names ``name``, the setting ``raw`` came from."""
+    """``raw`` as a float in 0 < tol < 1 (nan is not); otherwise a ValueError
+    that names ``name``, the setting ``raw`` came from.  A relative cutoff of
+    1 or more calls every block zero, since sigma_max(B) <= sigma_max(S)."""
     try:
         value = float(raw)
     except ValueError:
         value = 0.0
     if not value > 0.0:
         raise ValueError(f"{name} must be a positive float, got {raw!r}")
+    if value >= 1.0:
+        raise ValueError(f"{name} must be below 1, got {raw!r}")
     return value
 
 
@@ -62,6 +67,12 @@ def default_tol() -> float:
     """Default relative tolerance, honoring the environment override."""
     raw = os.environ.get(ENV_TOL)
     return DEFAULT_TOL if raw is None else positive_tol(raw, ENV_TOL)
+
+
+def resolve_tol(tol: float | None) -> float:
+    """The cutoff of a ``tol`` argument: :func:`default_tol` for None, else
+    ``tol`` after :func:`positive_tol`."""
+    return default_tol() if tol is None else positive_tol(tol, "tol")
 
 
 def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
@@ -78,8 +89,7 @@ def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
 
 def _verdict(value: float, tol: float | None, scale: float, what: str | None, below: bool) -> bool:
     """``value <= tol * scale`` if ``below``, else ``>=``; with ``what``, raise inside the band."""
-    if tol is None:
-        tol = default_tol()
+    tol = resolve_tol(tol)
     if what is not None:
         ratio = value / scale
         if tol / AMBIGUITY_BAND < ratio < tol * AMBIGUITY_BAND:

@@ -357,8 +357,8 @@ def test_non_finite_samples_are_exit_2(tmp_path, capsys, case, token):
 # -- failing runs ------------------------------------------------------------------
 
 FAILING_RUNS = {
-    # argv around the files {I, J, T, R, H, W, Rh, big, b} and the file the run
-    # must not write
+    # argv around the files {I, J, T, R, H, W, Rh, big, b, Sy} and the file the
+    # run must not write
     "sample-overflow": (["sample", "--n", "8", "--shift", "1e200", "--out", "{t}"], "overflow"),
     "apply-csv-overflow": (["apply", "{I}", "{big}", "--out", "{o}", "--csv", "{t}"], "overflow"),
     "wigner-overflow": (["wigner", "{b}", "--out", "{t}"], "overflow"),
@@ -380,6 +380,16 @@ FAILING_RUNS = {
     "factorize-tol": (["factorize", "{T}", "--tol=-1e-9", "--out", "{t}"], "got -1e-09"),
     "apply-tol": (["apply", "{T}", "{b}", "--tol", "0", "--out", "{t}"], "got 0.0"),
     "probe-tol": (["probe", "isometry", "{T}", "--p", "2", "--tol", "-1", "--out", "{t}"], "got -1.0"),
+    # a relative cutoff of 1 or more calls every upper-right block zero; these
+    # used to print "case lower-triangular" for the Fourier matrix
+    "classify-tol-hundred": (["classify", "{J}", "--p", "1.5", "--tol", "100"], "--tol must be below 1, got 100.0"),
+    "classify-tol-one": (["classify", "{J}", "--p", "1.5", "--tol", "1"], "--tol must be below 1, got 1.0"),
+    "classify-tol-inf": (["classify", "{J}", "--p", "1.5", "--tol", "inf"], "--tol must be below 1, got inf"),
+    # this used to exit 0 and write neither file
+    "quantize-out-without-signal": (
+        ["quantize", "{Sy}", "--out", "{o}", "--csv", "{t}"],
+        "quantize writes --out and --csv only with --signal",
+    ),
     # these used to end in a traceback with exit 1: a Python float overflow
     # (1e10 ** 99.5 in the closed-form norm), which np.errstate does not see,
     # and an array numpy refuses to allocate (1 EiB, past any address space)
@@ -434,6 +444,9 @@ def test_a_failing_run_prints_one_error_line_and_nothing_on_stdout(tmp_path, cap
     for name, value in (("big", 1.5e308 + 1.5e308j), ("b", 1e200)):
         files[name] = str(tmp_path / f"{name}.gf")
         _write_text(files[name], write_grid_function(GridFunction(grid, np.full(8, value))))
+    files["Sy"] = str(tmp_path / "Sy.gf")
+    symbol_grid = Grid((grid.axes[0], Axis(8, grid.axes[0].dual().step / 2.0)))
+    _write_text(files["Sy"], write_grid_function(GridFunction(symbol_grid, np.ones((8, 8)))))
     argv, message = FAILING_RUNS[case]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -444,6 +457,16 @@ def test_a_failing_run_prints_one_error_line_and_nothing_on_stdout(tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "t.gf").exists()
+
+
+def test_an_environment_tol_of_one_or_more_is_exit_2(tmp_path, capsys, monkeypatch):
+    # this used to print "case lower-triangular" for the Fourier matrix
+    path = _matrix_file(tmp_path, standard_involution(1).mat)
+    monkeypatch.setenv("METAPLECTIC_TOL", "2")
+    assert main(["classify", path, "--p", "1.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: METAPLECTIC_TOL must be below 1, got '2'\n"
 
 
 # -- probe ------------------------------------------------------------------------
@@ -471,6 +494,14 @@ def test_probe_unbounded_requires_q(tmp_path, capsys):
     path = _matrix_file(tmp_path, SINGULAR_B)
     assert main(["probe", "unbounded", path, "--p", "1"]) == 2
     assert "needs both" in capsys.readouterr().err
+
+
+def test_probe_normequiv_requires_q(tmp_path, capsys):
+    path = _matrix_file(tmp_path, wigner_projection(1).mat)
+    assert main(["probe", "normequiv", path, "--p", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: probe normequiv needs both --p and --q\n"
 
 
 def test_probe_isometry(tmp_path, capsys):

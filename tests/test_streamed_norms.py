@@ -17,6 +17,7 @@ import pytest
 
 from metaplectic.metaplectic_numeric import distributions
 from metaplectic.metaplectic_numeric.distributions import (
+    classical_kind,
     distribution_norm,
     mp_norm,
     rihacek,
@@ -24,6 +25,7 @@ from metaplectic.metaplectic_numeric.distributions import (
     stft,
     stft_projection,
     wigner,
+    wigner_metaplectic,
     wigner_projection,
 )
 from metaplectic.metaplectic_numeric.grid import (
@@ -38,6 +40,7 @@ from metaplectic.metaplectic_numeric.grid import (
     slab_norm,
 )
 from metaplectic.probes import norm_equiv_probe
+from metaplectic.symplectic_core import chirp_block
 from oracles import direct_lp_norm
 
 INF = math.inf
@@ -75,6 +78,17 @@ def test_streamed_norm_equals_the_full_array_norm(kind, grid_name):
     A = projection(grid.d)
     for p, q in MIXED + [(1.0, 1.0)]:
         assert distribution_norm(A, f, g, p, q) == lpq_norm(full, p, q), (p, q)
+
+
+def test_a_non_classical_matrix_takes_the_whole_distribution_norm():
+    # no classical kind: distribution_norm builds the distribution through
+    # the factorization pipeline and takes its norm whole
+    grid = Grid.selfdual(1, 64)
+    f, g = _random_function(grid, 5), _random_function(grid, 6)
+    A = wigner_projection(1) @ chirp_block(0.3 * np.eye(2))
+    assert classical_kind(A) is None
+    for p, q in ((2.0, 2.0), (2.0, 1.0), (1.0, 4.0), (INF, 2.0)):
+        assert distribution_norm(A, f, g, p, q) == lpq_norm(wigner_metaplectic(A, f, g), p, q), (p, q)
 
 
 @pytest.mark.parametrize("grid_name", GRIDS)

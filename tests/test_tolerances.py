@@ -17,9 +17,13 @@ from metaplectic.symplectic_core import (
     chirp_block,
     classify_lp,
     dj_factorize,
+    free_factorize,
+    is_free,
     is_symplectic,
+    lower_tri_factorize,
     multiplier_block,
     random_symplectic,
+    standard_involution,
 )
 from metaplectic.tolerances import (
     AMBIGUITY_BAND,
@@ -71,9 +75,16 @@ def test_inside_the_band_raises_only_when_named():
 
 
 def test_classify_lp_is_clear_just_outside_the_band():
-    # sigma_max(S) is about 1, so B alone sets the ratio of both tests
-    assert classify_lp(multiplier_block([[TOL / 20.0]]), TOL).case.value == "lower-triangular"
-    assert classify_lp(multiplier_block([[TOL * 20.0]]), TOL).case.value == "free"
+    # sigma_max(S) is about 1, so B alone sets the ratio of both tests; the
+    # other block verdicts follow classify_lp
+    zero, free = multiplier_block([[TOL / 20.0]]), multiplier_block([[TOL * 20.0]])
+    assert classify_lp(zero, TOL).case.value == "lower-triangular"
+    assert classify_lp(free, TOL).case.value == "free"
+    assert not is_free(zero, TOL) and is_free(free, TOL)
+    with pytest.raises(ValueError, match="requires an invertible upper-right block"):
+        free_factorize(zero, TOL)
+    with pytest.raises(ValueError, match="requires a vanishing upper-right block"):
+        lower_tri_factorize(free, TOL)
 
 
 @pytest.mark.parametrize("what", [None, "empty"])
@@ -140,6 +151,49 @@ def test_positive_tol_refuses_what_the_environment_refuses(value):
         positive_tol(value, "--tol")
     assert str(info.value) == f"--tol must be a positive float, got {value!r}"
     assert positive_tol(1e-3, "--tol") == 1e-3
+
+
+@pytest.mark.parametrize("value", [1.0, 100.0, math.inf])
+def test_positive_tol_refuses_one_and_above(value):
+    # sigma_max(B) <= sigma_max(S), so a relative cutoff of 1 or more would
+    # call every upper-right block zero
+    with pytest.raises(ValueError) as info:
+        positive_tol(value, "--tol")
+    assert str(info.value) == f"--tol must be below 1, got {value!r}"
+    assert positive_tol(np.nextafter(1.0, 0.0), "--tol") < 1.0
+
+
+@pytest.mark.parametrize("raw", ["1", "2", "inf"])
+def test_environment_override_refuses_one_and_above(monkeypatch, raw):
+    monkeypatch.setenv(ENV_TOL, raw)
+    with pytest.raises(ValueError) as info:
+        classify_lp(standard_involution(1))
+    assert str(info.value) == f"METAPLECTIC_TOL must be below 1, got {raw!r}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify_lp(standard_involution(1), tol=100.0), "tol must be below 1, got 100.0"),
+        (lambda: classify_lp(standard_involution(1), tol=math.nan), "tol must be a positive float, got nan"),
+        (lambda: dj_factorize(random_symplectic(3, 2), tol=0.0), "tol must be a positive float, got 0.0"),
+    ],
+    ids=["classify-100", "classify-nan", "dj-zero"],
+)
+def test_an_explicit_tol_goes_through_the_same_check(call, message):
+    # these used to call the Fourier matrix lower-triangular, call it
+    # singular-nonzero-B, and search with a zero cutoff
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [is_free, free_factorize, lower_tri_factorize])
+def test_every_block_verdict_carries_the_band(call):
+    # 3e-9 lies inside the band around the default cutoff 1e-9; is_free used
+    # to say True here and free_factorize to return L1 = 3.3e8
+    with pytest.raises(ToleranceAmbiguityError, match="upper-right block"):
+        call(multiplier_block([[3e-9]]))
 
 
 def test_non_finite_matrix_fails_the_block_relations():
