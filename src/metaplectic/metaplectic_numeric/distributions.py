@@ -18,16 +18,24 @@ with direct quadrature of its defining integral to roundoff on decaying
 input (see the test suite).
 
 Each classical distribution has one row builder: the values on a range of
-x-rows (a slice of axis 0).  ``wigner``, ``stft`` and ``rihacek`` call it
-with all rows, which ``MAX_DISTRIBUTION_POINTS`` caps; ``distribution_norm``
-and ``mp_norm`` call it slab by slab (``grid.row_slabs``: at least
-``grid.SLAB_BYTES`` of entries per slab, leftover rows in the last) and
-stream the slabs into ``grid.slab_norm``, so their memory is a few slabs
-instead of n^(2d) points.  The slabs are built on the worker threads
-(``grid.worker_map``) and ``slab_norm`` reduces them in row order on the
-calling thread.  Slabs of about ``SLAB_BYTES`` are built up to two ahead
-of it; larger ones (one x-row of n^3 points at d = 2) one at a time, so
-that the norm holds no more of them than a serial loop would.
+x-rows (a slice of axis 0), written into a buffer set that its caller owns
+(``_row_buffers``: two complex arrays of some number of x-rows; a slab of
+k rows goes into views of their first k rows).  The gather, the product,
+the transform and the Rihaczek phase table all go into the set, and the
+slab returned is a view of it.  ``wigner``, ``stft`` and ``rihacek`` call
+the builder with all rows and a whole-size set, which
+``MAX_DISTRIBUTION_POINTS`` caps; ``distribution_norm`` and ``mp_norm``
+call it slab by slab (``grid.row_slabs``: at least ``grid.SLAB_BYTES`` of
+entries per slab, leftover rows in the last), so their memory is a few
+slabs instead of n^(2d) points.  The slabs are built on the worker threads
+(``grid.worker_map``).  Each call of ``_streamed_norm`` keeps a free list
+of sets of its longest slab: a worker pops a set (or makes one), builds
+its slab in it, takes |f|^p there (``grid.slab_powers``) and pushes the
+set back, so no two slabs share a set and none outlives the call.  Only
+the powers reach the calling thread, which adds them up in row order
+(``grid.reduce_powers``).  Slabs of about ``SLAB_BYTES`` are built up to
+two ahead of it; larger ones (one x-row of n^3 points at d = 2) one at a
+time, so that the norm holds no more of them than a serial loop would.
 
 The Wigner and STFT rows read the signals through read-only strided views:
 every read is a Toeplitz or Hankel pattern in (x-row j, column k), so once
@@ -43,15 +51,16 @@ once, and ``grid.mirrored_exps`` copies those entries from their partners.
 The phase itself (``form_sum``) is also computed on the source entries only.
 
 The floats equal the full-array norms exactly: a row's values do not depend
-on the slab around it, nor on the thread that builds it.  The slab floor
+on the slab around it, nor on the thread or the buffer set that builds it
+(every entry of a slab is written before it is read).  The slab floor
 (1 MiB) still matters for that: it must not fall below 256 KiB.  The
 per-entry Rihaczek expression ``vals * np.exp(...)`` runs in place in the
 exp temporary, as exp * vals, from numpy's 256 KiB temporary-elision size
 on, and out of place, as vals * exp, below it; a complex product rounds
 differently in the two orders.  The rows keep both: the product is
-``np.multiply(exps, vals, out=exps)`` from 256 KiB on and ``vals * exps``
-below, so every grid keeps the bits of the per-entry rows (the oracle
-``gathered_rows`` in the tests).  The Wigner and STFT products are
+``np.multiply(exps, vals, out=exps)`` from 256 KiB on and
+``np.multiply(vals, exps, out=vals)`` below, so every grid keeps the bits
+of the per-entry rows (the oracle ``gathered_rows`` in the tests).  The Wigner and STFT products are
 written as ``np.multiply(f_view, conj_g)``, so their operand order is fixed.
 Their scalings (the transform's, and the Wigner rows' 2^d, done in place)
 multiply by a real number, which rounds the same in either operand order.
@@ -73,7 +82,7 @@ from ..symplectic_core import (
 )
 from .grid import Axis, Grid, GridFunction, centered_dft, form_sum, mirrored_exps
 from .grid import MAX_WORKERS, SLAB_BYTES, lpq_norm, periodic_reads, row_slabs, shifted_dft
-from .grid import slab_norm, worker_map
+from .grid import reduce_powers, slab_powers, worker_map
 from .operators import apply_metaplectic
 
 
@@ -99,17 +108,27 @@ def _check_points(what: str, npts: int) -> None:
         )
 
 
+def _row_buffers(grid: Grid, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """A buffer set for a row builder: two complex arrays of ``rows`` x-rows
+    of ``grid``.  A builder writes a slab of k rows into views of the first
+    k rows of both."""
+    shape = (rows,) + grid.shape[1:]
+    return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+
+
 def _wigner_rows(f: GridFunction, g: GridFunction):
     d = f.grid.d
     doubled = Grid(f.grid.axes + f.grid.axes)
     f_at, g_at = periodic_reads(f.values), periodic_reads(g.values)
 
-    def build(rows: slice) -> np.ndarray:
+    def build(rows: slice, buffers) -> np.ndarray:
         # f(x + u) conj(g(x - u)) with the u axes already in FFT order:
         # f at (j + k) mod n and g at (j - k) mod n
-        paired = np.conj(g_at(rows, 1, -1))
-        np.multiply(f_at(rows, 1, 1), paired, out=paired)
-        spectral = shifted_dft(paired, doubled, tuple(range(d, 2 * d)))
+        paired = g_at(rows, 1, -1)
+        spectral, spare = (b[: len(paired)] for b in buffers)
+        np.conj(paired, out=spectral)
+        np.multiply(f_at(rows, 1, 1), spectral, out=spectral)
+        shifted_dft(spectral, spare, doubled, tuple(range(d, 2 * d)))
         spectral *= 2.0**d
         return spectral
 
@@ -123,12 +142,14 @@ def _stft_rows(f: GridFunction, g: GridFunction):
     f_shifted = np.fft.ifftshift(f.values)
     g_at = periodic_reads(g.values)
 
-    def build(rows: slice) -> np.ndarray:
+    def build(rows: slice, buffers) -> np.ndarray:
         # V(x, t) = f(t) conj(g(t - x)) with the t axes already in FFT order:
         # g at (k - j) mod n
-        gathered = np.conj(g_at(rows, -1, 1))
+        read = g_at(rows, -1, 1)
+        gathered, spare = (b[: len(read)] for b in buffers)
+        np.conj(read, out=gathered)
         np.multiply(f_shifted, gathered, out=gathered)
-        return shifted_dft(gathered, doubled, freq)
+        return shifted_dft(gathered, spare, doubled, freq)
 
     return doubled.dualized(freq), build
 
@@ -140,24 +161,28 @@ def _rihacek_rows(f: GridFunction, g: GridFunction):
     mesh = grid.open_mesh()
     xi_points = [ax.points() for ax in grid.axes[d:]]
 
-    def build(rows: slice) -> np.ndarray:
-        vals = np.multiply.outer(f.values[rows], ghat_conj)
+    def build(rows: slice, buffers) -> np.ndarray:
+        f_rows = f.values[rows]
+        vals, phase_exps = (b[: len(f_rows)] for b in buffers)
+        np.multiply.outer(f_rows, ghat_conj, out=vals)
         x = (mesh[0][rows],) + mesh[1:d]
 
         def fill(sl, part):
             xi = np.ix_(*(pts[s] for pts, s in zip(xi_points, sl)))
             np.exp(-2j * math.pi * form_sum(np.eye(d), x, xi), out=part)
 
-        phase_exps = mirrored_exps(np.empty(vals.shape, dtype=complex), d, fill)
+        mirrored_exps(phase_exps, d, fill)
         if phase_exps.nbytes >= _ELIDE_BYTES:
             return np.multiply(phase_exps, vals, out=phase_exps)
-        return vals * phase_exps
+        return np.multiply(vals, phase_exps, out=vals)
 
     return grid, build
 
 
 #: the row builder of each classical distribution: (f, g) -> (grid, build),
-#: where ``build(rows)`` returns the values on the x-rows ``rows``
+#: where ``build(rows, buffers)`` writes the values on the x-rows ``rows``
+#: into the buffer set ``buffers`` (``_row_buffers``) and returns them, a
+#: view of the set
 _ROW_BUILDERS = {"wigner": _wigner_rows, "stft": _stft_rows, "rihacek": _rihacek_rows}
 
 
@@ -165,19 +190,37 @@ def _whole(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
     _check_same_grid(f, g)
     _check_points(f"{kind} distribution", math.prod(f.grid.shape) ** 2)
     grid, build = _ROW_BUILDERS[kind](f, g)
-    return GridFunction(grid, build(slice(None)))
+    # only the returned view keeps its buffer alive for the copy
+    return GridFunction(grid, build(slice(None), _row_buffers(grid, grid.shape[0])))
 
 
 def _streamed_norm(kind: str, f: GridFunction, g: GridFunction, p: float, q: float | None) -> float:
     _check_same_grid(f, g)
     grid, build = _ROW_BUILDERS[kind](f, g)
+    slabs = row_slabs(grid)
+    longest = max(rows.stop - rows.start for rows in slabs)
+    # buffer sets of the longest slab, made as the workers first need them:
+    # a worker pops one, builds its slab and takes the powers in it, and
+    # pushes it back, so no two slabs share a set and none outlives the call
+    free = []
+
+    def powers(rows: slice):
+        try:
+            buffers = free.pop()
+        except IndexError:
+            buffers = _row_buffers(grid, longest)
+        try:
+            return slab_powers(build(rows, buffers), grid, p, q)
+        finally:
+            free.append(buffers)
+
     # a slab built ahead is one more slab alive, with its temporaries: cheap
     # for slabs of about SLAB_BYTES, but a slab is at least one x-row, n^3
     # points at d = 2 (32 MiB at n = 128), and such slabs are built one at
     # a time, as a serial loop holds them
     ahead = MAX_WORKERS if 16 * math.prod(grid.shape[1:]) <= SLAB_BYTES else 1
-    with contextlib.closing(worker_map(build, row_slabs(grid), ahead)) as slabs:
-        return slab_norm(slabs, grid, p, q)
+    with contextlib.closing(worker_map(powers, slabs, ahead)) as parts:
+        return reduce_powers(parts, grid, p, q)
 
 
 def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:
@@ -252,9 +295,10 @@ def distribution_norm(
     """Mixed L^{p,q} norm (as :func:`lpq_norm`) of ``wigner_metaplectic(A, f, g)``.
 
     For the three classical matrices the distribution is never built whole:
-    its x-row slabs stream into one accumulator (``grid.slab_norm``), and the
-    float equals the full-array norm exactly.  Any other matrix runs the
-    factorization pipeline on the whole tensor.
+    the powers of its x-row slabs stream into one reduction
+    (``grid.reduce_powers``), and the float equals the full-array norm
+    exactly.  Any other matrix runs the factorization pipeline on the whole
+    tensor.
     """
     _check_phase_space(A, f)
     kind = classical_kind(A)

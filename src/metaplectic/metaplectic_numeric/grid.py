@@ -15,8 +15,12 @@ half-width T) is called self-dual; transforms then map a grid to itself.
 order on every transformed axis at once and enters ``shifted_dft``, which
 per axis runs the FFT and writes the two swapped half-blocks times the
 lattice scale in one pass (the output shift; every axis length is even).
-Callers whose samples are already in FFT order, like the distribution rows,
-enter ``shifted_dft`` directly.  Both work on plain arrays, so the numeric
+``shifted_dft`` allocates nothing: its caller owns both arrays, the samples,
+which come back holding the result, and a spare of the same shape that
+takes each axis's FFT (numpy 2.0's ``out=``).  ``centered_dft`` passes in
+its own copy, the input shift, and a spare it makes; callers whose samples
+are already in FFT order, like the distribution rows, enter ``shifted_dft``
+directly with their own buffers.  Both work on plain arrays, so the numeric
 layer keeps its intermediates as arrays and follows one rule: one
 ``GridFunction`` per public result (the constructor copies its input).
 
@@ -33,8 +37,12 @@ own exps, so each keeps its own rounding.
 Norms in slabs.  ``slab_norm`` reduces a function that arrives as
 consecutive slabs of axis-0 rows (``row_slabs`` cuts them), so a
 phase-space norm never needs the whole array; ``lp_norm`` and ``lpq_norm``
-are ``slab_norm`` on one slab.  It reproduces the full-array floats bit for
-bit in two loops.  The plain L^p norm of finite p sums along numpy's
+are ``slab_norm`` on one slab.  It is two steps: ``slab_powers`` takes
+|f|^p of one slab (or, for p = inf, the slab's max over the inner axes),
+where the slab is built, on the worker threads for the streamed
+distribution norms, and ``reduce_powers`` adds the powers up on the calling
+thread, in row order.  It reproduces the full-array floats bit for bit in
+two loops.  The plain L^p norm of finite p sums along numpy's
 pairwise split (halve the range, round the half down to a multiple of 8),
 calling ``np.sum`` on every piece of that tree that lies in one slab; on
 one slab that is one ``np.sum`` of all the powers.  Every other norm goes
@@ -48,8 +56,10 @@ the full-array code, and numpy computes an expression in place (with
 swapped operands, so a complex product rounds differently) only for
 temporaries of 256 KiB or more.  ``slab_norm`` reports an overflow of
 ``np.abs`` on finite samples, which numpy's flag misses, through
-``np.hypot``: it goes back to a slab's samples only when the magnitudes it
-holds (the accumulator, or the slab's largest power) reach inf.
+``np.hypot``, on the slab's samples that overflowed.  ``slab_powers``
+returns those few samples only when the reduction may need them, and
+``reduce_powers`` reports them when the magnitudes it holds reach inf (the
+accumulator after the slab, or the slab's largest power).
 
 Worker threads.  ``worker_map`` runs the independent pieces of the two hot
 loops, the rescaling's kernel blocks and the distribution slabs, on a pool
@@ -325,31 +335,33 @@ def centered_dft(
 ) -> np.ndarray:
     """Centered Fourier integral of samples on ``grid`` along the given 0-based
     axes (conjugate kernel if ``inverse``); the result lives on the grid with
-    those axes dualized."""
+    those axes dualized.  It is computed in the input shift's own copy."""
     axes = tuple(axes)
-    return shifted_dft(np.fft.ifftshift(values, axes=axes), grid, axes, inverse)
+    shifted = np.fft.ifftshift(values, axes=axes).astype(complex, copy=False)
+    return shifted_dft(shifted, np.empty_like(shifted), grid, axes, inverse)
 
 
 def shifted_dft(
-    values: np.ndarray, grid: Grid, axes: Sequence[int], inverse: bool = False
+    values: np.ndarray, spare: np.ndarray, grid: Grid, axes: Sequence[int], inverse: bool = False
 ) -> np.ndarray:
-    """:func:`centered_dft` of samples that are already in FFT order (the
-    input shift done) on ``axes``.
+    """:func:`centered_dft` of the complex samples ``values``, which are
+    already in FFT order (the input shift done) on ``axes``, computed in
+    place: ``values`` is returned holding the result.
 
-    Each axis runs one FFT, then writes its two half-blocks, times the
-    lattice scale, swapped into one fresh array: every axis length is even,
-    so that is the output shift and the scaling in one pass.
+    Each axis runs one FFT into ``spare``, an array of the same shape,
+    then writes its two half-blocks, times the lattice scale, swapped back
+    into ``values``: every axis length is even, so that is the output shift
+    and the scaling in one pass.
     """
     transform = np.fft.ifft if inverse else np.fft.fft
     for ax in axes:
         n, step = grid.axes[ax].n, grid.axes[ax].step
         scale = n * step if inverse else step
-        spec = transform(values, axis=ax)
-        values = np.empty(spec.shape, dtype=spec.dtype)
+        transform(values, axis=ax, out=spare)
         low = (slice(None),) * ax + (slice(None, n // 2),)
         high = (slice(None),) * ax + (slice(n // 2, None),)
-        np.multiply(spec[high], scale, out=values[low])
-        np.multiply(spec[low], scale, out=values[high])
+        np.multiply(spare[high], scale, out=values[low])
+        np.multiply(spare[low], scale, out=values[high])
     return values
 
 
@@ -376,15 +388,14 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return slab_norm((f.values,), f.grid, p)
 
 
-def _report_abs_overflow(values: np.ndarray, mags: np.ndarray) -> None:
-    """Report, as ``np.errstate`` says, where ``mags = np.abs(values)``
-    overflowed on finite samples.
+def _report_abs_overflow(samples: np.ndarray) -> None:
+    """Report, as ``np.errstate`` says, that ``np.abs`` overflowed on the
+    finite ``samples``.
 
     np.abs overflows near the largest float without setting numpy's flag;
-    the magnitudes it overflowed on are redone with np.hypot, which sets it.
+    np.hypot of the same samples sets it.
     """
-    big = np.isinf(mags) & np.isfinite(values)
-    np.hypot(values.real[big], values.imag[big])
+    np.hypot(samples.real, samples.imag)
 
 
 def lpq_norm(f: GridFunction, p: float, q: float) -> float:
@@ -506,7 +517,52 @@ def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None 
     of :func:`lp_norm`.  Either float equals the full-array one exactly,
     from numpy's pairwise sum for a finite plain p and from the outer-axes
     accumulator otherwise (see the module docstring); memory stays at the
-    size of a slab.
+    size of a slab.  It is :func:`reduce_powers` of each slab's
+    :func:`slab_powers`.
+    """
+    return reduce_powers((slab_powers(slab, grid, p, q) for slab in rows), grid, p, q)
+
+
+#: no samples to report
+_NO_SAMPLES = np.empty(0, dtype=complex)
+
+
+def slab_powers(
+    slab: np.ndarray, grid: Grid, p: float, q: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-slab step of :func:`slab_norm`: what :func:`reduce_powers`
+    takes from one slab of rows, and the samples it may have to report.
+
+    The first array is |slab|^p, raveled for a finite plain p and one row
+    per point of the inner axes otherwise, or for p = inf the slab's max
+    over the inner axes.  The second holds the finite samples on which
+    ``np.abs`` overflowed, when the reduction's overflow condition can hold
+    after this slab (a largest power of inf, or any inf magnitude for the
+    accumulator), and is empty otherwise.
+    """
+    mags = np.abs(slab)
+    if q is None and not math.isinf(p):
+        powers = (mags**p).ravel()
+        flagged = math.isinf(powers.max(initial=0.0))
+    else:
+        k = grid.d if q is None else grid.d // 2
+        if math.isinf(p):
+            powers = mags.max(axis=tuple(range(k)))
+        else:
+            powers = (mags**p).reshape((-1,) + grid.shape[k:])
+        flagged = np.isinf(mags).any()
+    return powers, (slab[np.isinf(mags) & np.isfinite(slab)] if flagged else _NO_SAMPLES)
+
+
+def reduce_powers(
+    parts: Iterable[tuple[np.ndarray, np.ndarray]], grid: Grid, p: float, q: float | None = None
+) -> float:
+    """:func:`slab_norm` from the :func:`slab_powers` of its slabs, in row
+    order.
+
+    The plain sum reports a slab's overflowed samples when its largest
+    power is inf; the accumulator, after every slab that leaves an inf in
+    it.
     """
     d = grid.d
     if q is None and p <= 0.0:
@@ -519,37 +575,30 @@ def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None 
 
     if q is None and not math.isinf(p):
 
-        def powered():
-            for slab in rows:
-                mags = np.abs(slab)
-                powers = (mags**p).ravel()
-                if math.isinf(powers.max(initial=0.0)):
-                    _report_abs_overflow(slab, mags)
+        def pieces():
+            for powers, overflowed in parts:
+                _report_abs_overflow(overflowed)
                 yield powers
 
-        total = _pairwise_sum(powered(), math.prod(grid.shape))
+        total = _pairwise_sum(pieces(), math.prod(grid.shape))
         return float((total * grid.weight) ** (1.0 / p))
 
     # the plain sup norm (q None) has every axis inner and no outer axis
     k = d if q is None else d // 2
-    outer_shape = grid.shape[k:]
-    inner_axes = tuple(range(k))
     w_inner = Grid(grid.axes[:k]).weight
     w_outer = grid.weight / w_inner
 
     # each x-point's |f|^p is added in row order, as numpy reduces a
     # leading axis of a contiguous array
-    acc = np.zeros(outer_shape)
-    for slab in rows:
-        mags = np.abs(slab)
+    acc = np.zeros(grid.shape[k:])
+    for powers, overflowed in parts:
         if math.isinf(p):
-            np.maximum(acc, mags.max(axis=inner_axes), out=acc)
+            np.maximum(acc, powers, out=acc)
         else:
-            for row in (mags**p).reshape((-1,) + outer_shape):
+            for row in powers:
                 acc += row
-        # an overflow of np.abs leaves an inf in the accumulator
         if np.isinf(acc).any():
-            _report_abs_overflow(slab, mags)
+            _report_abs_overflow(overflowed)
     inner = acc if math.isinf(p) else (acc * w_inner) ** (1.0 / p)
     if q is None or math.isinf(q):
         return float(inner.max(initial=0.0))

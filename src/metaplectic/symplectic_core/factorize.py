@@ -83,8 +83,16 @@ def _search(mat: bytes, d: int, search_tol: float) -> np.ndarray:
             mask = masks[k].copy()
             mask.flags.writeable = False
             return mask
-    # cannot happen for a true symplectic matrix; guard anyway
-    raise ValueError("no admissible index set found; matrix is too far from symplectic")
+    # an exactly symplectic S gets here when it is too ill-conditioned for
+    # the cutoff: diag(1e-5, 1e5) has X(J) = 1e-5 or 0 against sigma_max 1e5
+    best = max(
+        np.linalg.svd(_x_of(S, masks[i : i + step]), compute_uv=False)[:, -1].max()
+        for i in range(0, len(masks), step)
+    )
+    raise ValueError(
+        "no admissible index set found: no X(J) reaches tol * sigma_max(S); the best "
+        f"ratio sigma_min(X(J)) / sigma_max(S) is {best / scale:.3e}, tol {search_tol:.3e}"
+    )
 
 
 def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorization:

@@ -87,9 +87,9 @@ def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def _verdict(value: float, tol: float | None, scale: float, what: str | None, below: bool) -> bool:
-    """``value <= tol * scale`` if ``below``, else ``>=``; with ``what``, raise inside the band."""
-    tol = resolve_tol(tol)
+def _verdict(value: float, tol: float, scale: float, what: str | None, below: bool) -> bool:
+    """``value <= tol * scale`` if ``below``, else ``>=``, for a resolved
+    ``tol``; with ``what``, raise inside the band."""
     if what is not None:
         ratio = value / scale
         if tol / AMBIGUITY_BAND < ratio < tol * AMBIGUITY_BAND:
@@ -107,6 +107,7 @@ def rel_invertible(
     testing a block of a larger matrix.  Nothing is invertible relative to a
     zero scale.
     """
+    tol = resolve_tol(tol)
     smin, smax = singular_extremes(mat)
     if scale is None:
         scale = smax
@@ -123,6 +124,7 @@ def rel_zero(
     ``scale`` defaults to 1.  The empty matrix, and every matrix relative to
     a zero scale, counts as vanishing.
     """
+    tol = resolve_tol(tol)
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0 or scale == 0.0:
         return True

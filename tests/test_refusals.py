@@ -142,6 +142,12 @@ REFUSALS = {
         "solved chirp parameters lost symmetry (1.000e-09); "
         "input is likely not symplectic to working precision",
     ),
+    # exactly symplectic, but X(J) is 1e-5 or 0 against sigma_max(S) = 1e5
+    "dj-no-admissible-set": (
+        lambda: dj_factorize(SymplecticMatrix(np.diag([1e-5, 1e5]))),
+        "no admissible index set found: no X(J) reaches tol * sigma_max(S); the best "
+        "ratio sigma_min(X(J)) / sigma_max(S) is 1.000e-10, tol 1.000e-09",
+    ),
     # probes: at tol = 1e-3 the block diag(1, 1e-5) counts as singular, but
     # its multiplier corner keeps 1e-5 > WITNESS_TOL as its least eigenvalue
     "unbounded-no-null-direction": (

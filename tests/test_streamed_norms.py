@@ -9,6 +9,7 @@ mixed norm, ``lp_norm`` of the whole STFT for ``mp_norm`` with p = q.
 
 import gc
 import math
+import sys
 import time
 import tracemalloc
 
@@ -36,6 +37,7 @@ from metaplectic.metaplectic_numeric.grid import (
     GridFunction,
     lp_norm,
     lpq_norm,
+    reduce_powers,
     row_slabs,
     slab_norm,
 )
@@ -186,23 +188,23 @@ def test_streamed_norm_builds_at_most_two_slabs_ahead(monkeypatch):
     def recorded_rows(f, g):
         grid, build = stft_rows(f, g)
 
-        def recorded(rows):
+        def recorded(rows, buffers):
             started.append(rows.start)
-            return build(rows)
+            return build(rows, buffers)
 
         return grid, recorded
 
-    def slow_slab_norm(rows, grid, p, q=None):
+    def slow_reduce_powers(parts, grid, p, q=None):
         def watched():
-            for k, slab in enumerate(rows):
+            for k, part in enumerate(parts):
                 ahead.append(len(started) - k)
                 time.sleep(0.005)
-                yield slab
+                yield part
 
-        return slab_norm(watched(), grid, p, q)
+        return reduce_powers(watched(), grid, p, q)
 
     monkeypatch.setitem(distributions._ROW_BUILDERS, "stft", recorded_rows)
-    monkeypatch.setattr(distributions, "slab_norm", slow_slab_norm)
+    monkeypatch.setattr(distributions, "reduce_powers", slow_reduce_powers)
     grid = GRIDS["1d-1024"]
     f, g = _random_function(grid, 14), _random_function(grid, 15)
     mp_norm(f, g, 2.0, 1.0)
@@ -215,13 +217,18 @@ def test_streamed_norm_builds_at_most_two_slabs_ahead(monkeypatch):
 def test_streamed_norm_of_one_row_slabs_peaks_as_the_serial_loop(kind):
     # at d = 2 a slab is one x-row of n^3 points (4 MiB at n = 64, above
     # SLAB_BYTES); such slabs are built one at a time, and the norm's peak
-    # stays at the serial loop's (built two ahead, it rose by 4 slabs)
+    # stays at the serial loop's, which builds every slab in one buffer set
+    # (built two ahead, it rose by 4 slabs)
     grid = Grid.selfdual(2, 64)
     f, g = _random_function(grid, 16), _random_function(grid, 17)
     doubled, build = distributions._ROW_BUILDERS[kind](f, g)
     slab = 16 * math.prod(doubled.shape[1:])
     assert slab > SLAB_BYTES and len(row_slabs(doubled)) == 64
-    serial = lambda: slab_norm((build(rows) for rows in row_slabs(doubled)), doubled, 2.0, 1.0)
+
+    def serial():
+        buffers = distributions._row_buffers(doubled, 1)
+        return slab_norm((build(rows, buffers) for rows in row_slabs(doubled)), doubled, 2.0, 1.0)
+
     values, peaks = [], []
     for norm in (serial, lambda: distributions._streamed_norm(kind, f, g, 2.0, 1.0)):
         gc.collect()
@@ -233,6 +240,33 @@ def test_streamed_norm_of_one_row_slabs_peaks_as_the_serial_loop(kind):
             tracemalloc.stop()
     assert values[0] == values[1]
     assert peaks[1] < peaks[0] + slab / 2, [peak / slab for peak in peaks]
+
+
+def test_streamed_norm_gives_each_slab_in_flight_its_own_buffer_set(monkeypatch):
+    # the workers share one free list of buffer sets: with the interpreter
+    # switching threads every microsecond, one set handed to two slabs at
+    # once would change the floats, and a call makes no more sets than it
+    # builds slabs at once, each of the longest slab (76 rows here)
+    grid = GRIDS["1d-1000"]
+    f, g = _random_function(grid, 18), _random_function(grid, 19)
+    want = lpq_norm(stft(f, g), 2.0, 1.0)
+    made = []
+    row_buffers = distributions._row_buffers
+
+    def counted(grid, rows):
+        made.append(rows)
+        return row_buffers(grid, rows)
+
+    monkeypatch.setattr(distributions, "_row_buffers", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            made.clear()
+            assert mp_norm(f, g, 2.0, 1.0) == want
+            assert 1 <= len(made) <= MAX_WORKERS and set(made) == {76}
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("state", ["raise", "ignore"])

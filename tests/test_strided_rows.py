@@ -6,13 +6,15 @@ about half their phase table and mirror the rest (``grid.mirrored_exps``).
 The slow exact forms in ``oracles`` gather through int64 index arrays and
 shift, transform, shift and scale one axis at a time, or take an exp per
 entry.  Both must give the same floats, compared by ``tobytes()``: the
-streamed-norm tests compare the builders only with themselves.
+streamed-norm tests compare the builders only with themselves.  The
+builders write into a buffer set that the streamed norms reuse slab after
+slab, so a slab must not read what an earlier one left there.
 """
 
 import numpy as np
 import pytest
 
-from metaplectic.metaplectic_numeric.distributions import _ROW_BUILDERS
+from metaplectic.metaplectic_numeric.distributions import _ROW_BUILDERS, _row_buffers
 from metaplectic.metaplectic_numeric.grid import Axis, Grid, GridFunction, centered_dft, row_slabs
 
 import oracles
@@ -71,9 +73,32 @@ def test_rihacek_rows_bitwise_equal_the_gathered_rows_on_zero_samples(grid_name)
 def _assert_rows_equal(kind, f, g):
     out_grid, build = _ROW_BUILDERS[kind](f, g)
     for rows in row_slabs(out_grid) + [slice(None)]:
-        got, want = build(rows), oracles.gathered_rows(kind, f, g, rows)
+        count = len(range(*rows.indices(out_grid.shape[0])))
+        got = build(rows, _row_buffers(out_grid, count))
+        want = oracles.gathered_rows(kind, f, g, rows)
         assert got.shape == want.shape, rows
         assert got.tobytes() == want.tobytes(), rows
+
+
+@pytest.mark.parametrize("grid_name", ROW_GRIDS)
+@pytest.mark.parametrize("kind", ["wigner", "stft", "rihacek"])
+def test_rows_bitwise_equal_the_gathered_rows_in_reused_buffers(kind, grid_name):
+    # one buffer set of the longest slab, filled with nan, serves every slab
+    # in reverse order, the longer last slab first: each slab must write
+    # every entry it returns, and return a view of the set, not a fresh array
+    grid = ROW_GRIDS[grid_name]
+    f, g = _random_function(grid, 1), _random_function(grid, 2)
+    out_grid, build = _ROW_BUILDERS[kind](f, g)
+    slabs = row_slabs(out_grid)
+    buffers = _row_buffers(out_grid, max(rows.stop - rows.start for rows in slabs))
+    for buffer in buffers:
+        buffer.fill(np.nan)
+    for rows in reversed(slabs):
+        got = build(rows, buffers)
+        want = oracles.gathered_rows(kind, f, g, rows)
+        assert got.shape == want.shape, rows
+        assert got.tobytes() == want.tobytes(), rows
+        assert any(np.shares_memory(got, buffer) for buffer in buffers), rows
 
 
 @pytest.mark.parametrize("inverse", [False, True])

@@ -177,12 +177,15 @@ def test_environment_override_refuses_one_and_above(monkeypatch, raw):
         (lambda: classify_lp(standard_involution(1), tol=100.0), "tol must be below 1, got 100.0"),
         (lambda: classify_lp(standard_involution(1), tol=math.nan), "tol must be a positive float, got nan"),
         (lambda: dj_factorize(random_symplectic(3, 2), tol=0.0), "tol must be a positive float, got 0.0"),
+        (lambda: rel_zero(np.zeros((0, 0)), tol=math.nan), "tol must be a positive float, got nan"),
+        (lambda: rel_invertible(np.eye(2), tol=math.nan, scale=0.0), "tol must be a positive float, got nan"),
     ],
-    ids=["classify-100", "classify-nan", "dj-zero"],
+    ids=["classify-100", "classify-nan", "dj-zero", "rel-zero-empty", "rel-invertible-zero-scale"],
 )
 def test_an_explicit_tol_goes_through_the_same_check(call, message):
     # these used to call the Fourier matrix lower-triangular, call it
-    # singular-nonzero-B, and search with a zero cutoff
+    # singular-nonzero-B, and search with a zero cutoff; the empty matrix
+    # and the zero scale used to return before the check
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
