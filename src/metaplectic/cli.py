@@ -18,6 +18,12 @@ failed validation, an overflow, a nan or a refused allocation, 3 a
 tolerance ambiguity (the decision sits too close to the cutoff; rerun with
 --tol or METAPLECTIC_TOL).  A failing run prints nothing on stdout.
 ``--tol`` and ``METAPLECTIC_TOL`` accept 0 < tol < 1; any other value exits 2.
+
+Signal files are parsed from the open file, one block of text at a time, and
+written one block at a time, so a verb never holds a file's whole text.
+``wigner`` never builds its distribution whole either: it takes the printed
+norm from the distribution's x-row slabs, then builds the slabs again for
+each file it writes.  Every refusal comes before the first file is opened.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import argparse
 import contextlib
 import io
 import sys
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -37,10 +44,8 @@ from .metaplectic_numeric import (
     lp_norm,
     opA_apply,
     opA_build,
-    rihacek,
     rihacek_projection,
-    stft,
-    wigner,
+    streamed_distribution,
     wigner_projection,
 )
 from .probes import beckner_probe, norm_equiv_probe, quasi_isometry_probe, unbounded_probe
@@ -66,13 +71,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str, text: str) -> None:
-    # one MiB slice at a time: a whole-text write encodes a second full copy,
-    # and that copy lands on top of whatever the writer's freed blocks left
-    # resident, so the peak would follow the heap's layout
+def _write_text(path: str, blocks: Iterable[str]) -> None:
+    # one block at a time: neither the whole text nor its encoded copy is held
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(text), 1 << 20):
-            fh.write(text[start : start + (1 << 20)])
+        fh.writelines(blocks)
 
 
 def _load_symplectic(path: str) -> SymplecticMatrix:
@@ -80,17 +82,20 @@ def _load_symplectic(path: str) -> SymplecticMatrix:
 
 
 def _load_signal(path: str):
-    f = formats.parse_grid_function(_read_text(path))
+    with open(path, encoding="utf-8") as fh:
+        f = formats.parse_grid_function(fh)
     if not np.isfinite(f.values).all():
         raise ValueError(f"{path}: samples must be finite, found inf or nan")
     return f
 
 
-def _maybe_write_function(args, out) -> None:
+def _maybe_write_function(args, grid: Grid, slabs: Callable[[], Iterable[np.ndarray]]) -> None:
+    """``--out`` and ``--csv`` of the function on ``grid`` whose values
+    ``slabs()`` gives as consecutive slices of axis 0, walked once per file."""
     if getattr(args, "out", None):
-        _write_text(args.out, formats.write_grid_function(out))
+        _write_text(args.out, formats.grid_function_blocks(grid, slabs()))
     if getattr(args, "csv", None):
-        _write_text(args.csv, formats.export_csv(out))
+        _write_text(args.csv, formats.csv_blocks(grid, slabs()))
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -114,7 +119,7 @@ def cmd_factorize(args) -> int:
     print(f"residual {_g(fact.residual)}")
     print(f"det-L {_g(np.linalg.det(fact.L))}")
     if args.out:
-        _write_text(args.out, formats.write_dj(fact))
+        _write_text(args.out, [formats.write_dj(fact)])
     return 0
 
 
@@ -139,7 +144,7 @@ def cmd_apply(args) -> int:
     print(f"d {f.grid.d}")
     print(f"l2-in {_g(lp_norm(f, 2.0))}")
     print(f"l2-out {_g(lp_norm(out, 2.0))}")
-    _maybe_write_function(args, out)
+    _maybe_write_function(args, out.grid, lambda: (out.values,))
     return 0
 
 
@@ -151,11 +156,11 @@ def cmd_wigner(args) -> int:
         window = f
     else:
         window = GaussianChirp.standard(f.grid.d).sample(f.grid)
-    dist = {"wigner": wigner, "stft": stft, "rihacek": rihacek}[args.kind](f, window)
+    grid, l2, slabs = streamed_distribution(args.kind, f, window)
     print(f"kind {args.kind}")
-    print("shape " + " ".join(str(n) for n in dist.grid.shape))
-    print(f"l2 {_g(lp_norm(dist, 2.0))}")
-    _maybe_write_function(args, dist)
+    print("shape " + " ".join(str(n) for n in grid.shape))
+    print(f"l2 {_g(l2)}")
+    _maybe_write_function(args, grid, slabs)
     return 0
 
 
@@ -171,7 +176,7 @@ def cmd_quantize(args) -> int:
     if args.signal:
         f = _load_signal(args.signal)
         out = opA_apply(K, f)
-    defect = float(np.linalg.norm(K - K.conj().T) / max(np.linalg.norm(K), 1e-300))
+    defect = float(np.linalg.norm(_hermitian_defect(K)) / max(np.linalg.norm(K), 1e-300))
     tr = complex(np.trace(K))
     print(f"points {K.shape[0]}")
     print(f"trace {_g(tr.real)} {_g(tr.imag)}")
@@ -179,8 +184,15 @@ def cmd_quantize(args) -> int:
     if args.signal:
         print(f"l2-in {_g(lp_norm(f, 2.0))}")
         print(f"l2-out {_g(lp_norm(out, 2.0))}")
-        _maybe_write_function(args, out)
+        _maybe_write_function(args, out.grid, lambda: (out.values,))
     return 0
+
+
+def _hermitian_defect(K: np.ndarray) -> np.ndarray:
+    """K - K^H, the elements of ``K - K.conj().T`` in a fresh C-ordered
+    array, with no second n x n temporary."""
+    defect = np.conjugate(K.T, order="C")
+    return np.subtract(K, defect, out=defect)
 
 
 def cmd_probe(args) -> int:
@@ -207,7 +219,7 @@ def cmd_probe(args) -> int:
     text = formats.write_probe_report(report)
     print(text, end="")
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, [text])
     return 0
 
 
@@ -220,7 +232,7 @@ def cmd_sample(args) -> int:
     if args.shift or args.mod:
         chirp = chirp.tf_shift(args.shift * np.ones(args.d), args.mod * np.ones(args.d))
     f = chirp.sample(grid)
-    _write_text(args.out, formats.write_grid_function(f))
+    _write_text(args.out, formats.grid_function_blocks(grid, (f.values,)))
     print(f"wrote {args.out}")
     print("shape " + " ".join(str(n) for n in grid.shape))
     print(f"step {_g(grid.axes[0].step)}")

@@ -3,7 +3,11 @@
 Every format is line based, starts with a ``<kind> v1`` header, ignores
 blank lines and ``#`` comments, and round-trips through ``repr``-exact
 floats.  Parse errors carry the 1-based line number of the offending line.
-The writers format their float tables one block of lines at a time.
+The writers format their float tables one block of lines at a time.  The
+sampled-function writers are generators of those blocks
+(``grid_function_blocks``, ``csv_blocks``) fed with consecutive slices of
+axis 0 of the values, so a caller that writes each block as it comes never
+holds the whole text; ``write_grid_function`` and ``export_csv`` join them.
 
 * ``symplectic-matrix v1`` — ``d <int>``, optional ``label <text>``, then
   2d ``row`` lines of 2d entries each.
@@ -11,10 +15,11 @@ The writers format their float tables one block of lines at a time.
   ``values`` marker, then one ``<re> <im>`` line per sample in C order.
   A values block in the writer's own shape (ASCII digits, ``.+-eE``, one
   space and a final newline on each of exactly the declared number of
-  lines) is checked and converted by numpy one block of lines at a time;
-  every other block (comments, blank lines, other whitespace,
-  ``inf``/``nan``, any error) goes through the line-by-line parser, the
-  only parser that reports errors.
+  lines) is checked and converted by numpy one block of about 1 MB of text
+  at a time, read from the file as it goes when the parser is given an open
+  file; every other layout (comments, blank lines, other whitespace,
+  ``inf``/``nan``, any error) is read whole into the line-by-line parser,
+  the only parser that reports errors.
 * ``dj-factorization v1``  — ``d``, ``subset`` (1-based members or ``-``),
   ``residual``, then ``Q``/``L``/``P`` sections of ``row`` lines.
 * ``probe-report v1``      — write-only summary of a probe run.
@@ -25,7 +30,8 @@ The writers format their float tables one block of lines at a time.
 from __future__ import annotations
 
 import math
-from typing import Callable, TypeVar
+import os
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
@@ -170,17 +176,36 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def write_grid_function(f: GridFunction) -> str:
-    axes = [f"axis {ax.n} {float(ax.step)!r}\n" for ax in f.grid.axes]
-    pairs = f.values.reshape(-1, 1).view(float)
-    return "".join(["grid-function v1\n", f"d {f.grid.d}\n", *axes, "values\n", *_rows(pairs, "%r %r\n")])
+    return "".join(grid_function_blocks(f.grid, (f.values,)))
 
 
-def parse_grid_function(text: str) -> GridFunction:
+def grid_function_blocks(grid: Grid, slabs: Iterable[np.ndarray]) -> Iterator[str]:
+    """The text of a ``grid-function v1`` file on ``grid``, one block at a
+    time: the header, then the value lines of each of ``slabs``, the
+    values' consecutive slices of axis 0 in order."""
+    axes = [f"axis {ax.n} {float(ax.step)!r}\n" for ax in grid.axes]
+    yield "".join(["grid-function v1\n", f"d {grid.d}\n", *axes, "values\n"])
+    for slab in slabs:
+        yield from _rows(slab.reshape(-1, 1).view(float), "%r %r\n")
+
+
+def parse_grid_function(source: str | TextIO) -> GridFunction:
+    """The sampled function in a ``grid-function v1`` text, given whole or as
+    a text file open at its start.  A file whose values are not in the
+    writer's shape is read again, whole, by the line parser."""
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()  # a pipe cannot be read a second time
+    start = None if isinstance(source, str) else source.tell()
     try:
-        f = _parse_written_block(text)
+        f = _parse_written_block(source)
     except ValueError:
         f = None
-    return _parse_grid_lines(text) if f is None else f
+    if f is not None:
+        return f
+    if start is not None:
+        source.seek(start)
+        source = source.read()
+    return _parse_grid_lines(source)
 
 
 def _grid_header(lines: _Lines) -> Grid:
@@ -234,29 +259,63 @@ def _rows(cells: np.ndarray, row: str):
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _parse_written_block(text: str) -> GridFunction | None:
+def _values_source(source: str | TextIO) -> tuple[str, int, Iterator[str]] | None:
+    """The header of a grid-function text through its first ``values`` line
+    after the first line, a bound on the number of characters after it, and
+    those characters in blocks that end at the first newline ``64 *
+    _BLOCK_LINES`` characters or more into the block (the last block may end
+    without one); None when there is no such line."""
+    if isinstance(source, str):
+        cut = source.find(_VALUES_MARKER) + len(_VALUES_MARKER)
+        if cut < len(_VALUES_MARKER):
+            return None
+
+        def blocks():
+            start = cut
+            while start < len(source):
+                stop = source.find("\n", start + 64 * _BLOCK_LINES) + 1 or len(source)
+                yield source[start:stop]
+                start = stop
+
+        return source[:cut], len(source) - cut, blocks()
+    lines = []
+    for line in iter(source.readline, ""):
+        lines.append(line)
+        if line == "values\n" and len(lines) > 1:
+            break
+    else:
+        return None
+    header = "".join(lines)
+    # a character takes at least one byte of the file
+    rest = os.fstat(source.fileno()).st_size - len(header)
+    reads = iter(lambda: source.read(64 * _BLOCK_LINES), "")
+    return header, rest, (block + source.readline() for block in reads)
+
+
+def _parse_written_block(source: str | TextIO) -> GridFunction | None:
     """The values block in the writer's shape, checked and converted one block
     at a time; None for any other layout (the caller then parses by line)."""
-    if not text.isascii():
+    found = _values_source(source)
+    if found is None:
         return None
-    cut = text.find(_VALUES_MARKER) + len(_VALUES_MARKER)
-    if cut < len(_VALUES_MARKER):
+    header, rest, blocks = found
+    if not header.isascii():
         return None
-    lines = _Lines(text[:cut])
+    lines = _Lines(header)
     grid = _grid_header(lines)
     if not lines.done():
         return None
     count = math.prod(grid.shape)
     # the header alone may declare more samples than memory holds: a value line takes >= 4 characters
-    if 4 * count > len(text) - cut:
+    if 4 * count > rest:
         return None
     flat = np.empty(count, dtype=complex)
     pairs = flat.view(float)  # writing re/im through the float view keeps -0.0
-    done, start = 0, cut
-    while start < len(text):
-        stop = text.find("\n", start + 64 * _BLOCK_LINES) + 1 or len(text)
-        block = text[start:stop]
-        raw = block.encode("ascii")  # ASCII: byte offsets are character offsets
+    done = 0
+    for block in blocks:
+        # a non-ASCII block raises UnicodeEncodeError, a ValueError; in ASCII
+        # byte offsets are character offsets
+        raw = block.encode("ascii")
         codes = np.frombuffer(raw, dtype=np.uint8)
         ends, gaps = np.flatnonzero(codes == ord("\n")), np.flatnonzero(codes == ord(" "))
         # allowed bytes, and "<tok> <tok>\n" on every line: each space lies strictly inside its line
@@ -269,7 +328,7 @@ def _parse_written_block(text: str) -> GridFunction | None:
         ):
             return None
         pairs[2 * done : 2 * (done + len(ends))] = np.array(block.split(), dtype=float)
-        done, start = done + len(ends), stop
+        done += len(ends)
     return GridFunction(grid, flat.reshape(grid.shape)) if done == count else None
 
 
@@ -322,10 +381,21 @@ def write_probe_report(report) -> str:
 
 def export_csv(f: GridFunction) -> str:
     """Flatten a sampled function to ``x1, ..., xd, re, im, abs`` CSV rows."""
-    header = ",".join([f"x{i + 1}" for i in range(f.grid.d)] + ["re", "im", "abs"])
-    v = f.values.ravel()
-    # np.hypot rounds as the scalar abs of a complex value does; the array
-    # np.abs may differ in the last bit
-    columns = [m.ravel() for m in f.grid.meshgrid()] + [v.real, v.imag, np.hypot(v.real, v.imag)]
-    row = ",".join(["%.12g"] * len(columns)) + "\n"
-    return "".join([header + "\n", *_rows(np.column_stack(columns), row)])
+    return "".join(csv_blocks(f.grid, (f.values,)))
+
+
+def csv_blocks(grid: Grid, slabs: Iterable[np.ndarray]) -> Iterator[str]:
+    """The text of :func:`export_csv` for a function on ``grid``, one block at
+    a time, from the values' consecutive slices of axis 0 in order."""
+    yield ",".join([f"x{i + 1}" for i in range(grid.d)] + ["re", "im", "abs"]) + "\n"
+    row = ",".join(["%.12g"] * (grid.d + 3)) + "\n"
+    points = [ax.points() for ax in grid.axes]
+    first = 0
+    for slab in slabs:
+        mesh = np.meshgrid(points[0][first : first + len(slab)], *points[1:], indexing="ij")
+        first += len(slab)
+        v = slab.ravel()
+        # np.hypot rounds as the scalar abs of a complex value does; the array
+        # np.abs may differ in the last bit
+        columns = [m.ravel() for m in mesh] + [v.real, v.imag, np.hypot(v.real, v.imag)]
+        yield from _rows(np.column_stack(columns), row)

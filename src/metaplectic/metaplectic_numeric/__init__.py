@@ -27,6 +27,7 @@ from .distributions import (
     rihacek_projection,
     stft,
     stft_projection,
+    streamed_distribution,
     tensor_with_conj,
     wigner,
     wigner_metaplectic,
@@ -58,6 +59,7 @@ __all__ = [
     "rihacek_projection",
     "stft",
     "stft_projection",
+    "streamed_distribution",
     "tensor_with_conj",
     "tf_shift",
     "wigner",

@@ -24,18 +24,21 @@ k rows goes into views of their first k rows).  The gather, the product,
 the transform and the Rihaczek phase table all go into the set, and the
 slab returned is a view of it.  ``wigner``, ``stft`` and ``rihacek`` call
 the builder with all rows and a whole-size set, which
-``MAX_DISTRIBUTION_POINTS`` caps; ``distribution_norm`` and ``mp_norm``
-call it slab by slab (``grid.row_slabs``: at least ``grid.SLAB_BYTES`` of
-entries per slab, leftover rows in the last), so their memory is a few
-slabs instead of n^(2d) points.  The slabs are built on the worker threads
-(``grid.worker_map``).  Each call of ``_streamed_norm`` keeps a free list
-of sets of its longest slab: a worker pops a set (or makes one), builds
-its slab in it, takes |f|^p there (``grid.slab_powers``) and pushes the
-set back, so no two slabs share a set and none outlives the call.  Only
-the powers reach the calling thread, which adds them up in row order
+``MAX_DISTRIBUTION_POINTS`` caps.  Everything else walks the x-row slabs
+(``grid.row_slabs``: at least ``grid.SLAB_BYTES`` of entries per slab,
+leftover rows in the last) through one walk, ``_slab_walk``, so its memory
+is a few slabs instead of n^(2d) points: ``distribution_norm`` and
+``mp_norm``, and ``streamed_distribution``, which gives a writer the norm
+and then copies of the slabs.  The walk builds the slabs on the worker
+threads (``grid.worker_map``) and keeps a free list of sets of its longest
+slab: a worker pops a set (or makes one), builds its slab in it, runs the
+walk's per-slab function there (for a norm, |f|^p: ``grid.slab_powers``)
+and pushes the set back, so no two slabs share a set and none outlives the
+walk.  Only what the per-slab function returns reaches the calling thread,
+which, for a norm, adds the powers up in row order
 (``grid.reduce_powers``).  Slabs of about ``SLAB_BYTES`` are built up to
 two ahead of it; larger ones (one x-row of n^3 points at d = 2) one at a
-time, so that the norm holds no more of them than a serial loop would.
+time, so that a walk holds no more of them than a serial loop would.
 
 The Wigner and STFT rows read the signals through read-only strided views:
 every read is a Toeplitz or Hankel pattern in (x-row j, column k), so once
@@ -70,6 +73,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -86,7 +90,8 @@ from .grid import reduce_powers, slab_powers, worker_map
 from .operators import apply_metaplectic
 
 
-#: refuse to build a whole distribution (or tensor) beyond this many points
+#: refuse to build a whole distribution (or tensor), or to stream one out,
+#: beyond this many points
 MAX_DISTRIBUTION_POINTS = 2**26
 
 #: numpy's temporary-elision size: from here on, ``a * <temporary>`` runs in
@@ -194,23 +199,29 @@ def _whole(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(grid, build(slice(None), _row_buffers(grid, grid.shape[0])))
 
 
-def _streamed_norm(kind: str, f: GridFunction, g: GridFunction, p: float, q: float | None) -> float:
-    _check_same_grid(f, g)
-    grid, build = _ROW_BUILDERS[kind](f, g)
+def _slab_walk(grid: Grid, build, each: Callable) -> Iterator:
+    """``each(slab)`` for the x-row slabs (``grid.row_slabs``) of the
+    distribution on ``grid`` that ``build`` writes, in row order, each slab
+    built and handed to ``each`` on a worker thread (``grid.worker_map``);
+    close the iterator to stop early.
+
+    A slab is a view of a buffer set that another slab reuses once ``each``
+    returns, so ``each`` must not keep it.
+    """
     slabs = row_slabs(grid)
     longest = max(rows.stop - rows.start for rows in slabs)
     # buffer sets of the longest slab, made as the workers first need them:
-    # a worker pops one, builds its slab and takes the powers in it, and
-    # pushes it back, so no two slabs share a set and none outlives the call
+    # a worker pops one, builds its slab and runs ``each`` in it, and pushes
+    # it back, so no two slabs share a set and none outlives the walk
     free = []
 
-    def powers(rows: slice):
+    def run(rows: slice):
         try:
             buffers = free.pop()
         except IndexError:
             buffers = _row_buffers(grid, longest)
         try:
-            return slab_powers(build(rows, buffers), grid, p, q)
+            return each(build(rows, buffers))
         finally:
             free.append(buffers)
 
@@ -219,8 +230,36 @@ def _streamed_norm(kind: str, f: GridFunction, g: GridFunction, p: float, q: flo
     # points at d = 2 (32 MiB at n = 128), and such slabs are built one at
     # a time, as a serial loop holds them
     ahead = MAX_WORKERS if 16 * math.prod(grid.shape[1:]) <= SLAB_BYTES else 1
-    with contextlib.closing(worker_map(powers, slabs, ahead)) as parts:
+    return worker_map(run, slabs, ahead)
+
+
+def _streamed_norm(kind: str, f: GridFunction, g: GridFunction, p: float, q: float | None) -> float:
+    _check_same_grid(f, g)
+    grid, build = _ROW_BUILDERS[kind](f, g)
+    powers = _slab_walk(grid, build, lambda slab: slab_powers(slab, grid, p, q))
+    with contextlib.closing(powers) as parts:
         return reduce_powers(parts, grid, p, q)
+
+
+def streamed_distribution(
+    kind: str, f: GridFunction, g: GridFunction
+) -> tuple[Grid, float, Callable[[], Iterator[np.ndarray]]]:
+    """The classical distribution ``kind`` (``"wigner"``, ``"stft"`` or
+    ``"rihacek"``) of (f, g), for a caller that writes it out without
+    building it whole: its grid, its L^2 norm, and a function whose every
+    call walks its x-row slabs again, yielding a copy of each in row order.
+
+    The norm is the streamed one of ``distribution_norm``, bit-equal to
+    ``lp_norm`` of the whole array, and the copies are the rows of
+    ``wigner``, ``stft`` or ``rihacek`` bit for bit.  The whole builders'
+    point cap holds here too: past ``MAX_DISTRIBUTION_POINTS`` this raises
+    before it builds anything.
+    """
+    _check_same_grid(f, g)
+    _check_points(f"{kind} distribution", math.prod(f.grid.shape) ** 2)
+    grid, build = _ROW_BUILDERS[kind](f, g)
+    l2 = _streamed_norm(kind, f, g, 2.0, None)
+    return grid, l2, lambda: _slab_walk(grid, build, np.copy)
 
 
 def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:

@@ -6,10 +6,10 @@ closed-form Gaussian integrals.  None of it calls into the package's
 FFT-based fast paths, so agreement between the two is evidence of
 correctness rather than a tautology.  The exceptions are the slow exact
 forms that a fast path must match bit for bit: ``dense_axis_scale``, the
-whole-kernel form of the per-axis rescaling, which shares the package's
-spectrum; ``blocked_axis_scales``, the same rescaling with every kernel
-entry an exp of its own, in the package's blocks of rows, for several
-block sizes from one pass over the kernel;
+whole-kernel form of the per-axis rescaling (kernel ``dense_kernel``),
+which shares the package's spectrum; ``blocked_axis_scales``, the same
+rescaling with every kernel entry an exp of its own, in the package's
+blocks of rows, for several block sizes from one pass over the kernel;
 ``looped_centered_dft``, the transform as one shift, FFT, shift and scaling
 per axis; ``gathered_rows``, the Wigner and STFT rows by index gathers and
 the Rihaczek rows with an exp per entry;
@@ -45,6 +45,7 @@ import numpy as np
 
 from metaplectic.metaplectic_numeric.gaussian import GaussianChirp
 from metaplectic.metaplectic_numeric.grid import (
+    Axis,
     Grid,
     GridFunction,
     centered_dft,
@@ -236,18 +237,30 @@ def free_apply_direct(S: SymplecticMatrix, f: GridFunction) -> GridFunction:
 # per-axis rescaling with the whole synthesis kernel
 
 
+def dense_kernel(ax: Axis, a: float) -> np.ndarray:
+    """The whole n x n synthesis kernel exp(2 pi i a x_k xi_m) * step, built
+    in place in one complex n x n array (256 MB at n = 4096, where the one
+    expression ``np.exp(2j * math.pi * np.outer(...)) * step`` held about
+    four).  Each step runs the loop of that expression on the same operands,
+    the real products cast to complex first, so the bytes are its bytes."""
+    dual = ax.dual()
+    kernel = np.empty((ax.n, dual.n), dtype=complex)
+    np.multiply.outer(a * ax.points(), dual.points(), out=kernel)
+    np.multiply(2j * math.pi, kernel, out=kernel)
+    np.exp(kernel, out=kernel)
+    kernel *= dual.step
+    return kernel
+
+
 def dense_axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     """|a|^{1/2} f(a x) along one axis by the product with the whole n x n
-    synthesis kernel exp(2 pi i a x_k xi_m) * step (a != +-1).
+    synthesis kernel (``dense_kernel``, a != +-1).
 
-    This is the rescaling's dense kernel as one array (its n x n
-    temporaries peak at 512 MB at n = 4096); the package builds it in blocks
-    of rows and must match this bit for bit.
+    This is the rescaling's dense kernel as one array; the package builds it
+    in blocks of rows and must match this bit for bit.
     """
-    ax = f.grid.axes[axis]
     spec = centered_dft(f.values, f.grid, (axis,))
-    dual = ax.dual()
-    kernel = np.exp(2j * math.pi * np.outer(a * ax.points(), dual.points())) * dual.step
+    kernel = dense_kernel(f.grid.axes[axis], a)
     vals = np.moveaxis(spec, axis, -1) @ kernel.T
     return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
 

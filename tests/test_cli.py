@@ -5,14 +5,17 @@ are part of the contract (0 success, 2 invalid input, 3 tolerance
 ambiguity; output byte-stable across repeated runs).
 """
 
+import gc
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from metaplectic.cli import _write_text, main
+from metaplectic.cli import _hermitian_defect, _write_text, main
 from metaplectic.io import (
+    export_csv,
     parse_dj,
     parse_grid_function,
     write_grid_function,
@@ -20,11 +23,18 @@ from metaplectic.io import (
 )
 from metaplectic.metaplectic_numeric import (
     Axis,
+    GaussianChirp,
     Grid,
     GridFunction,
+    lp_norm,
+    rihacek,
     rihacek_projection,
+    stft,
+    wigner,
     wigner_projection,
 )
+from metaplectic.metaplectic_numeric import grid as grid_module
+from metaplectic.metaplectic_numeric.grid import row_slabs
 from metaplectic.symplectic_core import (
     multiplier_block,
     random_symplectic,
@@ -212,13 +222,68 @@ def test_sample_reports_poor_decay(tmp_path, capsys):
 
 
 def test_written_files_are_the_text_across_write_slices(tmp_path):
-    # 2.5 MiB in 1 MiB slices, a two-byte character on each slice boundary
-    text = "".join(["a" * ((1 << 20) - 1), "é", "b" * ((1 << 20) - 1), "é", "c" * (1 << 19)])
+    # the blocks are written one by one, two-byte characters at their ends
+    blocks = ["a" * ((1 << 20) - 1) + "é", "é" + "b" * ((1 << 20) - 1), "", "c" * (1 << 19)]
     path = tmp_path / "big.txt"
-    _write_text(str(path), text)
-    assert path.read_bytes() == text.encode("utf-8")
-    _write_text(str(path), "")
+    _write_text(str(path), iter(blocks))
+    assert path.read_bytes() == "".join(blocks).encode("utf-8")
+    _write_text(str(path), iter([]))
     assert path.read_bytes() == b""
+
+
+# id: (grid of the signal, whether a --window file is given)
+WIGNER_FILE_CASES = {
+    "d1-selfdual": (Grid.selfdual(1, 64), False),
+    "d1-50-points": (Grid((Axis(50, 0.11),)), False),
+    "d1-window": (Grid.selfdual(1, 64), True),
+    "d2-selfdual": (Grid.selfdual(2, 8), False),
+    "d2-mixed-steps-window": (Grid((Axis(8, 0.3), Axis(6, 0.45))), True),
+}
+
+
+@pytest.mark.parametrize("case", WIGNER_FILE_CASES)
+@pytest.mark.parametrize("kind", ["wigner", "stft", "rihacek"])
+def test_wigner_files_bitwise_equal_the_whole_distribution_writers(tmp_path, capsys, monkeypatch, kind, case):
+    # the verb writes its files from x-row slabs, built again for each file;
+    # 4 KiB slabs cut every case into several, with leftover rows at n = 50
+    monkeypatch.setattr(grid_module, "SLAB_BYTES", 4096)
+    grid, windowed = WIGNER_FILE_CASES[case]
+    rng = np.random.default_rng(22)
+    f, g = (GridFunction(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)) for _ in range(2))
+    sig, win, out, csv = (tmp_path / name for name in ("sig.gf", "win.gf", "W.gf", "W.csv"))
+    _write_text(str(sig), [write_grid_function(f)])
+    argv = ["wigner", str(sig), "--kind", kind, "--out", str(out), "--csv", str(csv)]
+    if windowed:
+        _write_text(str(win), [write_grid_function(g)])
+        argv += ["--window", str(win)]
+    else:
+        g = f if kind == "wigner" else GaussianChirp.standard(grid.d).sample(grid)
+    assert main(argv) == 0
+    whole = {"wigner": wigner, "stft": stft, "rihacek": rihacek}[kind](f, g)
+    assert len(row_slabs(whole.grid)) > 2
+    shape = " ".join(str(n) for n in whole.grid.shape)
+    assert capsys.readouterr().out == f"kind {kind}\nshape {shape}\nl2 {lp_norm(whole, 2.0):.12g}\n"
+    assert out.read_bytes() == write_grid_function(whole).encode()
+    assert csv.read_bytes() == export_csv(whole).encode()
+
+
+def test_wigner_out_peak_stays_at_a_few_slabs(tmp_path, capsys):
+    # n = 512: the distribution is 4 MiB and its text about 12 MB, and a
+    # whole build written from one string takes about 27 MiB.  The verb holds
+    # the norm's two buffer sets of 1 MiB slabs, then the writer's, a few
+    # slab copies and one block of text
+    sig, out = tmp_path / "sig.gf", tmp_path / "W.gf"
+    assert main(["sample", "--n", "512", "--lam", "1.2", "--out", str(sig)]) == 0
+    capsys.readouterr()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["wigner", str(sig), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 10 * 2**20
+    assert peak < 3 * 16 * 512**2
 
 
 def test_wigner_kinds_and_csv(tmp_path, capsys):
@@ -288,6 +353,19 @@ def test_quantize_on_a_signal_of_the_wrong_grid_prints_nothing(tmp_path, capsys)
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: operator is (8, 8), signal has 6 points\n"
+
+
+def test_hermitian_defect_bitwise_equals_the_two_temporary_expression():
+    # quantize prints the norm of K - K^H, now from one n x n temporary
+    rng = np.random.default_rng(21)
+    for n in (1, 5, 64, 300):
+        K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        kept = K.copy()
+        old = K - K.conj().T
+        new = _hermitian_defect(K)
+        assert new.flags.c_contiguous and new.tobytes() == old.tobytes()
+        assert float(np.linalg.norm(new)).hex() == float(np.linalg.norm(old)).hex()
+        assert K.tobytes() == kept.tobytes()
 
 
 def test_quantize_rejects_odd_symbol(tmp_path, capsys):

@@ -8,6 +8,7 @@ goes through the line-by-line parser, and the two must agree on every input.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,9 @@ import metaplectic.io
 from metaplectic.io import (
     _parse_grid_lines,
     _parse_written_block,
+    csv_blocks,
     export_csv,
+    grid_function_blocks,
     parse_dj,
     parse_grid_function,
     parse_matrix,
@@ -464,3 +467,133 @@ def test_export_csv_is_block_independent(monkeypatch, block_lines):
         GridFunction(Grid((Axis(_SPECIAL.size**2, 1.0),)), _special_pairs()),
     ):
         assert export_csv(f) == rowwise_export_csv(f)
+
+
+@pytest.mark.parametrize("rows_per_slab", [1, 3, 8])
+def test_block_writers_of_any_row_cut_equal_the_whole_writers(rows_per_slab):
+    # the CLI feeds the writers a distribution's x-row slabs one at a time
+    for f in (
+        GridFunction(Grid((Axis(8, 0.5), Axis(6, 1.0 / 3.0))), _random_complex(3, (8, 6), 1e-200, 1e200)),
+        GridFunction(Grid((Axis(_SPECIAL.size**2, 1.0),)), _special_pairs()),
+    ):
+        n = f.grid.shape[0]
+        slabs = [f.values[i : i + rows_per_slab] for i in range(0, n, rows_per_slab)]
+        assert "".join(grid_function_blocks(f.grid, slabs)) == looped_write_grid_function(f)
+        assert "".join(csv_blocks(f.grid, slabs)) == rowwise_export_csv(f)
+
+
+# -- parsing from an open file ------------------------------------------------------
+
+#: components the streamed parse must carry bit for bit: signed zeros,
+#: subnormals, 17-digit values and the extremes
+STREAM_PARTS = [
+    -0.0, 0.0, 5e-324, -2.2250738585072e-310, 0.30000000000000004, -1.2345678901234567e-300,
+    MAX_FLOAT, -1.7976931348623155e308, 2.220446049250313e-16, 123456789.01234567,
+]
+
+
+def _parse_file(path):
+    with open(path, encoding="utf-8") as fh:
+        return parse_grid_function(fh)
+
+
+def _file_outcome(path):
+    """The file parsed from disk: values as bytes, or the error text."""
+    try:
+        return _parse_file(path).values.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("second", range(len(STREAM_PARTS) // 2))
+def test_streamed_parse_bitwise_equals_the_whole_text_parse(tmp_path, monkeypatch, second):
+    # blocks of 64 characters, each ending at the first newline after that.
+    # The first value line, "-0.<pad zeros> 0.0", takes 8 + pad characters,
+    # so pads 0-63 put the read boundary at every position of the second
+    # value line (its characters, its space and its newline); each pair of
+    # STREAM_PARTS takes that line once
+    monkeypatch.setattr(metaplectic.io, "_BLOCK_LINES", 1)
+    parts = np.resize(np.roll(STREAM_PARTS, -2 * second), 2 * 24)
+    parts[:2] = -0.0, 0.0
+    f = GridFunction(Grid((Axis(6, 0.25), Axis(4, 0.5))), parts.view(complex).reshape(6, 4))
+    lines = write_grid_function(f).splitlines(keepends=True)
+    first = lines.index("values\n") + 1
+    assert lines[first] == "-0.0 0.0\n" and len(lines[first + 1]) < 57
+    path = tmp_path / "f.gf"
+    for pad in range(64):
+        lines[first] = "-0." + "0" * pad + " 0.0\n"
+        text = "".join(lines)
+        path.write_text(text)
+        with open(path, encoding="utf-8") as fh:
+            streamed = _parse_written_block(fh)
+        assert streamed is not None, pad
+        assert streamed.values.tobytes() == _parse_grid_lines(text).values.tobytes() == f.values.tobytes(), pad
+        assert _parse_file(path).values.tobytes() == f.values.tobytes(), pad
+
+
+def _lines_file(count, last):
+    """A 1-D grid-function text of ``count`` value lines, the last one ``last``."""
+    values = "".join(f"{k / 7!r} {-k / 3!r}\n" for k in range(count - 1))
+    return f"grid-function v1\nd 1\naxis {count} 0.5\nvalues\n{values}{last}"
+
+
+# id: (text, the line parser's error, or None when the text parses)
+STREAM_ERRORS = {
+    "malformed-last-line": (_lines_file(3000, "1.0 x\n"), "line 3004: value entries must be numbers"),
+    "short-last-line": (_lines_file(3000, "1.0\n"), "line 3004: expected '<re> <im>', got '1.0'"),
+    "crlf": (_lines_file(3000, "1.0 2.0\n").replace("\n", "\r\n"), None),
+    "crlf-malformed": (_lines_file(3000, "1.0 2.0 3.0\n").replace("\n", "\r\n"), "line 3004: expected"),
+    "non-ascii-comment-in-last-block": (_lines_file(3000, "# é\n1.0 2.0\n"), None),
+    "non-ascii-digit": (_lines_file(3000, "1.0 ２\n"), None),
+    "non-ascii-malformed": (_lines_file(3000, "1.0 é\n"), "line 3004: value entries must be numbers"),
+    "header-exceeds-file": (
+        "grid-function v1\nd 2\naxis 4000000 1\naxis 4000000 1\nvalues\n0 0\n",
+        "line 7: unexpected end of input (expected 'a value line')",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, error", STREAM_ERRORS.values(), ids=STREAM_ERRORS.keys())
+def test_a_file_parses_as_its_whole_text(tmp_path, monkeypatch, text, error):
+    # a file that leaves the writer's shape in its last block is read again,
+    # whole, by the line parser: the same values, or the same error and line.
+    # Blocks of about 1 KiB: the 3000 value lines take about 100
+    monkeypatch.setattr(metaplectic.io, "_BLOCK_LINES", 16)
+    path = tmp_path / "f.gf"
+    path.write_bytes(text.encode("utf-8"))
+    whole = path.read_text(encoding="utf-8")
+    outcome = _file_outcome(path)
+    assert outcome == _outcome(_parse_grid_lines, whole)
+    if error is None:
+        assert isinstance(outcome, bytes)
+    else:
+        assert outcome.startswith(error)
+
+
+def test_a_pipe_parses_as_its_whole_text():
+    # a pipe cannot be read twice, so it is read whole before parsing
+    for text in (_lines_file(20, "1.0 2.0\n"), _lines_file(20, "1.0\n")):
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        with open(read_end, encoding="utf-8") as fh:
+            assert not fh.seekable()
+            try:
+                outcome = parse_grid_function(fh).values.tobytes()
+            except ValueError as exc:
+                outcome = str(exc)
+        assert outcome == _outcome(_parse_grid_lines, text)
+
+
+def test_a_header_larger_than_the_file_allocates_nothing(tmp_path):
+    # 2^28 declared samples would be a 4 GiB array; the file holds one line
+    path = tmp_path / "huge.gf"
+    path.write_text("grid-function v1\nd 2\naxis 16384 1\naxis 16384 1\nvalues\n0 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line 7: unexpected end of input"):
+            _parse_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

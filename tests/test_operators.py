@@ -1,6 +1,7 @@
 """Sampled operator stages against closed forms and the dense kernel oracle."""
 
 import functools
+import math
 import re
 import threading
 import tracemalloc
@@ -217,7 +218,14 @@ def _random_function(grid, seed):
 @pytest.mark.parametrize("n", [8, 64, 512, 4096])
 def test_rescale_apply_bitwise_equals_whole_kernel(n):
     f = _random_function(Grid.selfdual(1, n), n)
+    ax = f.grid.axes[0]
     for a in BITWISE_SCALES:
+        if n <= 512:
+            # the oracle builds its kernel in place; its bytes are the one
+            # expression's
+            dual = ax.dual()
+            one = np.exp(2j * math.pi * np.outer(a * ax.points(), dual.points())) * dual.step
+            assert oracles.dense_kernel(ax, a).tobytes() == one.tobytes(), a
         got = rescale_apply([[a]], f).values
         assert np.array_equal(got, oracles.dense_axis_scale(f, 0, a).values), a
 
