@@ -77,8 +77,15 @@ def _write_text(path: str, blocks: Iterable[str]) -> None:
         fh.writelines(blocks)
 
 
+def _load_matrix(path: str) -> np.ndarray:
+    mat = formats.parse_matrix(_read_text(path))
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{path}: matrix entries must be finite, found inf or nan")
+    return mat
+
+
 def _load_symplectic(path: str) -> SymplecticMatrix:
-    return SymplecticMatrix(formats.parse_matrix(_read_text(path)))
+    return SymplecticMatrix(_load_matrix(path))
 
 
 def _load_signal(path: str):
@@ -102,7 +109,7 @@ def _maybe_write_function(args, grid: Grid, slabs: Callable[[], Iterable[np.ndar
 
 
 def cmd_check(args) -> int:
-    mat = formats.parse_matrix(_read_text(args.matrix))
+    mat = _load_matrix(args.matrix)
     ok = is_symplectic(mat, args.tol)
     print(f"d {mat.shape[0] // 2}")
     print(f"residual {_g(symplectic_residual(mat))}")

@@ -17,9 +17,14 @@ lexicographically least set.  Given J the parameters are forced:
 
     L = X^{-1},   P = X^{-1} (B I_{J^c} - A I_J),   Q = (C I_{J^c} + D I_J) X^{-1}.
 
-The search is an ``lru_cache(maxsize=1)`` on the matrix's bytes, d and the
-resolved tolerance, and caches only the winning mask.  One entry serves the
-real repeats: ``shift_perturb``, ``admissible_shift_range`` and
+The subset masks of each d are built once per process, in that order, and
+kept read-only (1 MiB at d = 16).  Column j of X(J) is column j of A or of
+B, that is column j or d + j of [A | B], so each chunk of X(J) is one
+gather of the columns of [A | B] at indices read off the chunk's masks,
+and the determinants take it as a strided view.  The search is an
+``lru_cache(maxsize=1)`` on the matrix's bytes, d and the resolved
+tolerance, and caches only the winning mask.  One entry serves the real
+repeats: ``shift_perturb``, ``admissible_shift_range`` and
 ``wigner_split`` each factorize the matrix they are given.
 
 Specializations: ``free_factorize`` (B invertible, a three-generator form
@@ -54,13 +59,35 @@ def dj_compose(f: DJFactorization) -> SymplecticMatrix:
     return chirp_block(f.Q) @ dilation_block(f.L) @ multiplier_block(f.P) @ interchange(f.J)
 
 
-def _x_of(S: SymplecticMatrix, masks: np.ndarray) -> np.ndarray:
-    """X(J) of one mask, or the stack of X(J) of a stack of masks: column j
-    from B if j is in J, else from A.  Adding 0.0 turns each -0.0 into the
-    +0.0 that the projector products give."""
-    x = np.where(masks[..., None, :], S.B, S.A)
-    x += 0.0
-    return x
+@lru_cache(maxsize=None)
+def _subset_masks(d: int) -> np.ndarray:
+    """The read-only (2^d, d) boolean masks of every subset of {1..d}, by
+    cardinality and then lexicographically; built once per d."""
+    # code c holds coordinate j + 1 when bit d - 1 - j of c is set, so among
+    # the codes of one popcount, descending order is lexicographic order; no
+    # tuple of itertools.combinations is made, so only the table stays behind
+    codes = np.arange((1 << d) - 1, -1, -1, dtype=">u4")
+    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - d :]
+    masks = bits[np.argsort(bits.sum(axis=1), kind="stable")].astype(bool)
+    masks.flags.writeable = False
+    return masks
+
+
+def _columns(S: SymplecticMatrix) -> np.ndarray:
+    """The columns of [A | B] as the rows of a contiguous (2d, d) array.
+    Adding 0.0 turns each -0.0 into the +0.0 that the projector products
+    give."""
+    cols = S.mat[: S.d].T.copy()
+    cols += 0.0
+    return cols
+
+
+def _x_of(cols: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """X(J) of one mask, or the stack of X(J) of a stack of masks, from one
+    gather of ``_columns``: column j is column j of B if j is in J, else of
+    A.  The result is a transposed view of the gather."""
+    d = masks.shape[-1]
+    return cols[np.arange(d) + d * masks].swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=1)
@@ -70,23 +97,22 @@ def _search(mat: bytes, d: int, search_tol: float) -> np.ndarray:
     passes the singular-value verdict."""
     S = SymplecticMatrix(np.frombuffer(mat).reshape(2 * d, 2 * d), validate=False)
     _, scale = singular_extremes(S.mat)
-    masks = np.concatenate([IndexSet.size_masks(d, size) for size in range(d + 1)])
+    masks = _subset_masks(d)
+    cols = _columns(S)
     # a batched det decides each matrix alone, so chunks of about 1 MB of
     # X(J) give the same scores as one stack
     step = max(1, _DET_CHUNK_ENTRIES // (d * d))
     scores = np.concatenate(
-        [np.abs(np.linalg.det(_x_of(S, masks[i : i + step]))) for i in range(0, len(masks), step)]
+        [np.abs(np.linalg.det(_x_of(cols, masks[i : i + step]))) for i in range(0, len(masks), step)]
     )
     # the stable sort keeps the (cardinality, lexicographic) order among ties
     for k in np.argsort(-scores, kind="stable"):
-        if rel_invertible(_x_of(S, masks[k]), search_tol, scale):
-            mask = masks[k].copy()
-            mask.flags.writeable = False
-            return mask
+        if rel_invertible(_x_of(cols, masks[k]), search_tol, scale):
+            return masks[k]
     # an exactly symplectic S gets here when it is too ill-conditioned for
     # the cutoff: diag(1e-5, 1e5) has X(J) = 1e-5 or 0 against sigma_max 1e5
     best = max(
-        np.linalg.svd(_x_of(S, masks[i : i + step]), compute_uv=False)[:, -1].max()
+        np.linalg.svd(_x_of(cols, masks[i : i + step]), compute_uv=False)[:, -1].max()
         for i in range(0, len(masks), step)
     )
     raise ValueError(
@@ -109,7 +135,7 @@ def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorizati
     if d > MAX_SEARCH_DIM:
         raise ValueError(f"exhaustive index-set search supports d <= {MAX_SEARCH_DIM}, got d={d}")
     mask = _search(S.mat.tobytes(), d, resolve_tol(tol))
-    x = _x_of(S, mask)
+    x = _x_of(_columns(S), mask)
     L = np.linalg.inv(x)
     P = L @ (np.where(mask, -S.A, S.B) + 0.0)
     Q = (np.where(mask, S.D, S.C) + 0.0) @ L

@@ -24,18 +24,18 @@ def chirp_block(P) -> SymplecticMatrix:
     """Lower unipotent block matrix [[I, 0], [P, I]] for symmetric P."""
     P = require_symmetric(P, "chirp parameter P")
     d = P.shape[0]
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    return SymplecticMatrix(np.block([[eye, zero], [P, eye]]), validate=False)
+    mat = np.eye(2 * d)
+    mat[d:, :d] = P
+    return SymplecticMatrix(mat, validate=False)
 
 
 def multiplier_block(P) -> SymplecticMatrix:
     """Upper unipotent block matrix [[I, P], [0, I]] for symmetric P."""
     P = require_symmetric(P, "multiplier parameter P")
     d = P.shape[0]
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    return SymplecticMatrix(np.block([[eye, P], [zero, eye]]), validate=False)
+    mat = np.eye(2 * d)
+    mat[:d, d:] = P
+    return SymplecticMatrix(mat, validate=False)
 
 
 def dilation_block(L) -> SymplecticMatrix:
@@ -43,11 +43,15 @@ def dilation_block(L) -> SymplecticMatrix:
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"dilation parameter L must be square, got shape {L.shape}")
+    if not np.isfinite(L).all():
+        raise ValueError("dilation parameter L must be finite")
     if not rel_invertible(L):
         raise ValueError("dilation parameter L must be invertible")
     d = L.shape[0]
-    zero = np.zeros((d, d))
-    return SymplecticMatrix(np.block([[np.linalg.inv(L), zero], [zero, L.T]]), validate=False)
+    mat = np.zeros((2 * d, 2 * d))
+    mat[:d, :d] = np.linalg.inv(L)
+    mat[d:, d:] = L.T
+    return SymplecticMatrix(mat, validate=False)
 
 
 def interchange(J: IndexSet) -> SymplecticMatrix:
@@ -55,10 +59,19 @@ def interchange(J: IndexSet) -> SymplecticMatrix:
 
     [[I_{J^c}, I_J], [-I_J, I_{J^c}]]; for J = {1..d} this is the standard
     involution mapping (x, xi) -> (xi, -x).  Its inverse is its transpose.
+    Like the negated projector it is built from, the lower-left block holds
+    -0.0 wherever it does not hold -1.0.
     """
-    p = J.projector()
-    pc = J.complement().projector()
-    return SymplecticMatrix(np.block([[pc, p], [-p, pc]]), validate=False)
+    d = J.d
+    p = J.mask().astype(float)
+    pc = 1.0 - p
+    mat = np.zeros((2 * d, 2 * d))
+    mat[d:, :d] = -0.0
+    i = np.arange(d)
+    mat[i, i] = mat[d + i, d + i] = pc
+    mat[i, d + i] = p
+    mat[d + i, i] = -p
+    return SymplecticMatrix(mat, validate=False)
 
 
 def standard_involution(d: int) -> SymplecticMatrix:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -103,6 +103,15 @@ class SymplecticMatrix:
         return self.mat.astype(dtype)
 
 
+def _member(j) -> int:
+    """An index set member as a Python int; integers of any kind pass,
+    anything else (1.5, but also 1.0) is refused rather than truncated."""
+    try:
+        return operator.index(j)
+    except TypeError:
+        raise ValueError(f"index set members must be integers, got {j!r}") from None
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """A subset of coordinate indices {1, ..., d} (1-based, sorted)."""
@@ -113,7 +122,7 @@ class IndexSet:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be positive, got {self.d}")
-        mem = tuple(sorted(set(int(j) for j in self.members)))
+        mem = tuple(sorted(set(_member(j) for j in self.members)))
         if mem and (mem[0] < 1 or mem[-1] > self.d):
             raise ValueError(f"members {mem} out of range 1..{self.d}")
         object.__setattr__(self, "members", mem)
@@ -134,7 +143,9 @@ class IndexSet:
         return np.array([j - 1 for j in self.members], dtype=int)
 
     def mask(self) -> np.ndarray:
-        return np.isin(np.arange(1, self.d + 1), self.members)
+        mask = np.zeros(self.d, dtype=bool)
+        mask[self.positions()] = True
+        return mask
 
     def projector(self) -> np.ndarray:
         """Diagonal 0/1 matrix selecting the member coordinates."""
@@ -148,15 +159,6 @@ class IndexSet:
 
     def __contains__(self, j: int) -> bool:
         return j in self.members
-
-    @staticmethod
-    def size_masks(d: int, size: int) -> np.ndarray:
-        """The (C(d, size), d) boolean masks of the subsets of one cardinality,
-        in lexicographic order of their members."""
-        combos = np.array(list(itertools.combinations(range(d), size)), dtype=int)
-        masks = np.zeros((len(combos), d), dtype=bool)
-        np.put_along_axis(masks, combos.reshape(len(combos), size), True, axis=1)
-        return masks
 
 
 @dataclass(frozen=True)

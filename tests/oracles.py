@@ -15,6 +15,9 @@ per axis; ``gathered_rows``, the Wigner and STFT rows by index gathers and
 the Rihaczek rows with an exp per entry;
 ``scattered_wigner_adjoint``, the Wigner adjoint by an index scatter;
 ``looped_dj_factorize``, the interchange-set search one subset at a time;
+``where_x_stack``, the search's stack of X(J) by ``np.where``;
+``block_chirp``, ``block_multiplier``, ``block_dilation`` and
+``block_interchange``, the generators assembled by ``np.block``;
 ``direct_lp_norm``, the plain L^p norm as one expression on the whole
 array, with its own report of an ``np.abs`` overflow;
 ``looped_write_matrix``, ``looped_write_dj`` and
@@ -474,6 +477,45 @@ def looped_dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFact
     Q = (S.C @ pjc + S.D @ pj) @ L
     residual = float(np.linalg.norm(dj_compose(DJFactorization(Q, L, P, best)).mat - S.mat))
     return DJFactorization(Q, L, P, best, residual)
+
+
+def where_x_stack(S: SymplecticMatrix, masks: np.ndarray) -> np.ndarray:
+    """The contiguous stack of X(J) of a stack of masks (or X(J) of one
+    mask) by ``np.where``: column j from B if j is in J, else from A, each
+    -0.0 then turned into +0.0."""
+    x = np.where(masks[..., None, :], S.B, S.A)
+    x += 0.0
+    return x
+
+
+# --------------------------------------------------------------------------
+# the generators assembled by np.block
+
+
+def block_chirp(P: np.ndarray) -> np.ndarray:
+    """[[I, 0], [P, I]]."""
+    eye, zero = np.eye(len(P)), np.zeros(P.shape)
+    return np.block([[eye, zero], [P, eye]])
+
+
+def block_multiplier(P: np.ndarray) -> np.ndarray:
+    """[[I, P], [0, I]]."""
+    eye, zero = np.eye(len(P)), np.zeros(P.shape)
+    return np.block([[eye, P], [zero, eye]])
+
+
+def block_dilation(L: np.ndarray) -> np.ndarray:
+    """[[inv(L), 0], [0, L^T]]."""
+    zero = np.zeros(L.shape)
+    return np.block([[np.linalg.inv(L), zero], [zero, L.T]])
+
+
+def block_interchange(J: IndexSet) -> np.ndarray:
+    """[[I_{J^c}, I_J], [-I_J, I_{J^c}]] from the 0/1 projectors, so the
+    lower-left block holds -0.0 wherever it does not hold -1.0."""
+    p = np.diag([1.0 if j in J else 0.0 for j in range(1, J.d + 1)])
+    pc = np.eye(J.d) - p
+    return np.block([[pc, p], [-p, pc]])
 
 
 # --------------------------------------------------------------------------

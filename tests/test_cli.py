@@ -434,9 +434,11 @@ def test_non_finite_samples_are_exit_2(tmp_path, capsys, case, token):
 
 # -- failing runs ------------------------------------------------------------------
 
+_NON_FINITE = "matrix entries must be finite, found inf or nan"
+
 FAILING_RUNS = {
-    # argv around the files {I, J, T, R, H, W, Rh, big, b, Sy} and the file the
-    # run must not write
+    # argv around the files {I, J, T, R, H, W, Rh, big, b, Sy, Inf, NaN, E999}
+    # and the file the run must not write
     "sample-overflow": (["sample", "--n", "8", "--shift", "1e200", "--out", "{t}"], "overflow"),
     "apply-csv-overflow": (["apply", "{I}", "{big}", "--out", "{o}", "--csv", "{t}"], "overflow"),
     "wigner-overflow": (["wigner", "{b}", "--out", "{t}"], "overflow"),
@@ -500,6 +502,18 @@ FAILING_RUNS = {
         ["probe", "beckner", "{J}", "--p", "1.0005", "--lambdas", "1,2,4", "--out", "{t}"],
         "lp_norm of the output underflows to 0.0 at p = 1.0005, q = 2001",
     ),
+    # matrix files holding inf or nan (1e999 parses to inf): these used to
+    # fail with numpy's "invalid value encountered in matmul", and check on
+    # nan used to print a residual of nan
+    "check-inf": (["check", "{Inf}"], _NON_FINITE),
+    "check-nan": (["check", "{NaN}"], _NON_FINITE),
+    "check-1e999": (["check", "{E999}"], _NON_FINITE),
+    "factorize-inf": (["factorize", "{Inf}", "--out", "{t}"], _NON_FINITE),
+    "factorize-1e999": (["factorize", "{E999}", "--out", "{t}"], _NON_FINITE),
+    "classify-nan": (["classify", "{NaN}", "--p", "2"], _NON_FINITE),
+    "apply-inf": (["apply", "{Inf}", "{b}", "--out", "{t}"], _NON_FINITE),
+    "probe-nan": (["probe", "isometry", "{NaN}", "--p", "2", "--out", "{t}"], _NON_FINITE),
+    "quantize-matrix-1e999": (["quantize", "{Sy}", "--matrix", "{E999}"], _NON_FINITE),
 }
 
 
@@ -525,6 +539,10 @@ def test_a_failing_run_prints_one_error_line_and_nothing_on_stdout(tmp_path, cap
     files["Sy"] = str(tmp_path / "Sy.gf")
     symbol_grid = Grid((grid.axes[0], Axis(8, grid.axes[0].dual().step / 2.0)))
     _write_text(files["Sy"], write_grid_function(GridFunction(symbol_grid, np.ones((8, 8)))))
+    files["Inf"] = _matrix_file(tmp_path, np.diag([np.inf, 1.0]), "Inf.mat")
+    files["NaN"] = _matrix_file(tmp_path, [[1.0, np.nan], [0.0, 1.0]], "NaN.mat")
+    files["E999"] = str(tmp_path / "E999.mat")
+    _write_text(files["E999"], ["symplectic-matrix v1\nd 1\nrow 1e999 0.0\nrow 0.0 1.0\n"])
     argv, message = FAILING_RUNS[case]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

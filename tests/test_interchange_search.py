@@ -1,15 +1,17 @@
 """The interchange-set search of ``dj_factorize``, bit for bit.
 
-``dj_factorize`` scores every subset by |det X(J)|, one stack of X(J) per
-cardinality, and runs the singular-value verdict on one candidate at a time
-in descending score order.  The oracle ``looped_dj_factorize`` builds each
-X(J) from 0/1 projectors and decides it alone.  Both must choose the same J
-and give the same floats, compared by ``tobytes()``; the negated matrices
-hold -0.0 entries, and the ``vetoed-top`` matrices have a largest-|det|
-subset that fails the verdict at tol 1e-3.
+``dj_factorize`` scores every subset by |det X(J)|, in chunks of about
+1 MB of X(J) gathered from the columns of [A | B], and runs the
+singular-value verdict on one candidate at a time in descending score
+order.  The oracle ``looped_dj_factorize`` builds each X(J) from 0/1
+projectors and decides it alone.  Both must choose the same J and give the
+same floats, compared by ``tobytes()``; the negated matrices hold -0.0
+entries, and the ``vetoed-top`` matrices have a largest-|det| subset that
+fails the verdict at tol 1e-3.  Each gathered chunk must equal, byte for
+byte, the ``np.where`` stack of ``oracles.where_x_stack``.
 
-The search's one-entry memo is watched through ``IndexSet.size_masks``,
-which each search calls once per cardinality.
+The search's one-entry memo is watched through ``factorize._subset_masks``,
+the per-d table of subset masks, which each search asks for once.
 """
 
 import itertools
@@ -99,7 +101,7 @@ def test_dj_factorize_bitwise_equals_the_subset_loop(name, tol):
 def test_vetoed_top_matrices_do_not_take_the_largest_det(seed):
     # if the verdict stopped vetoing, these cases would test nothing new
     S = _vetoed_top(seed)
-    masks = np.concatenate([IndexSet.size_masks(4, size) for size in range(5)])
+    masks = factorize._subset_masks(4)
     scores = [abs(np.linalg.det(S.A @ np.diag(~m) + S.B @ np.diag(m))) for m in masks]
     top = masks[int(np.argmax(scores))]
     assert dj_factorize(S, 1e-3).J != IndexSet(4, tuple(np.flatnonzero(top) + 1))
@@ -138,10 +140,38 @@ def test_negated_corpus_holds_negative_zeros():
 
 
 @pytest.mark.parametrize("d", range(1, 7))
-def test_size_masks_follow_lexicographic_combinations(d):
-    for size in range(d + 1):
-        members = [tuple(np.flatnonzero(m) + 1) for m in IndexSet.size_masks(d, size)]
-        assert members == list(itertools.combinations(range(1, d + 1), size))
+def test_subset_masks_run_by_cardinality_then_lexicographically(d):
+    masks = factorize._subset_masks(d)
+    members = [tuple(np.flatnonzero(m) + 1) for m in masks]
+    assert members == [c for size in range(d + 1) for c in itertools.combinations(range(1, d + 1), size)]
+    assert not masks.flags.writeable
+    assert factorize._subset_masks(d) is masks
+
+
+def test_subset_mask_table_at_d16_takes_one_mib():
+    # the table the search keeps for the life of the process: 2^16 masks of
+    # 16 bools, and no index table beside it
+    factorize._subset_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        masks = factorize._subset_masks(16)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (1 << 16, 16) and masks.dtype == bool
+    assert held <= 1.1 * 2**20
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_gathered_x_chunks_bitwise_equal_the_where_stack(name):
+    S = _matrix(name)
+    masks = factorize._subset_masks(S.d)
+    cols = factorize._columns(S)
+    for i in range(0, len(masks), 5):
+        chunk = masks[i : i + 5]
+        assert factorize._x_of(cols, chunk).tobytes() == oracles.where_x_stack(S, chunk).tobytes()
+    for mask in (masks[0], masks[-1]):  # J empty and J full
+        assert factorize._x_of(cols, mask).tobytes() == oracles.where_x_stack(S, mask).tobytes()
 
 
 # -- the one-entry memo of the search -------------------------------------------
@@ -151,14 +181,13 @@ def test_size_masks_follow_lexicographic_combinations(d):
 def searches(monkeypatch):
     """The d of each search from here on; the memo starts empty."""
     seen = []
-    size_masks = IndexSet.size_masks
+    subset_masks = factorize._subset_masks
 
-    def spy(d, size):
-        if size == 0:
-            seen.append(d)
-        return size_masks(d, size)
+    def spy(d):
+        seen.append(d)
+        return subset_masks(d)
 
-    monkeypatch.setattr(IndexSet, "size_masks", staticmethod(spy))
+    monkeypatch.setattr(factorize, "_subset_masks", spy)
     factorize._search.cache_clear()
     return seen
 

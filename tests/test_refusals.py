@@ -124,9 +124,20 @@ REFUSALS = {
         "expected a square matrix, got shape (2, 3)",
     ),
     "index-set-dimension": (lambda: IndexSet(0, ()), "dimension must be positive, got 0"),
+    # this used to become {1} through int()
+    "index-set-non-integral": (
+        lambda: IndexSet(2, (1.5,)),
+        "index set members must be integers, got 1.5",
+    ),
     "dilation-not-square": (
         lambda: dilation_block(np.ones((2, 3))),
         "dilation parameter L must be square, got shape (2, 3)",
+    ),
+    # these used to raise LinAlgError from the SVD, and call inf singular
+    "dilation-nan": (lambda: dilation_block([[np.nan]]), "dilation parameter L must be finite"),
+    "dilation-inf": (
+        lambda: dilation_block(np.diag([1.0, np.inf])),
+        "dilation parameter L must be finite",
     ),
     "random-dimension": (lambda: random_symplectic(0, 0), "dimension must be positive, got 0"),
     "redox-size": (

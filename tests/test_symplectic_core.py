@@ -19,6 +19,9 @@ from metaplectic.symplectic_core import (
     standard_involution,
     symplectic_residual,
 )
+from metaplectic.symplectic_core import factorize
+
+import oracles
 
 
 def _sym(rng, d):
@@ -44,6 +47,48 @@ def test_generators_are_symplectic():
         ):
             assert symplectic_residual(s.mat) < 1e-12
             assert is_symplectic(s.mat)
+
+
+def _negative_zero_sym(rng, d):
+    p = _sym(rng, d)
+    p[0, 0] = -0.0
+    p[d - 1, 0] = p[0, d - 1] = -0.0
+    return p
+
+
+_PARAMETERS = {
+    "random": _sym,
+    "negative-zero": _negative_zero_sym,
+    "zero": lambda rng, d: np.zeros((d, d)),
+    "all-negative-zero": lambda rng, d: np.full((d, d), -0.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PARAMETERS))
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_sliced_generators_bitwise_equal_np_block(kind, d):
+    rng = np.random.default_rng([d, 5])
+    p = _PARAMETERS[kind](rng, d)
+    assert chirp_block(p).mat.tobytes() == oracles.block_chirp(p).tobytes()
+    assert multiplier_block(p).mat.tobytes() == oracles.block_multiplier(p).tobytes()
+    l = rng.normal(size=(d, d)) + 3.0 * np.eye(d)
+    if d > 1:
+        l[0, d - 1] = -0.0
+    assert dilation_block(l).mat.tobytes() == oracles.block_dilation(l).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_sliced_interchange_bitwise_equals_np_block(d):
+    rng = np.random.default_rng(d)
+    subsets = [(), tuple(range(1, d + 1)), tuple(j for j in range(1, d + 1) if rng.random() < 0.5)]
+    for members in subsets:
+        J = IndexSet(d, members)
+        got, want = interchange(J).mat, oracles.block_interchange(J)
+        assert got.tobytes() == want.tobytes(), members
+        # -p keeps its -0.0 entries: every zero of the lower-left block
+        lower_left = got[d:, :d]
+        assert np.all(np.signbit(lower_left[lower_left == 0.0]))
+    assert standard_involution(d).mat.tobytes() == oracles.block_interchange(IndexSet.full(d)).tobytes()
 
 
 def test_chirp_and_multiplier_are_transposes():
@@ -118,15 +163,14 @@ def test_index_set_basics():
     pr = j.projector()
     assert np.array_equal(pr, np.diag([1.0, 0.0, 1.0, 0.0]))
     assert np.array_equal(pr @ pr, pr)
+    for empty_or_full in (IndexSet(3, ()), IndexSet.full(3)):
+        mask = empty_or_full.mask()
+        assert mask.dtype == bool and list(mask) == [len(empty_or_full) == 3] * 3
 
 
 def _subsets(d):
-    """All 2^d index sets, by cardinality, each size in ``size_masks`` order."""
-    return [
-        IndexSet(d, tuple(np.flatnonzero(mask) + 1))
-        for size in range(d + 1)
-        for mask in IndexSet.size_masks(d, size)
-    ]
+    """All 2^d index sets, in the search's (cardinality, lexicographic) order."""
+    return [IndexSet(d, tuple(np.flatnonzero(mask) + 1)) for mask in factorize._subset_masks(d)]
 
 
 def test_index_set_subsets_enumeration():
@@ -143,6 +187,12 @@ def test_index_set_validation():
         IndexSet(2, (0,))
     # duplicates are normalized away rather than rejected
     assert IndexSet(2, (1, 1)).members == (1,)
+    # numpy integers are integers; 1.5 is not truncated to 1, and 2.0 is refused too
+    assert IndexSet(3, (np.int64(3), np.int32(1))).members == (1, 3)
+    assert all(type(j) is int for j in IndexSet(3, (np.int64(3),)).members)
+    for member in (1.5, 2.0, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="index set members must be integers"):
+            IndexSet(2, (member,))
 
 
 # --------------------------------------------------------------------------
