@@ -15,9 +15,9 @@ holds the whole text; ``write_grid_function`` and ``export_csv`` join them.
   ``values`` marker, then one ``<re> <im>`` line per sample in C order.
   A values block in the writer's own shape (ASCII digits, ``.+-eE``, one
   space and a final newline on each of exactly the declared number of
-  lines) is checked and converted by numpy one block of about 1 MB of text
-  at a time, read from the file as it goes when the parser is given an open
-  file; every other layout (comments, blank lines, other whitespace,
+  lines) is checked and converted by numpy one block of about 64 KiB of
+  text at a time, read from the file as it goes when the parser is given
+  an open file; every other layout (comments, blank lines, other whitespace,
   ``inf``/``nan``, any error) is read whole into the line-by-line parser,
   the only parser that reports errors.
 * ``dj-factorization v1``  — ``d``, ``subset`` (1-based members or ``-``),
@@ -238,7 +238,7 @@ def _parse_grid_lines(text: str) -> GridFunction:
         except ValueError:
             raise ValueError(f"line {lineno}: value entries must be numbers") from None
     lines.finish()
-    return GridFunction(grid, flat.reshape(grid.shape))
+    return GridFunction._own(grid, flat.reshape(grid.shape))
 
 
 _VALUES_MARKER = "\nvalues\n"
@@ -247,8 +247,13 @@ _VALUES_MARKER = "\nvalues\n"
 _BLOCK_CHARS = b"0123456789.+-eE \n"
 
 #: table rows per ``%`` call of the writers; a parse block ends at the first
-#: newline after 64 times as many characters (a written value line has <= 50)
-_BLOCK_LINES = 1 << 14
+#: newline after 64 times as many characters (a written value line has <= 50).
+#: A parse block of about 64 KiB keeps its temporaries (the token strings and
+#: their list, the byte masks) to a few hundred KiB: blocks of 1 MiB freed
+#: about 7 MB per block into the C heap, and the holes they left there (up to
+#: 2.5 MB) raised a process's peak or not depending on where its later
+#: allocations happened to fall
+_BLOCK_LINES = 1 << 10
 
 
 def _rows(cells: np.ndarray, row: str):
@@ -329,7 +334,7 @@ def _parse_written_block(source: str | TextIO) -> GridFunction | None:
             return None
         pairs[2 * done : 2 * (done + len(ends))] = np.array(block.split(), dtype=float)
         done += len(ends)
-    return GridFunction(grid, flat.reshape(grid.shape)) if done == count else None
+    return GridFunction._own(grid, flat.reshape(grid.shape)) if done == count else None
 
 
 # -- factorization reports -----------------------------------------------------

@@ -22,23 +22,29 @@ x-rows (a slice of axis 0), written into a buffer set that its caller owns
 (``_row_buffers``: two complex arrays of some number of x-rows; a slab of
 k rows goes into views of their first k rows).  The gather, the product,
 the transform and the Rihaczek phase table all go into the set, and the
-slab returned is a view of it.  ``wigner``, ``stft`` and ``rihacek`` call
-the builder with all rows and a whole-size set, which
-``MAX_DISTRIBUTION_POINTS`` caps.  Everything else walks the x-row slabs
-(``grid.row_slabs``: at least ``grid.SLAB_BYTES`` of entries per slab,
-leftover rows in the last) through one walk, ``_slab_walk``, so its memory
-is a few slabs instead of n^(2d) points: ``distribution_norm`` and
-``mp_norm``, and ``streamed_distribution``, which gives a writer the norm
-and then copies of the slabs.  The walk builds the slabs on the worker
-threads (``grid.worker_map``) and keeps a free list of sets of its longest
-slab: a worker pops a set (or makes one), builds its slab in it, runs the
-walk's per-slab function there (for a norm, |f|^p: ``grid.slab_powers``)
-and pushes the set back, so no two slabs share a set and none outlives the
-walk.  Only what the per-slab function returns reaches the calling thread,
-which, for a norm, adds the powers up in row order
-(``grid.reduce_powers``).  Slabs of about ``SLAB_BYTES`` are built up to
-two ahead of it; larger ones (one x-row of n^3 points at d = 2) one at a
-time, so that a walk holds no more of them than a serial loop would.
+slab returned is a view of it.  ``_row_builder`` is the one prelude that
+checks the signals and makes a distribution's builder, once per call.
+Every caller walks the x-row slabs (``grid.row_slabs``: at least
+``grid.SLAB_BYTES`` of entries per slab, leftover rows in the last) through
+one walk, ``_slab_walk``, so its working memory is a few slabs instead of
+n^(2d) points: ``distribution_norm`` and ``mp_norm``;
+``streamed_distribution``, which gives a writer the norm and then copies of
+the slabs; and ``wigner``, ``stft`` and ``rihacek`` (``_filled``), whose
+workers write each slab into its rows of one output array, which the result
+then takes without a copy.  The whole builds and the streamed output are
+capped at ``MAX_DISTRIBUTION_POINTS``, before anything is allocated; the
+norms are not.
+
+The walk builds the slabs on the worker threads (``grid.worker_map``) and
+keeps a free list of sets of its longest slab: a worker pops a set (or
+makes one), builds its slab in it, runs the walk's per-slab function there
+(for a norm, |f|^p: ``grid.slab_powers``) and pushes the set back, so no
+two slabs share a set and none outlives the walk.  Only what the per-slab
+function returns reaches the calling thread, which, for a norm, adds the
+powers up in row order (``grid.reduce_powers``).  Slabs of about
+``SLAB_BYTES`` are built up to two ahead of it; larger ones (one x-row of
+n^3 points at d = 2) one at a time, so that a walk holds no more of them
+than a serial loop would.
 
 The Wigner and STFT rows read the signals through read-only strided views:
 every read is a Toeplitz or Hankel pattern in (x-row j, column k), so once
@@ -191,12 +197,31 @@ def _rihacek_rows(f: GridFunction, g: GridFunction):
 _ROW_BUILDERS = {"wigner": _wigner_rows, "stft": _stft_rows, "rihacek": _rihacek_rows}
 
 
-def _whole(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
+def _row_builder(kind: str, f: GridFunction, g: GridFunction, capped: bool = False):
+    """``(grid, build)`` of the classical distribution ``kind`` of (f, g), from
+    its ``_ROW_BUILDERS`` entry, once the two signals are checked to share a
+    grid.  A ``capped`` caller, one that builds the distribution whole or
+    writes it out, is refused past ``MAX_DISTRIBUTION_POINTS`` before
+    anything is allocated; the streamed norms are not capped."""
     _check_same_grid(f, g)
-    _check_points(f"{kind} distribution", math.prod(f.grid.shape) ** 2)
-    grid, build = _ROW_BUILDERS[kind](f, g)
-    # only the returned view keeps its buffer alive for the copy
-    return GridFunction(grid, build(slice(None), _row_buffers(grid, grid.shape[0])))
+    if capped:
+        _check_points(f"{kind} distribution", math.prod(f.grid.shape) ** 2)
+    return _ROW_BUILDERS[kind](f, g)
+
+
+def _filled(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
+    """The whole distribution ``kind`` of (f, g): one output array, each of
+    whose slabs a worker builds through ``_slab_walk`` and writes into its
+    rows, handed to the result without a copy."""
+    grid, build = _row_builder(kind, f, g, capped=True)
+    out = np.empty(grid.shape, dtype=complex)
+
+    def into_out(rows: slice, buffers) -> None:
+        out[rows] = build(rows, buffers)
+
+    for _ in _slab_walk(grid, into_out, lambda _: None):
+        pass
+    return GridFunction._own(grid, out)
 
 
 def _slab_walk(grid: Grid, build, each: Callable) -> Iterator:
@@ -233,9 +258,9 @@ def _slab_walk(grid: Grid, build, each: Callable) -> Iterator:
     return worker_map(run, slabs, ahead)
 
 
-def _streamed_norm(kind: str, f: GridFunction, g: GridFunction, p: float, q: float | None) -> float:
-    _check_same_grid(f, g)
-    grid, build = _ROW_BUILDERS[kind](f, g)
+def _streamed_norm(grid: Grid, build, p: float, q: float | None) -> float:
+    """The norm (as ``grid.slab_norm``) of the distribution on ``grid`` that
+    ``build`` writes, from the powers of its slabs."""
     powers = _slab_walk(grid, build, lambda slab: slab_powers(slab, grid, p, q))
     with contextlib.closing(powers) as parts:
         return reduce_powers(parts, grid, p, q)
@@ -255,10 +280,8 @@ def streamed_distribution(
     point cap holds here too: past ``MAX_DISTRIBUTION_POINTS`` this raises
     before it builds anything.
     """
-    _check_same_grid(f, g)
-    _check_points(f"{kind} distribution", math.prod(f.grid.shape) ** 2)
-    grid, build = _ROW_BUILDERS[kind](f, g)
-    l2 = _streamed_norm(kind, f, g, 2.0, None)
+    grid, build = _row_builder(kind, f, g, capped=True)
+    l2 = _streamed_norm(grid, build, 2.0, None)
     return grid, l2, lambda: _slab_walk(grid, build, np.copy)
 
 
@@ -278,7 +301,7 @@ def wigner(f: GridFunction, g: GridFunction | None = None) -> GridFunction:
     should stay in the central half of the window, and full-torus mixed
     norms carry an exact extra 2^(1/p) in the inner (space) norm.
     """
-    return _whole("wigner", f, f if g is None else g)
+    return _filled("wigner", f, f if g is None else g)
 
 
 def wigner_grid(signal: Grid) -> Grid:
@@ -288,12 +311,12 @@ def wigner_grid(signal: Grid) -> Grid:
 
 def stft(f: GridFunction, g: GridFunction) -> GridFunction:
     """Short-time Fourier transform of f with window g (V_g f)."""
-    return _whole("stft", f, g)
+    return _filled("stft", f, g)
 
 
 def rihacek(f: GridFunction, g: GridFunction) -> GridFunction:
     """Rank-one distribution f(x) conj(FT g)(xi) exp(-2 pi i x . xi)."""
-    return _whole("rihacek", f, g)
+    return _filled("rihacek", f, g)
 
 
 def tensor_with_conj(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -301,7 +324,7 @@ def tensor_with_conj(f: GridFunction, g: GridFunction) -> GridFunction:
     _check_same_grid(f, g)
     _check_points("tensor", math.prod(f.grid.shape) * math.prod(g.grid.shape))
     grid = Grid(f.grid.axes + g.grid.axes)
-    return GridFunction(grid, np.multiply.outer(f.values, np.conj(g.values)))
+    return GridFunction._own(grid, np.multiply.outer(f.values, np.conj(g.values)))
 
 
 def wigner_metaplectic(A: SymplecticMatrix, f: GridFunction, g: GridFunction) -> GridFunction:
@@ -319,7 +342,7 @@ def wigner_metaplectic(A: SymplecticMatrix, f: GridFunction, g: GridFunction) ->
     _check_phase_space(A, f)
     kind = classical_kind(A)
     if kind is not None:
-        return _whole(kind, f, g)
+        return _filled(kind, f, g)
     return apply_metaplectic(A, tensor_with_conj(f, g))
 
 
@@ -342,7 +365,7 @@ def distribution_norm(
     _check_phase_space(A, f)
     kind = classical_kind(A)
     if kind is not None:
-        return _streamed_norm(kind, f, g, p, q)
+        return _streamed_norm(*_row_builder(kind, f, g), p, q)
     return lpq_norm(apply_metaplectic(A, tensor_with_conj(f, g)), p, q)
 
 
@@ -393,4 +416,4 @@ def classical_kind(A: SymplecticMatrix) -> str | None:
 def mp_norm(f: GridFunction, window: GridFunction, p: float, q: float | None = None) -> float:
     """Modulation norm: the L^{p,q} mixed norm of V_window f (q defaults to p),
     streamed over x-row slabs; equal to the full-array norm of ``stft``."""
-    return _streamed_norm("stft", f, window, p, None if q is None or q == p else q)
+    return _streamed_norm(*_row_builder("stft", f, window), p, None if q is None or q == p else q)

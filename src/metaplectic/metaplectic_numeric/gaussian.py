@@ -98,7 +98,7 @@ class GaussianChirp:
     def sample(self, grid: Grid) -> GridFunction:
         if grid.d != self.d:
             raise ValueError(f"grid dimension {grid.d} does not match chirp dimension {self.d}")
-        return GridFunction(grid, self(*grid.open_mesh()))
+        return GridFunction._own(grid, self(*grid.open_mesh()))
 
     # -- operator stages -----------------------------------------------------
 

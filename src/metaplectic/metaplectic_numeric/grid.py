@@ -22,7 +22,12 @@ its own copy, the input shift, and a spare it makes; callers whose samples
 are already in FFT order, like the distribution rows, enter ``shifted_dft``
 directly with their own buffers.  Both work on plain arrays, so the numeric
 layer keeps its intermediates as arrays and follows one rule: one
-``GridFunction`` per public result (the constructor copies its input).
+``GridFunction`` per public result.  The public constructor (and
+``with_values``) copies its input; a result made from an array its code has
+just built, that nothing else references, takes that array through the
+private ``GridFunction._own`` instead, C-contiguous and read-only, with no
+copy.  So no result shares memory with an input or with another result,
+except an identity stage, which returns its input itself.
 
 Quadrature, norms and inner products all carry the lattice weight, so the
 discrete Parseval identity holds exactly on every grid.  ``periodic_reads``
@@ -205,15 +210,30 @@ class Grid:
 
 
 class GridFunction:
-    """Complex samples of a function on a grid; values are read-only."""
+    """Complex samples of a function on a grid; values are read-only.
+
+    The constructor copies ``values``, so the result shares no memory with
+    the caller's array.
+    """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
+        self._hold(grid, np.array(values, dtype=complex, order="C"))
+
+    @classmethod
+    def _own(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
+        """A ``GridFunction`` that takes ``values``, an array its caller has
+        just made and nothing else references, without copying it: it is
+        made C-contiguous (a copy only if it is not), as the constructor's
+        copy is, and read-only."""
+        out = cls.__new__(cls)
+        out._hold(grid, np.ascontiguousarray(values, dtype=complex))
+        return out
+
+    def _hold(self, grid: Grid, values: np.ndarray) -> None:
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} does not match grid shape {grid.shape}")
-        values = values.copy()
         values.flags.writeable = False
         self.grid = grid
         self.values = values
@@ -371,12 +391,14 @@ def partial_dft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
     Exact evaluation of the Riemann sum; the output lives on the grid with
     those axes dualized.
     """
-    return GridFunction(f.grid.dualized(axes), centered_dft(f.values, f.grid, axes))
+    return GridFunction._own(f.grid.dualized(axes), centered_dft(f.values, f.grid, axes))
 
 
 def partial_idft(f: GridFunction, axes: Sequence[int]) -> GridFunction:
     """Inverse of :func:`partial_dft` along the given axes (conjugate kernel)."""
-    return GridFunction(f.grid.dualized(axes), centered_dft(f.values, f.grid, axes, inverse=True))
+    return GridFunction._own(
+        f.grid.dualized(axes), centered_dft(f.values, f.grid, axes, inverse=True)
+    )
 
 
 # -- norms and inner products ----------------------------------------------

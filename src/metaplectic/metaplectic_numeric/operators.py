@@ -97,7 +97,8 @@ def chirp_apply(Q, f: GridFunction) -> GridFunction:
     Q = _as_param(Q, f.grid.d)
     if not np.any(Q):
         return f
-    return f.with_values(f.values * np.exp(1j * math.pi * form_sum(Q, f.grid.open_mesh())))
+    mesh = f.grid.open_mesh()
+    return GridFunction._own(f.grid, f.values * np.exp(1j * math.pi * form_sum(Q, mesh)))
 
 
 def partial_ft(f: GridFunction, J: IndexSet) -> GridFunction:
@@ -133,7 +134,7 @@ def multiplier_apply(P, f: GridFunction) -> GridFunction:
     if not np.any(P):
         return f
     symbol = lambda xi: np.exp(-1j * math.pi * form_sum(P, xi))
-    return GridFunction(*_spectral_product(f, range(f.grid.d), symbol))
+    return GridFunction._own(*_spectral_product(f, range(f.grid.d), symbol))
 
 
 # -- rescaling -------------------------------------------------------------
@@ -238,7 +239,7 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
     if a == 1.0:
         return f
     if a == -1.0:  # exact samples of f(-x): index k -> (n - k) mod n
-        return f.with_values(np.take(f.values, -np.arange(ax.n) % ax.n, axis=axis))
+        return GridFunction._own(f.grid, np.take(f.values, -np.arange(ax.n) % ax.n, axis=axis))
     spec = np.moveaxis(centered_dft(f.values, f.grid, (axis,)), axis, -1)
     dual = ax.dual()
     a_x, xi = a * ax.points(), dual.points()
@@ -250,7 +251,8 @@ def _axis_scale(f: GridFunction, axis: int, a: float) -> GridFunction:
             vals[..., rows] = spec @ kernel.T
 
     list(worker_map(synthesize, _kernel_halves(blocks)))
-    return f.with_values(math.sqrt(abs(a)) * np.moveaxis(vals, -1, axis))
+    vals *= math.sqrt(abs(a))
+    return GridFunction._own(f.grid, np.moveaxis(vals, -1, axis))
 
 
 def _axis_shear(f: GridFunction, axis: int, coeffs: np.ndarray) -> GridFunction:
@@ -263,7 +265,7 @@ def _axis_shear(f: GridFunction, axis: int, coeffs: np.ndarray) -> GridFunction:
     if not np.any(coeffs):
         return f
     ramp = lambda xi: np.exp(2j * math.pi * xi[axis] * form_sum(coeffs, xi))
-    return GridFunction(*_spectral_product(f, (axis,), ramp))
+    return GridFunction._own(*_spectral_product(f, (axis,), ramp))
 
 
 def _pivoted_lu(L: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
@@ -358,7 +360,7 @@ def tf_shift(f: GridFunction, x0, xi0, tau: float = 0.0) -> GridFunction:
     if np.any(xi0):
         values = values * np.exp(2j * math.pi * form_sum(xi0, grid.open_mesh()))
     constant = np.exp(2j * math.pi * tau) * np.exp(-1j * math.pi * float(xi0 @ x0))
-    return GridFunction(grid, values * constant)
+    return GridFunction._own(grid, values * constant)
 
 
 # -- the stage plan ----------------------------------------------------------

@@ -116,4 +116,4 @@ def opA_apply(K: np.ndarray, f: GridFunction) -> GridFunction:
     npts = int(np.prod(f.grid.shape))
     if K.shape != (npts, npts):
         raise ValueError(f"operator is {K.shape}, signal has {npts} points")
-    return f.with_values((K @ f.values.ravel()).reshape(f.grid.shape))
+    return GridFunction._own(f.grid, (K @ f.values.ravel()).reshape(f.grid.shape))

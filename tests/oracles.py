@@ -12,7 +12,9 @@ rescaling with every kernel entry an exp of its own, in the package's
 blocks of rows, for several block sizes from one pass over the kernel;
 ``looped_centered_dft``, the transform as one shift, FFT, shift and scaling
 per axis; ``gathered_rows``, the Wigner and STFT rows by index gathers and
-the Rihaczek rows with an exp per entry;
+the Rihaczek rows with an exp per entry, and ``gathered_distribution``, all
+of them on the distribution's grid (the package's whole builders walk the
+same slabs as its streamed norms, so they are not an oracle for them);
 ``scattered_wigner_adjoint``, the Wigner adjoint by an index scatter;
 ``looped_dj_factorize``, the interchange-set search one subset at a time;
 ``where_x_stack``, the search's stack of X(J) by ``np.where``;
@@ -376,6 +378,16 @@ def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> n
         )
         return looped_centered_dft(gathered, doubled, freq)
     raise ValueError(f"no gathered rows for {kind!r}")
+
+
+def gathered_distribution(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
+    """The whole distribution ``kind`` of (f, g) from :func:`gathered_rows`
+    on all rows, on its output grid: the signal axes, then the frequency
+    axes (of g for ``"rihacek"``), at half the dual step for ``"wigner"``."""
+    half = 2.0 if kind == "wigner" else 1.0
+    duals = (g if kind == "rihacek" else f).grid.axes
+    grid = Grid(f.grid.axes + tuple(Axis(ax.n, ax.dual().step / half) for ax in duals))
+    return GridFunction(grid, gathered_rows(kind, f, g, slice(None)))
 
 
 def scattered_wigner_adjoint(a: GridFunction) -> np.ndarray:

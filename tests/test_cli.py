@@ -27,10 +27,7 @@ from metaplectic.metaplectic_numeric import (
     Grid,
     GridFunction,
     lp_norm,
-    rihacek,
     rihacek_projection,
-    stft,
-    wigner,
     wigner_projection,
 )
 from metaplectic.metaplectic_numeric import grid as grid_module
@@ -40,6 +37,7 @@ from metaplectic.symplectic_core import (
     random_symplectic,
     standard_involution,
 )
+from oracles import gathered_distribution
 
 SINGULAR_B = np.array(
     [
@@ -245,7 +243,9 @@ WIGNER_FILE_CASES = {
 @pytest.mark.parametrize("kind", ["wigner", "stft", "rihacek"])
 def test_wigner_files_bitwise_equal_the_whole_distribution_writers(tmp_path, capsys, monkeypatch, kind, case):
     # the verb writes its files from x-row slabs, built again for each file;
-    # 4 KiB slabs cut every case into several, with leftover rows at n = 50
+    # 4 KiB slabs cut every case into several, with leftover rows at n = 50.
+    # The oracle is the per-entry distribution, not the package's whole
+    # builders, which walk the same slabs
     monkeypatch.setattr(grid_module, "SLAB_BYTES", 4096)
     grid, windowed = WIGNER_FILE_CASES[case]
     rng = np.random.default_rng(22)
@@ -259,7 +259,7 @@ def test_wigner_files_bitwise_equal_the_whole_distribution_writers(tmp_path, cap
     else:
         g = f if kind == "wigner" else GaussianChirp.standard(grid.d).sample(grid)
     assert main(argv) == 0
-    whole = {"wigner": wigner, "stft": stft, "rihacek": rihacek}[kind](f, g)
+    whole = gathered_distribution(kind, f, g)
     assert len(row_slabs(whole.grid)) > 2
     shape = " ".join(str(n) for n in whole.grid.shape)
     assert capsys.readouterr().out == f"kind {kind}\nshape {shape}\nl2 {lp_norm(whole, 2.0):.12g}\n"

@@ -331,6 +331,22 @@ def test_full_builders_refuse_oversized_grids_before_allocating(builder):
     assert peak < 1e6
 
 
+@pytest.mark.parametrize("builder", [wigner, stft, rihacek])
+def test_whole_builds_peak_at_one_output_array_and_a_few_slabs(builder):
+    # the walk fills one output array, built in 1 MiB slabs on the workers,
+    # and hands it over without a copy: 64 MiB here, against 2.0 arrays
+    # (2.75 for rihacek) for a build into a whole-size buffer set and a copy
+    grid = Grid.selfdual(1, 2048)
+    f, g = _random_function(grid, 40), _random_function(grid, 41)
+    tracemalloc.start()
+    try:
+        out = builder(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * out.values.nbytes, peak / out.values.nbytes
+
+
 @pytest.mark.parametrize("projection", [wigner_projection, stft_projection])
 def test_generic_pipeline_names_the_grid_requirement(projection):
     # on a grid that is not self-dual the partial FT leaves a frequency axis

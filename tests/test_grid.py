@@ -12,29 +12,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaplectic.io import parse_grid_function, write_grid_function
 from metaplectic.metaplectic_numeric import (
     Axis,
     GaussianChirp,
     Grid,
     GridFunction,
+    apply_metaplectic,
+    chirp_apply,
     herm_inner,
     lp_norm,
     lpq_norm,
     mp_norm,
     multiplier_apply,
+    opA_apply,
     opA_build,
     partial_dft,
+    partial_ft,
     partial_idft,
     phase_align_distance,
+    rescale_apply,
     rihacek,
     stft,
+    stft_projection,
+    tensor_with_conj,
     tf_shift,
     wigner,
+    wigner_metaplectic,
     wigner_projection,
 )
 
 from metaplectic.metaplectic_numeric import grid as grid_module
 from metaplectic.metaplectic_numeric.grid import form_sum, mirrored_exps, slab_norm, worker_map
+from metaplectic.symplectic_core import IndexSet, SymplecticMatrix, chirp_block, random_symplectic
 
 import oracles
 
@@ -304,14 +314,15 @@ def test_each_public_result_builds_one_grid_function(monkeypatch):
     f = GaussianChirp.standard(2).sample(g)
     h = GaussianChirp(1.0, 1j * np.eye(2), np.array([0.1, -0.2])).sample(g)
     symbol = wigner(GaussianChirp.standard(1).sample(Grid.selfdual(1, 16)))
+    # the copying constructor and the owning one both end in _hold
     built = []
-    init = GridFunction.__init__
+    hold = GridFunction._hold
 
     def counted(self, grid, values):
         built.append(grid)
-        init(self, grid, values)
+        hold(self, grid, values)
 
-    monkeypatch.setattr(GridFunction, "__init__", counted)
+    monkeypatch.setattr(GridFunction, "_hold", counted)
     calls = {
         "wigner": lambda: wigner(f, h),
         "stft": lambda: stft(f, h),
@@ -328,6 +339,71 @@ def test_each_public_result_builds_one_grid_function(monkeypatch):
         call()
         counts[name] = len(built)
     assert counts == {**{name: 1 for name in calls}, "opA_build": 0}
+
+
+def test_every_result_is_read_only_and_owns_its_memory():
+    # a result is read-only and shares no memory with its inputs or with any
+    # other result, unless it is its input: the identity stages (J empty, a
+    # zero P, Q or shear, L = I, a per-axis scale of exactly 1) return it
+    g = Grid.selfdual(2, 16)
+    f = GaussianChirp(1.0, 1j * np.eye(2), np.array([0.1, -0.2])).sample(g)
+    h = GaussianChirp.standard(2).sample(g)
+    s = GaussianChirp.standard(1).sample(Grid.selfdual(1, 16))
+    w = tf_shift(s, 0.3, 0.2)
+    K = opA_build(wigner(s), wigner_projection(1))
+    text = write_grid_function(f)
+    P = np.array([[0.3, 0.1], [0.1, -0.2]])
+    swap, shear = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.5], [0.0, 1.0]])
+    generic = wigner_projection(1) @ chirp_block(0.3 * np.eye(2))
+    runs = {
+        "partial_ft": (lambda: partial_ft(f, IndexSet.of(2, (2,))), f),
+        "partial_ft, J empty": (lambda: partial_ft(f, IndexSet.of(2, ())), f),
+        "multiplier_apply": (lambda: multiplier_apply(P, f), f),
+        "multiplier_apply, P = 0": (lambda: multiplier_apply(np.zeros((2, 2)), f), f),
+        "chirp_apply": (lambda: chirp_apply(P, f), f),
+        "chirp_apply, Q = 0": (lambda: chirp_apply(np.zeros((2, 2)), f), f),
+        "rescale_apply": (lambda: rescale_apply(np.array([[1.3, 0.2], [0.1, 0.8]]), f), f),
+        "rescale_apply, axis swap": (lambda: rescale_apply(swap, f), f),
+        "rescale_apply, scale -1": (lambda: rescale_apply(np.diag([-1.0, 1.0]), f), f),
+        # a zero lower shear and two scales of exactly 1 inside
+        "rescale_apply, shear": (lambda: rescale_apply(shear, f), f),
+        "rescale_apply, L = I": (lambda: rescale_apply(np.eye(2), f), f),
+        "apply_metaplectic": (lambda: apply_metaplectic(random_symplectic(3, 2), f), f),
+        "apply_metaplectic, I": (lambda: apply_metaplectic(SymplecticMatrix(np.eye(4)), f), f),
+        "partial_dft": (lambda: partial_dft(f, (1,)), f),
+        "partial_dft, no axes": (lambda: partial_dft(f, ()), f),
+        "partial_idft": (lambda: partial_idft(f, (0, 1)), f),
+        "tf_shift": (lambda: tf_shift(f, [0.3, -0.1], [0.2, 0.4], 0.1), f),
+        "tf_shift, no shift": (lambda: tf_shift(f, 0.0, 0.0), f),
+        "wigner": (lambda: wigner(f, h), f, h),
+        "wigner, auto": (lambda: wigner(f), f),
+        "stft": (lambda: stft(f, h), f, h),
+        "rihacek": (lambda: rihacek(f, h), f, h),
+        "wigner_metaplectic": (lambda: wigner_metaplectic(stft_projection(1), s, w), s, w),
+        "wigner_metaplectic, generic": (lambda: wigner_metaplectic(generic, s, w), s, w),
+        "tensor_with_conj": (lambda: tensor_with_conj(f, h), f, h),
+        "GaussianChirp.sample": (lambda: GaussianChirp.standard(2).sample(g),),
+        "opA_apply": (lambda: opA_apply(K, s), s),
+        "parse_grid_function, written block": (lambda: parse_grid_function(text),),
+        "parse_grid_function, line parser": (lambda: parse_grid_function("# a comment\n" + text),),
+        "GridFunction": (lambda: GridFunction(g, h.values), h),
+        "with_values": (lambda: f.with_values(h.values), f, h),
+    }
+    results = []
+    for name, (call, *inputs) in runs.items():
+        for out in (call(), call()):
+            assert not out.values.flags.writeable, name
+            assert out.values.flags.c_contiguous, name
+            for x in inputs:
+                assert out is x or not np.shares_memory(out.values, x.values), name
+            results.append((name, out))
+    for i, (name, out) in enumerate(results):
+        for other_name, other in results[:i]:
+            shared = out is not other and np.shares_memory(out.values, other.values)
+            assert not shared, (name, other_name)
+    identities = ["partial_ft, J empty", "multiplier_apply, P = 0", "chirp_apply, Q = 0"]
+    identities += ["rescale_apply, L = I", "apply_metaplectic, I"]
+    assert [name for name, out in results if out is f] == [name for name in identities for _ in range(2)]
 
 
 # --------------------------------------------------------------------------

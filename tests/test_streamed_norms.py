@@ -2,9 +2,11 @@
 
 ``distribution_norm`` and ``mp_norm`` never build the n^(2d)-point array:
 each slab of rows goes into one accumulator (``grid.slab_norm``).  The
-full-array path is the oracle, and the floats must agree exactly
-(``==``), not to a tolerance: ``lpq_norm`` of the whole distribution for a
-mixed norm, ``lp_norm`` of the whole STFT for ``mp_norm`` with p = q.
+full-array norm of the per-entry distribution ``oracles.gathered_distribution``
+(not of the package's whole builders, which walk the same slabs) is the
+oracle, and the floats must agree exactly (``==``), not to a tolerance:
+``lpq_norm`` for a mixed norm, ``lp_norm`` of the STFT for ``mp_norm`` with
+p = q.
 """
 
 import gc
@@ -21,11 +23,8 @@ from metaplectic.metaplectic_numeric.distributions import (
     classical_kind,
     distribution_norm,
     mp_norm,
-    rihacek,
     rihacek_projection,
-    stft,
     stft_projection,
-    wigner,
     wigner_metaplectic,
     wigner_projection,
 )
@@ -43,15 +42,11 @@ from metaplectic.metaplectic_numeric.grid import (
 )
 from metaplectic.probes import norm_equiv_probe
 from metaplectic.symplectic_core import chirp_block
-from oracles import direct_lp_norm
+from oracles import direct_lp_norm, gathered_distribution
 
 INF = math.inf
 
-KINDS = {
-    "wigner": (wigner, wigner_projection),
-    "stft": (stft, stft_projection),
-    "rihacek": (rihacek, rihacek_projection),
-}
+KINDS = {"wigner": wigner_projection, "stft": stft_projection, "rihacek": rihacek_projection}
 
 GRIDS = {
     "1d-1024": Grid.selfdual(1, 1024),
@@ -74,10 +69,9 @@ def _random_function(grid, seed):
 @pytest.mark.parametrize("kind", KINDS)
 def test_streamed_norm_equals_the_full_array_norm(kind, grid_name):
     grid = GRIDS[grid_name]
-    builder, projection = KINDS[kind]
     f, g = _random_function(grid, 1), _random_function(grid, 2)
-    full = builder(f, g)
-    A = projection(grid.d)
+    full = gathered_distribution(kind, f, g)
+    A = KINDS[kind](grid.d)
     for p, q in MIXED + [(1.0, 1.0)]:
         assert distribution_norm(A, f, g, p, q) == lpq_norm(full, p, q), (p, q)
 
@@ -97,7 +91,7 @@ def test_a_non_classical_matrix_takes_the_whole_distribution_norm():
 def test_mp_norm_equals_the_full_stft_norm(grid_name):
     grid = GRIDS[grid_name]
     f, g = _random_function(grid, 3), _random_function(grid, 4)
-    full = stft(f, g)
+    full = gathered_distribution("stft", f, g)
     for p in PLAIN:
         assert mp_norm(f, g, p) == lp_norm(full, p)
         assert mp_norm(f, g, p, p) == lp_norm(full, p)
@@ -174,9 +168,10 @@ def test_streamed_plain_norm_bitwise_equals_the_direct_norm(kind, grid_name):
     assert SLAB_BYTES == 2**20
     grid = GRIDS[grid_name]
     f, g = _random_function(grid, 12), _random_function(grid, 13)
-    full = KINDS[kind][0](f, g)
+    full = gathered_distribution(kind, f, g)
     for p in PLAIN + [0.5, 1.5]:
-        assert distributions._streamed_norm(kind, f, g, p, None) == direct_lp_norm(full, p), p
+        streamed = distributions._streamed_norm(*distributions._row_builder(kind, f, g), p, None)
+        assert streamed == direct_lp_norm(full, p), p
 
 
 def test_streamed_norm_builds_at_most_two_slabs_ahead(monkeypatch):
@@ -230,7 +225,8 @@ def test_streamed_norm_of_one_row_slabs_peaks_as_the_serial_loop(kind):
         return slab_norm((build(rows, buffers) for rows in row_slabs(doubled)), doubled, 2.0, 1.0)
 
     values, peaks = [], []
-    for norm in (serial, lambda: distributions._streamed_norm(kind, f, g, 2.0, 1.0)):
+    streamed = lambda: distributions._streamed_norm(*distributions._row_builder(kind, f, g), 2.0, 1.0)
+    for norm in (serial, streamed):
         gc.collect()
         tracemalloc.start()
         try:
@@ -249,7 +245,7 @@ def test_streamed_norm_gives_each_slab_in_flight_its_own_buffer_set(monkeypatch)
     # builds slabs at once, each of the longest slab (76 rows here)
     grid = GRIDS["1d-1000"]
     f, g = _random_function(grid, 18), _random_function(grid, 19)
-    want = lpq_norm(stft(f, g), 2.0, 1.0)
+    want = lpq_norm(gathered_distribution("stft", f, g), 2.0, 1.0)
     made = []
     row_buffers = distributions._row_buffers
 
@@ -282,7 +278,8 @@ def test_worker_built_slabs_keep_the_callers_errstate(state):
     g = GridFunction(grid, 10.0 * np.exp(-math.pi * grid.axes[0].points() ** 2))
     A = rihacek_projection(1)
     outcomes = []
-    for norm in (lambda: distribution_norm(A, f, g, 2.0, 1.0), lambda: lpq_norm(rihacek(f, g), 2.0, 1.0)):
+    whole = lambda: lpq_norm(gathered_distribution("rihacek", f, g), 2.0, 1.0)
+    for norm in (lambda: distribution_norm(A, f, g, 2.0, 1.0), whole):
         with np.errstate(all=state):
             try:
                 outcomes.append(repr(norm()))
@@ -307,7 +304,7 @@ def test_slab_norm_checks_exponents_and_split():
 def test_norm_equiv_probe_peak_memory_stays_bounded(kind):
     # one lambda on Grid.selfdual(1, 2048): a whole distribution would be
     # 67 MB, and the full-array probe peaked at 256 MB
-    A = KINDS[kind][1](1)
+    A = KINDS[kind](1)
     grid = Grid.selfdual(1, 2048)
     tracemalloc.start()
     try:

@@ -5,16 +5,25 @@ transform with ``grid.shifted_dft``; the Rihaczek rows take the exps of
 about half their phase table and mirror the rest (``grid.mirrored_exps``).
 The slow exact forms in ``oracles`` gather through int64 index arrays and
 shift, transform, shift and scale one axis at a time, or take an exp per
-entry.  Both must give the same floats, compared by ``tobytes()``: the
-streamed-norm tests compare the builders only with themselves.  The
-builders write into a buffer set that the streamed norms reuse slab after
-slab, so a slab must not read what an earlier one left there.
+entry.  Both must give the same floats, compared by ``tobytes()``, slab by
+slab and for the whole distributions, which the walk fills slab by slab
+into one output array.  The builders write into a buffer set that the walk
+reuses slab after slab, so a slab must not read what an earlier one left
+there.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
-from metaplectic.metaplectic_numeric.distributions import _ROW_BUILDERS, _row_buffers
+from metaplectic.metaplectic_numeric.distributions import (
+    _ROW_BUILDERS,
+    _row_buffers,
+    rihacek,
+    stft,
+    wigner,
+)
 from metaplectic.metaplectic_numeric.grid import Axis, Grid, GridFunction, centered_dft, row_slabs
 
 import oracles
@@ -56,6 +65,37 @@ def test_rows_bitwise_equal_the_gathered_rows(kind, grid_name):
     grid = ROW_GRIDS[grid_name]
     f, g = _random_function(grid, 1), _random_function(grid, 2)
     _assert_rows_equal(kind, f, g)
+
+
+@pytest.mark.parametrize("grid_name", ROW_GRIDS)
+@pytest.mark.parametrize("kind", ["wigner", "stft", "rihacek"])
+def test_whole_builders_bitwise_equal_the_gathered_rows(kind, grid_name):
+    # the whole builders fill one output through the slab walk: several
+    # slabs with leftover rows, one slab below 256 KiB (1d-64), and the
+    # Rihaczek operand order of the whole array on each side of it
+    grid = ROW_GRIDS[grid_name]
+    f, g = _random_function(grid, 1), _random_function(grid, 2)
+    got = {"wigner": wigner, "stft": stft, "rihacek": rihacek}[kind](f, g)
+    want = oracles.gathered_distribution(kind, f, g)
+    assert got.grid == want.grid
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_whole_build_stays_bitwise_under_fast_thread_switches():
+    # the workers write disjoint rows of one output and share the walk's
+    # free list of buffer sets: with the interpreter switching threads every
+    # microsecond, a slab written twice, lost or built in a shared set would
+    # change the bytes (15 slabs, the last with leftover rows)
+    grid = ROW_GRIDS["1d-1000"]
+    f, g = _random_function(grid, 3), _random_function(grid, 4)
+    want = oracles.gathered_rows("stft", f, g, slice(None)).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert stft(f, g).values.tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("grid_name", ["1d-64", "1d-128", "2d-24x16", "3d-6x10x8"])
