@@ -5,9 +5,10 @@ blank lines and ``#`` comments, and round-trips through ``repr``-exact
 floats.  Parse errors carry the 1-based line number of the offending line.
 The writers format their float tables one block of lines at a time.  The
 sampled-function writers are generators of those blocks
-(``grid_function_blocks``, ``csv_blocks``) fed with consecutive slices of
-axis 0 of the values, so a caller that writes each block as it comes never
-holds the whole text; ``write_grid_function`` and ``export_csv`` join them.
+(``grid_function_blocks``, ``csv_blocks``) fed with consecutive C-order
+blocks of the values, of any shape, so a caller that writes each block as
+it comes never holds the whole text; ``write_grid_function`` and
+``export_csv`` join them.
 
 * ``symplectic-matrix v1`` — ``d <int>``, optional ``label <text>``, then
   2d ``row`` lines of 2d entries each.
@@ -182,7 +183,7 @@ def write_grid_function(f: GridFunction) -> str:
 def grid_function_blocks(grid: Grid, slabs: Iterable[np.ndarray]) -> Iterator[str]:
     """The text of a ``grid-function v1`` file on ``grid``, one block at a
     time: the header, then the value lines of each of ``slabs``, the
-    values' consecutive slices of axis 0 in order."""
+    values' consecutive C-order blocks (of any shape) in order."""
     axes = [f"axis {ax.n} {float(ax.step)!r}\n" for ax in grid.axes]
     yield "".join(["grid-function v1\n", f"d {grid.d}\n", *axes, "values\n"])
     for slab in slabs:
@@ -391,16 +392,17 @@ def export_csv(f: GridFunction) -> str:
 
 def csv_blocks(grid: Grid, slabs: Iterable[np.ndarray]) -> Iterator[str]:
     """The text of :func:`export_csv` for a function on ``grid``, one block at
-    a time, from the values' consecutive slices of axis 0 in order."""
+    a time, from the values' consecutive C-order blocks (of any shape) in
+    order; each block's coordinates come from its C-order offset."""
     yield ",".join([f"x{i + 1}" for i in range(grid.d)] + ["re", "im", "abs"]) + "\n"
     row = ",".join(["%.12g"] * (grid.d + 3)) + "\n"
     points = [ax.points() for ax in grid.axes]
     first = 0
     for slab in slabs:
-        mesh = np.meshgrid(points[0][first : first + len(slab)], *points[1:], indexing="ij")
-        first += len(slab)
         v = slab.ravel()
+        at = np.unravel_index(np.arange(first, first + v.size), grid.shape)
+        first += v.size
         # np.hypot rounds as the scalar abs of a complex value does; the array
         # np.abs may differ in the last bit
-        columns = [m.ravel() for m in mesh] + [v.real, v.imag, np.hypot(v.real, v.imag)]
+        columns = [pts[i] for pts, i in zip(points, at)] + [v.real, v.imag, np.hypot(v.real, v.imag)]
         yield from _rows(np.column_stack(columns), row)

@@ -17,34 +17,35 @@ Sign conventions and normalizations follow the operator layer; each agrees
 with direct quadrature of its defining integral to roundoff on decaying
 input (see the test suite).
 
-Each classical distribution has one row builder: the values on a range of
-x-rows (a slice of axis 0), written into a buffer set that its caller owns
-(``_row_buffers``: two complex arrays of some number of x-rows; a slab of
-k rows goes into views of their first k rows).  The gather, the product,
-the transform and the Rihaczek phase table all go into the set, and the
-slab returned is a view of it.  ``_row_builder`` is the one prelude that
-checks the signals and makes a distribution's builder, once per call.
-Every caller walks the x-row slabs (``grid.row_slabs``: at least
-``grid.SLAB_BYTES`` of entries per slab, leftover rows in the last) through
-one walk, ``_slab_walk``, so its working memory is a few slabs instead of
-n^(2d) points: ``distribution_norm`` and ``mp_norm``;
+Each classical distribution has one row builder: the values on a slab of
+x-points (``grid.row_slabs``: a tuple of slices of the leading axes, at
+least ``grid.SLAB_BYTES`` of entries, one rule for every d), written into a
+buffer set that its caller owns (``_row_buffers``: two flat complex arrays
+of the largest slab's entries; a slab goes into views of their first
+entries in its shape).  The gather, the product, the transform and the
+Rihaczek phase table all go into the set, and the slab returned is a view
+of it.  ``_row_builder`` is the one prelude that checks the signals and
+makes a distribution's builder, once per call.  Where one x-row (n^(2d-1)
+points) fits in ``SLAB_BYTES``, as at every d = 1, a slab is a block of
+x-rows; past it, the slab cuts a later x axis, so at d = 2 and n = 128 a
+slab is 4 of the 128 x_2-lines of one x_1-row.  Every caller walks the slabs
+through one walk, ``_slab_walk``, so its working memory is a few slabs
+instead of n^(2d) points: ``distribution_norm`` and ``mp_norm``;
 ``streamed_distribution``, which gives a writer the norm and then copies of
 the slabs; and ``wigner``, ``stft`` and ``rihacek`` (``_filled``), whose
-workers write each slab into its rows of one output array, which the result
-then takes without a copy.  The whole builds and the streamed output are
-capped at ``MAX_DISTRIBUTION_POINTS``, before anything is allocated; the
-norms are not.
+workers write each slab into its points of one output array, which the
+result then takes without a copy.  The whole builds and the streamed output
+are capped at ``MAX_DISTRIBUTION_POINTS``, before anything is allocated;
+the norms are not.
 
 The walk builds the slabs on the worker threads (``grid.worker_map``) and
-keeps a free list of sets of its longest slab: a worker pops a set (or
+keeps a free list of sets of its largest slab: a worker pops a set (or
 makes one), builds its slab in it, runs the walk's per-slab function there
 (for a norm, |f|^p: ``grid.slab_powers``) and pushes the set back, so no
 two slabs share a set and none outlives the walk.  Only what the per-slab
 function returns reaches the calling thread, which, for a norm, adds the
-powers up in row order (``grid.reduce_powers``).  Slabs of about
-``SLAB_BYTES`` are built up to two ahead of it; larger ones (one x-row of
-n^3 points at d = 2) one at a time, so that a walk holds no more of them
-than a serial loop would.
+powers up in C order (``grid.reduce_powers``).  Slabs are built up to two
+ahead of it.
 
 The Wigner and STFT rows read the signals through read-only strided views:
 every read is a Toeplitz or Hankel pattern in (x-row j, column k), so once
@@ -59,9 +60,9 @@ sign, bit for bit, when every frequency index m_j >= 1 goes to n_j - m_j at
 once, and ``grid.mirrored_exps`` copies those entries from their partners.
 The phase itself (``form_sum``) is also computed on the source entries only.
 
-The floats equal the full-array norms exactly: a row's values do not depend
-on the slab around it, nor on the thread or the buffer set that builds it
-(every entry of a slab is written before it is read).  The slab floor
+The floats equal the full-array norms exactly: a point's values do not
+depend on the slab around it, nor on the thread or the buffer set that
+builds it (every entry of a slab is written before it is read).  The slab floor
 (1 MiB) still matters for that: it must not fall below 256 KiB.  The
 per-entry Rihaczek expression ``vals * np.exp(...)`` runs in place in the
 exp temporary, as exp * vals, from numpy's 256 KiB temporary-elision size
@@ -91,7 +92,7 @@ from ..symplectic_core import (
     interchange,
 )
 from .grid import Axis, Grid, GridFunction, centered_dft, form_sum, mirrored_exps
-from .grid import MAX_WORKERS, SLAB_BYTES, lpq_norm, periodic_reads, row_slabs, shifted_dft
+from .grid import lpq_norm, periodic_reads, row_slabs, shifted_dft
 from .grid import reduce_powers, slab_powers, worker_map
 from .operators import apply_metaplectic
 
@@ -119,12 +120,16 @@ def _check_points(what: str, npts: int) -> None:
         )
 
 
-def _row_buffers(grid: Grid, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """A buffer set for a row builder: two complex arrays of ``rows`` x-rows
-    of ``grid``.  A builder writes a slab of k rows into views of the first
-    k rows of both."""
-    shape = (rows,) + grid.shape[1:]
-    return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+def _row_buffers(entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """A buffer set for a row builder: two flat complex arrays of
+    ``entries`` entries.  A builder writes a slab into views of their first
+    entries in the slab's shape (``_view``)."""
+    return np.empty(entries, dtype=complex), np.empty(entries, dtype=complex)
+
+
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first entries of the flat ``buffer``, viewed in ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _wigner_rows(f: GridFunction, g: GridFunction):
@@ -132,13 +137,13 @@ def _wigner_rows(f: GridFunction, g: GridFunction):
     doubled = Grid(f.grid.axes + f.grid.axes)
     f_at, g_at = periodic_reads(f.values), periodic_reads(g.values)
 
-    def build(rows: slice, buffers) -> np.ndarray:
+    def build(slab: tuple[slice, ...], buffers) -> np.ndarray:
         # f(x + u) conj(g(x - u)) with the u axes already in FFT order:
         # f at (j + k) mod n and g at (j - k) mod n
-        paired = g_at(rows, 1, -1)
-        spectral, spare = (b[: len(paired)] for b in buffers)
+        paired = g_at(slab, 1, -1)
+        spectral, spare = (_view(b, paired.shape) for b in buffers)
         np.conj(paired, out=spectral)
-        np.multiply(f_at(rows, 1, 1), spectral, out=spectral)
+        np.multiply(f_at(slab, 1, 1), spectral, out=spectral)
         shifted_dft(spectral, spare, doubled, tuple(range(d, 2 * d)))
         spectral *= 2.0**d
         return spectral
@@ -153,11 +158,11 @@ def _stft_rows(f: GridFunction, g: GridFunction):
     f_shifted = np.fft.ifftshift(f.values)
     g_at = periodic_reads(g.values)
 
-    def build(rows: slice, buffers) -> np.ndarray:
+    def build(slab: tuple[slice, ...], buffers) -> np.ndarray:
         # V(x, t) = f(t) conj(g(t - x)) with the t axes already in FFT order:
         # g at (k - j) mod n
-        read = g_at(rows, -1, 1)
-        gathered, spare = (b[: len(read)] for b in buffers)
+        read = g_at(slab, -1, 1)
+        gathered, spare = (_view(b, read.shape) for b in buffers)
         np.conj(read, out=gathered)
         np.multiply(f_shifted, gathered, out=gathered)
         return shifted_dft(gathered, spare, doubled, freq)
@@ -172,11 +177,12 @@ def _rihacek_rows(f: GridFunction, g: GridFunction):
     mesh = grid.open_mesh()
     xi_points = [ax.points() for ax in grid.axes[d:]]
 
-    def build(rows: slice, buffers) -> np.ndarray:
-        f_rows = f.values[rows]
-        vals, phase_exps = (b[: len(f_rows)] for b in buffers)
+    def build(slab: tuple[slice, ...], buffers) -> np.ndarray:
+        f_rows = f.values[slab]
+        vals, phase_exps = (_view(b, f_rows.shape + ghat_conj.shape) for b in buffers)
         np.multiply.outer(f_rows, ghat_conj, out=vals)
-        x = (mesh[0][rows],) + mesh[1:d]
+        # each x axis of the mesh cut to the slab's points
+        x = tuple(m[(slice(None),) * i + slab[i : i + 1]] for i, m in enumerate(mesh[:d]))
 
         def fill(sl, part):
             xi = np.ix_(*(pts[s] for pts, s in zip(xi_points, sl)))
@@ -191,9 +197,10 @@ def _rihacek_rows(f: GridFunction, g: GridFunction):
 
 
 #: the row builder of each classical distribution: (f, g) -> (grid, build),
-#: where ``build(rows, buffers)`` writes the values on the x-rows ``rows``
-#: into the buffer set ``buffers`` (``_row_buffers``) and returns them, a
-#: view of the set
+#: where ``build(slab, buffers)`` writes the values on the x-points ``slab``
+#: (a tuple of slices of the leading axes, ``grid.row_slabs``) into the
+#: buffer set ``buffers`` (``_row_buffers``) and returns them, a view of
+#: the set
 _ROW_BUILDERS = {"wigner": _wigner_rows, "stft": _stft_rows, "rihacek": _rihacek_rows}
 
 
@@ -212,12 +219,12 @@ def _row_builder(kind: str, f: GridFunction, g: GridFunction, capped: bool = Fal
 def _filled(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
     """The whole distribution ``kind`` of (f, g): one output array, each of
     whose slabs a worker builds through ``_slab_walk`` and writes into its
-    rows, handed to the result without a copy."""
+    points, handed to the result without a copy."""
     grid, build = _row_builder(kind, f, g, capped=True)
     out = np.empty(grid.shape, dtype=complex)
 
-    def into_out(rows: slice, buffers) -> None:
-        out[rows] = build(rows, buffers)
+    def into_out(slab: tuple[slice, ...], buffers) -> None:
+        out[slab] = build(slab, buffers)
 
     for _ in _slab_walk(grid, into_out, lambda _: None):
         pass
@@ -225,37 +232,34 @@ def _filled(kind: str, f: GridFunction, g: GridFunction) -> GridFunction:
 
 
 def _slab_walk(grid: Grid, build, each: Callable) -> Iterator:
-    """``each(slab)`` for the x-row slabs (``grid.row_slabs``) of the
-    distribution on ``grid`` that ``build`` writes, in row order, each slab
-    built and handed to ``each`` on a worker thread (``grid.worker_map``);
-    close the iterator to stop early.
+    """``each(slab)`` for the slabs (``grid.row_slabs``) of the distribution
+    on ``grid`` that ``build`` writes, in C order, each slab built and
+    handed to ``each`` on a worker thread (``grid.worker_map``); close the
+    iterator to stop early.
 
     A slab is a view of a buffer set that another slab reuses once ``each``
     returns, so ``each`` must not keep it.
     """
     slabs = row_slabs(grid)
-    longest = max(rows.stop - rows.start for rows in slabs)
-    # buffer sets of the longest slab, made as the workers first need them:
+    # every slab cuts the same leading axes, and only the last cut is longer
+    # than one index
+    largest = max(s[-1].stop - s[-1].start for s in slabs) * math.prod(grid.shape[len(slabs[0]) :])
+    # buffer sets of the largest slab, made as the workers first need them:
     # a worker pops one, builds its slab and runs ``each`` in it, and pushes
     # it back, so no two slabs share a set and none outlives the walk
     free = []
 
-    def run(rows: slice):
+    def run(slab: tuple[slice, ...]):
         try:
             buffers = free.pop()
         except IndexError:
-            buffers = _row_buffers(grid, longest)
+            buffers = _row_buffers(largest)
         try:
-            return each(build(rows, buffers))
+            return each(build(slab, buffers))
         finally:
             free.append(buffers)
 
-    # a slab built ahead is one more slab alive, with its temporaries: cheap
-    # for slabs of about SLAB_BYTES, but a slab is at least one x-row, n^3
-    # points at d = 2 (32 MiB at n = 128), and such slabs are built one at
-    # a time, as a serial loop holds them
-    ahead = MAX_WORKERS if 16 * math.prod(grid.shape[1:]) <= SLAB_BYTES else 1
-    return worker_map(run, slabs, ahead)
+    return worker_map(run, slabs)
 
 
 def _streamed_norm(grid: Grid, build, p: float, q: float | None) -> float:
@@ -272,7 +276,8 @@ def streamed_distribution(
     """The classical distribution ``kind`` (``"wigner"``, ``"stft"`` or
     ``"rihacek"``) of (f, g), for a caller that writes it out without
     building it whole: its grid, its L^2 norm, and a function whose every
-    call walks its x-row slabs again, yielding a copy of each in row order.
+    call walks its slabs (``grid.row_slabs``) again, yielding a copy of each
+    in C order.
 
     The norm is the streamed one of ``distribution_norm``, bit-equal to
     ``lp_norm`` of the whole array, and the copies are the rows of
@@ -357,7 +362,7 @@ def distribution_norm(
     """Mixed L^{p,q} norm (as :func:`lpq_norm`) of ``wigner_metaplectic(A, f, g)``.
 
     For the three classical matrices the distribution is never built whole:
-    the powers of its x-row slabs stream into one reduction
+    the powers of its slabs stream into one reduction
     (``grid.reduce_powers``), and the float equals the full-array norm
     exactly.  Any other matrix runs the factorization pipeline on the whole
     tensor.
@@ -415,5 +420,5 @@ def classical_kind(A: SymplecticMatrix) -> str | None:
 
 def mp_norm(f: GridFunction, window: GridFunction, p: float, q: float | None = None) -> float:
     """Modulation norm: the L^{p,q} mixed norm of V_window f (q defaults to p),
-    streamed over x-row slabs; equal to the full-array norm of ``stft``."""
+    streamed over slabs; equal to the full-array norm of ``stft``."""
     return _streamed_norm(*_row_builder("stft", f, window), p, None if q is None or q == p else q)

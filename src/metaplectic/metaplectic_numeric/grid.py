@@ -40,24 +40,24 @@ entries.  The rescaling kernel and the Rihaczek rows fill it, each with its
 own exps, so each keeps its own rounding.
 
 Norms in slabs.  ``slab_norm`` reduces a function that arrives as
-consecutive slabs of axis-0 rows (``row_slabs`` cuts them), so a
-phase-space norm never needs the whole array; ``lp_norm`` and ``lpq_norm``
-are ``slab_norm`` on one slab.  It is two steps: ``slab_powers`` takes
-|f|^p of one slab (or, for p = inf, the slab's max over the inner axes),
-where the slab is built, on the worker threads for the streamed
+consecutive C-order slabs of its x-points, each with every value on them
+(``row_slabs`` cuts them), so a phase-space norm never needs the whole
+array; ``lp_norm`` and ``lpq_norm`` are ``slab_norm`` on one slab.  It is
+two steps: ``slab_powers`` takes |f|^p of one slab (or, for p = inf, the
+slab's max over the inner axes), where the slab is built, on the worker threads for the streamed
 distribution norms, and ``reduce_powers`` adds the powers up on the calling
-thread, in row order.  It reproduces the full-array floats bit for bit in
+thread, in C order.  It reproduces the full-array floats bit for bit in
 two loops.  The plain L^p norm of finite p sums along numpy's
 pairwise split (halve the range, round the half down to a multiple of 8),
 calling ``np.sum`` on every piece of that tree that lies in one slab; on
 one slab that is one ``np.sum`` of all the powers.  Every other norm goes
 through one accumulator over the outer axes: the mixed norm (L^p over the
-first half of the axes, then L^q) adds each row's |f|^p into it in row
-order, as numpy reduces a leading axis, and a sup over the inner axes
+first half of the axes, then L^q) adds each x-point's |f|^p into it in
+C order, as numpy reduces leading axes, and a sup over the inner axes
 takes each slab's max into it (the plain sup norm has every axis inner
-and no outer axis).  A slab holds at least ``SLAB_BYTES`` of
-complex entries, or all rows: builders that run on slabs must round like
-the full-array code, and numpy computes an expression in place (with
+and no outer axis).  A slab holds at least ``SLAB_BYTES`` of complex
+entries, or the whole grid: builders that run on slabs must round like the
+full-array code, and numpy computes an expression in place (with
 swapped operands, so a complex product rounds differently) only for
 temporaries of 256 KiB or more.  ``slab_norm`` reports an overflow of
 ``np.abs`` on finite samples, which numpy's flag misses, through
@@ -71,9 +71,9 @@ loops, the rescaling's kernel blocks and the distribution slabs, on a pool
 of two threads made on first use (one when the process may run on one CPU;
 a forked child makes its own).  numpy releases the interpreter lock in
 its exps, FFTs and BLAS products, so the two threads overlap.  Results come
-back in order and no more than two run ahead (fewer if the caller says
-so), and each call runs in a copy of the caller's ``contextvars`` context,
-so ``np.errstate`` holds in the workers as in the caller.  A piece
+back in order and no more than two run ahead (one with one worker), and
+each call runs in a copy of the caller's ``contextvars`` context, so
+``np.errstate`` holds in the workers as in the caller.  A piece
 computes the same floats on any thread, so the output does not depend on
 the threads.
 """
@@ -83,6 +83,7 @@ from __future__ import annotations
 import collections
 import contextvars
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -93,11 +94,11 @@ import numpy as np
 #: relative outer-shell mass below which a sampled function counts as decayed
 DECAY_FLAG_LEVEL = 1e-10
 
-#: least bytes of complex entries per slab of rows (the last slab takes the
-#: leftover rows).  numpy elides temporaries of 256 KiB (16384 complex
-#: entries) or more: it runs e.g. ``vals * np.exp(...)`` in place in the
-#: temporary, with the operands swapped, and its complex multiply does not
-#: round commutatively.  A slab below that floor would change bits against
+#: least bytes of complex entries per slab (``row_slabs``; the last slab
+#: along the cut axis takes the leftover entries).  numpy elides
+#: temporaries of 256 KiB (16384 complex entries) or more: it runs e.g.
+#: ``vals * np.exp(...)`` in place in the temporary, with the operands
+#: swapped, and its complex multiply does not round commutatively.  A slab below that floor would change bits against
 #: the full array.  Above it, smaller slabs hold less memory, which counts
 #: once two slabs are built ahead on the workers (``worker_map``): in the
 #: benchmark's ``phase-space-norms`` (n = 2048, one BLAS thread, 2 CPUs),
@@ -284,9 +285,10 @@ def form_sum(coef, x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = Non
 
 
 def periodic_reads(values: np.ndarray):
-    """``read(rows, sj, sk)``: the read-only view V[j, k] = values[(sj j + sk k)
-    mod n] per axis (signs sj, sk = +-1) on the x-rows ``rows`` of the doubled
-    grid (*shape, *shape), with no index array.
+    """``read(slab, sj, sk)``: the read-only view V[j, k] = values[(sj j + sk k)
+    mod n] per axis (signs sj, sk = +-1) on the x-points ``slab`` of the
+    doubled grid (*shape, *shape), with no index array.  ``slab`` is a tuple
+    of slices of the leading axes (``row_slabs``), ``()`` for every point.
 
     It is a strided view of ``values`` tiled three times along every axis
     (entry n + m of an axis holds values[m mod n]), built once here.
@@ -294,14 +296,12 @@ def periodic_reads(values: np.ndarray):
     shape = values.shape
     tiled = np.tile(values, (3,) * values.ndim)
 
-    def read(rows: slice, sj: int, sk: int) -> np.ndarray:
-        start, stop, _ = rows.indices(shape[0])
-        corner = tuple(
-            slice(n + (sj * start if ax == 0 else 0), None) for ax, n in enumerate(shape)
-        )
+    def read(slab: tuple[slice, ...], sj: int, sk: int) -> np.ndarray:
+        bounds = [s.indices(n)[:2] for s, n in zip(slab, shape)] + [(0, n) for n in shape[len(slab) :]]
+        corner = tuple(slice(n + sj * start, None) for (start, _), n in zip(bounds, shape))
         return np.lib.stride_tricks.as_strided(
             tiled[corner],
-            (stop - start,) + shape[1:] + shape,
+            tuple(stop - start for start, stop in bounds) + shape,
             tuple(sj * s for s in tiled.strides) + tuple(sk * s for s in tiled.strides),
             writeable=False,
         )
@@ -426,12 +426,27 @@ def lpq_norm(f: GridFunction, p: float, q: float) -> float:
     return slab_norm((f.values,), f.grid, p, q)
 
 
-def row_slabs(grid: Grid) -> list[slice]:
-    """Consecutive slices of axis 0 that cut ``grid`` into slabs of at least
-    ``SLAB_BYTES`` of complex entries; the last one takes the leftover rows,
-    and a grid smaller than one slab is one slab."""
-    row_bytes = 16 * math.prod(grid.shape[1:])
-    return row_blocks(grid.shape[0], -(-SLAB_BYTES // row_bytes))
+def row_slabs(grid: Grid) -> list[tuple[slice, ...]]:
+    """Consecutive C-order blocks of the x-points of the phase-space
+    ``grid`` (its first half of axes), each a tuple of slices of the leading
+    axes, of at least ``SLAB_BYTES`` of complex entries.
+
+    The cut axis is the first x axis whose trailing entries fit in
+    ``SLAB_BYTES``, or the last x axis if none does.  A slab takes one index
+    of each axis before it and a block of ``row_blocks`` along it: the last
+    block along the cut axis takes the leftover entries, and a grid smaller
+    than one slab is one slab.  Where one x-row fits (every d = 1 grid),
+    the cut axis is axis 0.
+    """
+    shape = grid.shape
+    last = max(grid.d // 2, 1) - 1
+    axis = next((a for a in range(last) if 16 * math.prod(shape[a + 1 :]) <= SLAB_BYTES), last)
+    blocks = row_blocks(shape[axis], -(-SLAB_BYTES // (16 * math.prod(shape[axis + 1 :]))))
+    return [
+        tuple(slice(i, i + 1) for i in lead) + (rows,)
+        for lead in itertools.product(*map(range, shape[:axis]))
+        for rows in blocks
+    ]
 
 
 def row_blocks(n: int, per_block: int) -> list[slice]:
@@ -460,21 +475,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_worker_pool.cache_clear)
 
 
-def worker_map(fn, items: Iterable, ahead: int = MAX_WORKERS) -> Iterator:
+def worker_map(fn, items: Iterable) -> Iterator:
     """``fn(item)`` for each of ``items``, in order, computed on the worker
     threads.
 
-    The calls run ahead of the consumer by at most ``ahead``, and by no
-    more than there are workers: a call starts when the consumer asks for a
-    result and fewer than that many calls are started and not yet handed
-    back.  With a bound of one (one CPU, or ``ahead=1``) the calls run one
-    after the other, each when its result is asked for, as in a serial
-    loop.  Each call runs in its own copy of the caller's ``contextvars``
-    context, which holds numpy's ``errstate``, so a worker raises (or
-    warns) on floating-point faults as the caller would.  A call's
-    exception is raised here when its result is reached; the calls still in
-    flight are then cancelled, or waited for if they have started, as they
-    are when the consumer stops early and closes the iterator.
+    The calls run ahead of the consumer by no more than there are workers:
+    a call starts when the consumer asks for a result and fewer than that
+    many calls are started and not yet handed back.  With one worker (one
+    CPU) the calls run one after the other, each when its result is asked
+    for, as in a serial loop.  Each call runs in its own copy of the
+    caller's ``contextvars`` context, which holds numpy's ``errstate``, so
+    a worker raises (or warns) on floating-point faults as the caller
+    would.  A call's exception is raised here when its result is reached;
+    the calls still in flight are then cancelled, or waited for if they
+    have started, as they are when the consumer stops early and closes the
+    iterator.
 
     ``fn`` must not call ``worker_map`` itself: with the workers waiting on
     it, the nested calls would never start.
@@ -482,11 +497,10 @@ def worker_map(fn, items: Iterable, ahead: int = MAX_WORKERS) -> Iterator:
     from concurrent.futures import wait
 
     pool, workers = _worker_pool()
-    ahead = min(ahead, workers)
     pending = collections.deque()
     try:
         for item in items:
-            if len(pending) == ahead:
+            if len(pending) == workers:
                 yield pending.popleft().result()
             pending.append(pool.submit(contextvars.copy_context().run, fn, item))
         while pending:
@@ -532,7 +546,7 @@ def _pairwise_sum(pieces: Iterator[np.ndarray], size: int) -> np.floating:
 
 def slab_norm(rows: Iterable[np.ndarray], grid: Grid, p: float, q: float | None = None) -> float:
     """Norm of the function on ``grid`` whose values arrive as ``rows``:
-    consecutive slabs of axis-0 rows, in order.
+    consecutive C-order slabs of its x-points (``row_slabs``), in order.
 
     With ``q`` this is the mixed norm of :func:`lpq_norm` (L^p over the
     first half of the axes, then L^q); with ``q=None`` it is the L^p norm
@@ -553,7 +567,7 @@ def slab_powers(
     slab: np.ndarray, grid: Grid, p: float, q: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The per-slab step of :func:`slab_norm`: what :func:`reduce_powers`
-    takes from one slab of rows, and the samples it may have to report.
+    takes from one slab, and the samples it may have to report.
 
     The first array is |slab|^p, raveled for a finite plain p and one row
     per point of the inner axes otherwise, or for p = inf the slab's max

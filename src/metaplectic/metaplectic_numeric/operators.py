@@ -85,16 +85,19 @@ MAX_DENSE_AXIS = 4096
 KERNEL_BLOCK_BYTES = 256 * 2**10
 
 
-def _as_param(Q, d: int) -> np.ndarray:
+def _as_param(Q, d: int, name: str) -> np.ndarray:
+    """The stage parameter ``name``, a finite d x d matrix, as a float array."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape != (d, d):
         raise ValueError(f"parameter must be {d} x {d}, got {Q.shape}")
+    if not np.isfinite(Q).all():
+        raise ValueError(f"{name} must be finite")
     return Q
 
 
 def chirp_apply(Q, f: GridFunction) -> GridFunction:
     """Multiply samples by the quadratic phase exp(i pi x . Q x)."""
-    Q = _as_param(Q, f.grid.d)
+    Q = _as_param(Q, f.grid.d, "chirp parameter Q")
     if not np.any(Q):
         return f
     mesh = f.grid.open_mesh()
@@ -130,7 +133,7 @@ def multiplier_apply(P, f: GridFunction) -> GridFunction:
     the dual of f's grid (see :func:`_spectral_product`), whose steps may
     differ from f's by an ulp.
     """
-    P = _as_param(P, f.grid.d)
+    P = _as_param(P, f.grid.d, "multiplier parameter P")
     if not np.any(P):
         return f
     symbol = lambda xi: np.exp(-1j * math.pi * form_sum(P, xi))
@@ -316,7 +319,7 @@ def rescale_apply(L, f: GridFunction) -> GridFunction:
     detect it.
     """
     d = f.grid.d
-    L = _as_param(L, d)
+    L = _as_param(L, d, "rescaling parameter L")
     if np.array_equal(L, np.eye(d)):
         return f
     perm, lo, dvec, up = _pivoted_lu(L)
@@ -353,6 +356,9 @@ def tf_shift(f: GridFunction, x0, xi0, tau: float = 0.0) -> GridFunction:
     d = f.grid.d
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,))
     xi0 = np.broadcast_to(np.asarray(xi0, dtype=float), (d,))
+    for name, value in (("x0", x0), ("xi0", xi0), ("tau", tau)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"time-frequency shift {name} must be finite")
     grid, values = f.grid, f.values
     if np.any(x0):
         shift = lambda xi: np.exp(-2j * math.pi * form_sum(x0, xi))

@@ -51,7 +51,7 @@ def _wigner_pairing(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     d = len(shape)
     reads = [periodic_reads(np.fft.fftshift(np.arange(n))) for n in shape]
     return tuple(
-        reads[ax](slice(None), 1, sk).reshape([n if i in (ax, d + ax) else 1 for i in range(2 * d)])
+        reads[ax]((), 1, sk).reshape([n if i in (ax, d + ax) else 1 for i in range(2 * d)])
         for sk in (1, -1)
         for ax, n in enumerate(shape)
     )

@@ -329,9 +329,10 @@ def looped_centered_dft(
     return values
 
 
-def _gather_index(shape, a: int, b: int, rows: slice):
+def _gather_index(shape, a: int, b: int, slab: tuple[slice, ...]):
     """Per-axis int64 indices (a (j - h) + b (k - h) + h) mod n on the doubled
-    grid (*shape, *shape), with the j of axis 0 cut to ``rows``."""
+    grid (*shape, *shape), with the j of each leading axis cut to its slice
+    in ``slab``."""
     d = len(shape)
     out = []
     for ax, n in enumerate(shape):
@@ -340,16 +341,17 @@ def _gather_index(shape, a: int, b: int, rows: slice):
         idx = h
         for coef, slot in ((a, ax), (b, d + ax)):
             if coef:
-                pts = centred[rows] if slot == 0 else centred
+                pts = centred[slab[slot]] if slot < len(slab) else centred
                 idx = idx + coef * pts.reshape([-1 if i == slot else 1 for i in range(2 * d)])
         out.append(idx % n)
     return tuple(out)
 
 
-def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> np.ndarray:
+def gathered_rows(kind: str, f: GridFunction, g: GridFunction, slab: tuple[slice, ...]) -> np.ndarray:
     """Values of ``wigner(f, g)`` (``kind="wigner"``), ``stft(f, g)``
     (``kind="stft"``) or ``rihacek(f, g)`` (``kind="rihacek"``) on the
-    x-rows ``rows``: fancy-index gathers of f(x + u) conj(g(x - u)), or of
+    x-points ``slab``, a tuple of slices of the leading axes (``()`` for
+    every point): fancy-index gathers of f(x + u) conj(g(x - u)), or of
     f(t) conj(g(t - x)), then :func:`looped_centered_dft` over the second
     slot; or f(x) conj(FT g)(xi) times the exp of the whole phase table
     -2 pi i x . xi, every entry an exp of its own."""
@@ -358,8 +360,8 @@ def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> n
     if kind == "rihacek":
         ghat_conj = np.conj(centered_dft(g.values, g.grid, range(d)))
         mesh = Grid(f.grid.axes + g.grid.dualized(range(d)).axes).open_mesh()
-        vals = np.multiply.outer(f.values[rows], ghat_conj)
-        x = (mesh[0][rows],) + mesh[1:]
+        vals = np.multiply.outer(f.values[slab], ghat_conj)
+        x = tuple(m[(slice(None),) * i + slab[i : i + 1]] for i, m in enumerate(mesh))
         phase = form_sum(np.eye(d), x[:d], x[d:])
         # numpy runs this product in place in the exp temporary from 256 KiB
         # on, as exp * vals; the package must round as this line does
@@ -367,14 +369,14 @@ def gathered_rows(kind: str, f: GridFunction, g: GridFunction, rows: slice) -> n
     doubled = Grid(f.grid.axes + f.grid.axes)
     freq = tuple(range(d, 2 * d))
     if kind == "wigner":
-        paired = f.values[_gather_index(shape, 1, 1, rows)] * np.conj(
-            g.values[_gather_index(shape, 1, -1, rows)]
+        paired = f.values[_gather_index(shape, 1, 1, slab)] * np.conj(
+            g.values[_gather_index(shape, 1, -1, slab)]
         )
         spectral = looped_centered_dft(paired, doubled, freq)
         return (2.0**d) * spectral
     if kind == "stft":
-        gathered = f.values[_gather_index(shape, 0, 1, rows)] * np.conj(
-            g.values[_gather_index(shape, -1, 1, rows)]
+        gathered = f.values[_gather_index(shape, 0, 1, slab)] * np.conj(
+            g.values[_gather_index(shape, -1, 1, slab)]
         )
         return looped_centered_dft(gathered, doubled, freq)
     raise ValueError(f"no gathered rows for {kind!r}")
@@ -387,7 +389,7 @@ def gathered_distribution(kind: str, f: GridFunction, g: GridFunction) -> GridFu
     half = 2.0 if kind == "wigner" else 1.0
     duals = (g if kind == "rihacek" else f).grid.axes
     grid = Grid(f.grid.axes + tuple(Axis(ax.n, ax.dual().step / half) for ax in duals))
-    return GridFunction(grid, gathered_rows(kind, f, g, slice(None)))
+    return GridFunction(grid, gathered_rows(kind, f, g, ()))
 
 
 def scattered_wigner_adjoint(a: GridFunction) -> np.ndarray:
@@ -400,8 +402,7 @@ def scattered_wigner_adjoint(a: GridFunction) -> np.ndarray:
     relabeled = Grid(sig.axes + tuple(ax.dual() for ax in sig.axes))
     y = centered_dft(a.values, relabeled, tuple(range(d, 2 * d)), inverse=True)
     out = np.zeros(sig.shape + sig.shape, dtype=complex)
-    rows = slice(None)
-    np.add.at(out, _gather_index(sig.shape, 1, 1, rows) + _gather_index(sig.shape, 1, -1, rows), y)
+    np.add.at(out, _gather_index(sig.shape, 1, 1, ()) + _gather_index(sig.shape, 1, -1, ()), y)
     return out
 
 

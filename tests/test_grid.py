@@ -423,16 +423,13 @@ def workers(request, monkeypatch):
     grid_module._worker_pool.cache_clear()
 
 
-def test_worker_map_starts_no_more_calls_than_workers_or_ahead(workers):
-    # a call starts only while fewer than min(ahead, workers) calls are
-    # started and not yet handed back
-    started = []
-    for ahead in (1, 2, 3):
-        started.clear()
-        ahead_of_consumer = []
-        for k, _ in enumerate(worker_map(started.append, range(6), ahead)):
-            ahead_of_consumer.append(len(started) - k)
-        assert max(ahead_of_consumer) <= min(ahead, workers), ahead
+def test_worker_map_starts_no_more_calls_than_workers(workers):
+    # a call starts only while fewer than ``workers`` calls are started and
+    # not yet handed back; the worker count is the only bound
+    started, ahead_of_consumer = [], []
+    for k, _ in enumerate(worker_map(started.append, range(6))):
+        ahead_of_consumer.append(len(started) - k)
+    assert max(ahead_of_consumer) <= workers
 
 
 def test_worker_map_runs_each_call_in_its_own_copy_of_the_callers_context(workers):

@@ -482,6 +482,23 @@ def test_block_writers_of_any_row_cut_equal_the_whole_writers(rows_per_slab):
         assert "".join(csv_blocks(f.grid, slabs)) == rowwise_export_csv(f)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_block_writers_of_any_c_order_cut_equal_the_whole_writers(seed):
+    # the distribution's slabs may cut an x-row (a tuple of slices of the
+    # leading axes), so the writers take consecutive C-order blocks of any
+    # shape: flat runs that cross rows, and sub-row blocks that keep their
+    # axes, between cuts drawn at random
+    grid = Grid((Axis(4, 0.5), Axis(6, 1.0 / 3.0), Axis(2, 0.7)))
+    f = GridFunction(grid, _random_complex(seed, grid.shape, 1e-200, 1e200))
+    rng = np.random.default_rng(seed)
+    bounds = [0, *sorted(rng.choice(np.arange(1, f.values.size), 5, replace=False)), f.values.size]
+    flat = [f.values.ravel()[a:b] for a, b in zip(bounds, bounds[1:])]
+    sub_rows = [f.values[i : i + 1, j : j + 4] for i in range(4) for j in (0, 4)]
+    for slabs in (flat, sub_rows):
+        assert "".join(grid_function_blocks(grid, slabs)) == write_grid_function(f)
+        assert "".join(csv_blocks(grid, slabs)) == export_csv(f)
+
+
 # -- parsing from an open file ------------------------------------------------------
 
 #: components the streamed parse must carry bit for bit: signed zeros,

@@ -15,8 +15,10 @@ from metaplectic.metaplectic_numeric import (
     Grid,
     apply_metaplectic,
     chirp_apply,
+    multiplier_apply,
     partial_ft,
     rescale_apply,
+    tf_shift,
 )
 from metaplectic.probes import unbounded_probe
 from metaplectic.symplectic_core import (
@@ -61,6 +63,31 @@ REFUSALS = {
     "stage-parameter-shape": (
         lambda: chirp_apply(np.eye(2), _signal()),
         "parameter must be 1 x 1, got (2, 2)",
+    ),
+    # these used to return non-finite samples
+    "chirp-parameter-nan": (
+        lambda: chirp_apply([[np.nan]], _signal()),
+        "chirp parameter Q must be finite",
+    ),
+    "multiplier-parameter-inf": (
+        lambda: multiplier_apply([[np.inf]], _signal()),
+        "multiplier parameter P must be finite",
+    ),
+    "rescaling-parameter-nan": (
+        lambda: rescale_apply(np.diag([1.0, np.nan]), _signal(2)),
+        "rescaling parameter L must be finite",
+    ),
+    "tf-shift-x0-inf": (
+        lambda: tf_shift(_signal(), np.inf, 0.0),
+        "time-frequency shift x0 must be finite",
+    ),
+    "tf-shift-xi0-nan": (
+        lambda: tf_shift(_signal(2), 0.0, [0.5, np.nan]),
+        "time-frequency shift xi0 must be finite",
+    ),
+    "tf-shift-tau-inf": (
+        lambda: tf_shift(_signal(), 0.0, 0.0, -np.inf),
+        "time-frequency shift tau must be finite",
     ),
     # grid
     "grid-no-axes": (lambda: Grid(()), "grid needs at least one axis"),

@@ -1,4 +1,4 @@
-"""Norms of the classical distributions streamed over x-row slabs.
+"""Norms of the classical distributions streamed over slabs of x-points.
 
 ``distribution_norm`` and ``mp_norm`` never build the n^(2d)-point array:
 each slab of rows goes into one accumulator (``grid.slab_norm``).  The
@@ -54,6 +54,8 @@ GRIDS = {
     "1d-250": Grid((Axis(250, 0.063),)),
     "2d-32": Grid.selfdual(2, 32),
     "2d-24x16": Grid((Axis(24, 0.21), Axis(16, 0.37))),
+    # an x-row is 2 MiB: four slabs, each half of one x-row
+    "2d-2x256": Grid((Axis(2, 0.7), Axis(256, 0.0625))),
 }
 
 MIXED = [(2.0, 1.0), (1.0, 4.0), (0.5, 3.0), (INF, 2.0), (2.0, INF), (INF, INF)]
@@ -101,19 +103,45 @@ def test_mp_norm_equals_the_full_stft_norm(grid_name):
 
 def test_test_grids_cover_several_slabs_and_leftover_rows():
     doubled = {k: Grid(grid.axes * 2) for k, grid in GRIDS.items()}
-    assert [len(row_slabs(grid)) for grid in doubled.values()] == [16, 15, 1, 16, 2]
+    assert [len(row_slabs(grid)) for grid in doubled.values()] == [16, 15, 1, 16, 2, 4]
     # 1000 rows of 16000 bytes: 66-row slabs, the last one takes 76 rows
-    assert [s.stop - s.start for s in row_slabs(doubled["1d-1000"])] == [66] * 14 + [76]
+    assert [s[-1].stop - s[-1].start for s in row_slabs(doubled["1d-1000"])] == [66] * 14 + [76]
+    # where an x-row fits in a slab, a slab is a block of x-rows
+    assert all(len(s) == 1 for k, grid in doubled.items() if k != "2d-2x256" for s in row_slabs(grid))
+    # 2 MiB x-rows, cut along x_2 into two 128-line halves
+    assert row_slabs(doubled["2d-2x256"]) == [
+        (slice(i, i + 1), slice(j, j + 128)) for i in (0, 1) for j in (0, 128)
+    ]
 
 
-@pytest.mark.parametrize("grid_name", GRIDS)
-def test_row_slabs_cover_axis_zero_with_slabs_of_at_least_the_floor(grid_name):
-    grid = Grid(GRIDS[grid_name].axes * 2)
+#: phase-space grids whose slabs cut axis 0 or a later x axis; the last two
+#: are only cut, never built: an x-row of 2d-4x4096 is 1 GiB, cut along
+#: x_2, and the 2 MiB that 2d-4x32768 holds at each x-point are already
+#: past the floor, so each of its slabs is one x-point
+CUT_GRIDS = {
+    **{name: Grid(grid.axes * 2) for name, grid in GRIDS.items()},
+    "3d-2x2x128": Grid((Axis(2, 0.8), Axis(2, 0.45), Axis(128, 0.09)) * 2),
+    "2d-4x4096": Grid((Axis(4, 0.5), Axis(4096, 0.01)) * 2),
+    "2d-4x32768": Grid((Axis(4, 0.5), Axis(32768, 0.01)) * 2),
+}
+
+
+@pytest.mark.parametrize("grid_name", CUT_GRIDS)
+def test_row_slabs_tile_the_x_points_in_order_with_slabs_of_at_least_the_floor(grid_name):
+    grid = CUT_GRIDS[grid_name]
+    x_shape = grid.shape[: grid.d // 2]
     slabs = row_slabs(grid)
-    row_bytes = 16 * math.prod(grid.shape[1:])
-    assert slabs[0].start == 0 and slabs[-1].stop == grid.shape[0]
-    assert all(a.stop == b.start for a, b in zip(slabs, slabs[1:]))
-    assert len(slabs) == 1 or all((s.stop - s.start) * row_bytes >= SLAB_BYTES for s in slabs)
+    # each slab is a tuple of slices of the leading x axes, and the x-points
+    # of the slabs, in order, are every x-point once, in C order
+    flat = np.arange(math.prod(x_shape)).reshape(x_shape)
+    points = np.concatenate([flat[slab].ravel() for slab in slabs])
+    assert np.array_equal(points, np.arange(flat.size))
+    # at least SLAB_BYTES of complex entries each, unless the grid is one slab
+    tail = math.prod(grid.shape[len(slabs[0]) :])
+    entries = [math.prod(s.stop - s.start for s in slab) * tail for slab in slabs]
+    assert all(len(slab) == len(slabs[0]) for slab in slabs)
+    assert len(slabs) == 1 or all(16 * e >= SLAB_BYTES for e in entries)
+    assert sum(entries) == math.prod(grid.shape)
 
 
 @pytest.mark.parametrize("rows_per_slab", [1, 3, 7, 64, 500])
@@ -160,11 +188,12 @@ def test_lp_norm_is_bitwise_the_direct_full_array_norm(grid_name, scale):
                 assert ours == direct, (p, over)
 
 
-@pytest.mark.parametrize("grid_name", ["1d-1000", "2d-32"])
+@pytest.mark.parametrize("grid_name", ["1d-1000", "2d-32", "2d-2x256"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_streamed_plain_norm_bitwise_equals_the_direct_norm(kind, grid_name):
-    # 1 MiB slabs (15 and 16 of them here), built on the worker threads and
-    # reduced in row order on the calling one
+    # 1 MiB slabs (15, 16 and 4 of them here, the last four each half an
+    # x-row), built on the worker threads and reduced in C order on the
+    # calling one
     assert SLAB_BYTES == 2**20
     grid = GRIDS[grid_name]
     f, g = _random_function(grid, 12), _random_function(grid, 13)
@@ -183,9 +212,9 @@ def test_streamed_norm_builds_at_most_two_slabs_ahead(monkeypatch):
     def recorded_rows(f, g):
         grid, build = stft_rows(f, g)
 
-        def recorded(rows, buffers):
-            started.append(rows.start)
-            return build(rows, buffers)
+        def recorded(slab, buffers):
+            started.append(slab[0].start)
+            return build(slab, buffers)
 
         return grid, recorded
 
@@ -208,50 +237,47 @@ def test_streamed_norm_builds_at_most_two_slabs_ahead(monkeypatch):
     assert sorted(started) == list(range(0, 1024, 64))
 
 
-@pytest.mark.parametrize("kind", ["wigner", "stft"])
-def test_streamed_norm_of_one_row_slabs_peaks_as_the_serial_loop(kind):
-    # at d = 2 a slab is one x-row of n^3 points (4 MiB at n = 64, above
-    # SLAB_BYTES); such slabs are built one at a time, and the norm's peak
-    # stays at the serial loop's, which builds every slab in one buffer set
-    # (built two ahead, it rose by 4 slabs)
+@pytest.mark.parametrize("kind", KINDS)
+def test_streamed_norm_of_sub_row_slabs_bitwise_equals_the_serial_loop_in_a_few_slabs(kind):
+    # at d = 2 and n = 64 an x-row is 64^3 points, 4 MiB, so each slab is a
+    # quarter of one, 1 MiB, built up to two ahead like any other slab; the
+    # norm equals the serial loop's, which builds every slab in one buffer
+    # set.  When a slab was a whole x-row, built one at a time, the norm
+    # peaked at 14.4-16.2 SLAB_BYTES
     grid = Grid.selfdual(2, 64)
     f, g = _random_function(grid, 16), _random_function(grid, 17)
     doubled, build = distributions._ROW_BUILDERS[kind](f, g)
-    slab = 16 * math.prod(doubled.shape[1:])
-    assert slab > SLAB_BYTES and len(row_slabs(doubled)) == 64
-
-    def serial():
-        buffers = distributions._row_buffers(doubled, 1)
-        return slab_norm((build(rows, buffers) for rows in row_slabs(doubled)), doubled, 2.0, 1.0)
-
-    values, peaks = [], []
-    streamed = lambda: distributions._streamed_norm(*distributions._row_builder(kind, f, g), 2.0, 1.0)
-    for norm in (serial, streamed):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            values.append(norm())
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert values[0] == values[1]
-    assert peaks[1] < peaks[0] + slab / 2, [peak / slab for peak in peaks]
+    slabs = row_slabs(doubled)
+    assert 16 * math.prod(doubled.shape[1:]) > SLAB_BYTES and len(slabs) == 256
+    buffers = distributions._row_buffers(SLAB_BYTES // 16)
+    serial = slab_norm((build(slab, buffers) for slab in slabs), doubled, 2.0, 1.0)
+    del buffers
+    gc.collect()
+    tracemalloc.start()
+    try:
+        streamed = distribution_norm(KINDS[kind](2), f, g, 2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed == serial
+    assert peak <= 10 * SLAB_BYTES, peak / SLAB_BYTES
 
 
 def test_streamed_norm_gives_each_slab_in_flight_its_own_buffer_set(monkeypatch):
     # the workers share one free list of buffer sets: with the interpreter
     # switching threads every microsecond, one set handed to two slabs at
     # once would change the floats, and a call makes no more sets than it
-    # builds slabs at once, each of the longest slab (76 rows here)
+    # builds slabs at once, each of the largest slab (76 x-rows of 1000
+    # entries here)
     grid = GRIDS["1d-1000"]
     f, g = _random_function(grid, 18), _random_function(grid, 19)
     want = lpq_norm(gathered_distribution("stft", f, g), 2.0, 1.0)
     made = []
     row_buffers = distributions._row_buffers
 
-    def counted(grid, rows):
-        made.append(rows)
-        return row_buffers(grid, rows)
+    def counted(entries):
+        made.append(entries)
+        return row_buffers(entries)
 
     monkeypatch.setattr(distributions, "_row_buffers", counted)
     interval = sys.getswitchinterval()
@@ -260,7 +286,7 @@ def test_streamed_norm_gives_each_slab_in_flight_its_own_buffer_set(monkeypatch)
         for _ in range(20):
             made.clear()
             assert mp_norm(f, g, 2.0, 1.0) == want
-            assert 1 <= len(made) <= MAX_WORKERS and set(made) == {76}
+            assert 1 <= len(made) <= MAX_WORKERS and set(made) == {76 * 1000}
     finally:
         sys.setswitchinterval(interval)
 

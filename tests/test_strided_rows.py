@@ -7,11 +7,14 @@ The slow exact forms in ``oracles`` gather through int64 index arrays and
 shift, transform, shift and scale one axis at a time, or take an exp per
 entry.  Both must give the same floats, compared by ``tobytes()``, slab by
 slab and for the whole distributions, which the walk fills slab by slab
-into one output array.  The builders write into a buffer set that the walk
+into one output array, on grids whose slabs are blocks of x-rows and on
+grids whose x-rows are too large for one slab, which are cut along a later
+x axis.  The builders write into a buffer set that the walk
 reuses slab after slab, so a slab must not read what an earlier one left
 there.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -31,13 +34,15 @@ from test_streamed_norms import GRIDS, _random_function
 
 #: 1d-64 and 1d-128 put the whole array just below and exactly at numpy's
 #: 256 KiB temporary-elision size, where the Rihaczek product flips its
-#: operand order
+#: operand order.  In 3d-2x2x128 an x-row is 2 MiB, so each slab holds the
+#: 1 MiB of one (x_1, x_2) pair; GRIDS' 2d-2x256 cuts its 2 MiB x-rows in two
 ROW_GRIDS = {
     **GRIDS,
     "1d-64": Grid.selfdual(1, 64),
     "1d-128": Grid.selfdual(1, 128),
     "1d-2048": Grid.selfdual(1, 2048),
     "3d-6x10x8": Grid((Axis(6, 0.3), Axis(10, 0.21), Axis(8, 0.55))),
+    "3d-2x2x128": Grid((Axis(2, 0.8), Axis(2, 0.45), Axis(128, 0.09))),
 }
 
 DFT_GRIDS = {
@@ -88,7 +93,7 @@ def test_whole_build_stays_bitwise_under_fast_thread_switches():
     # change the bytes (15 slabs, the last with leftover rows)
     grid = ROW_GRIDS["1d-1000"]
     f, g = _random_function(grid, 3), _random_function(grid, 4)
-    want = oracles.gathered_rows("stft", f, g, slice(None)).tobytes()
+    want = oracles.gathered_rows("stft", f, g, ()).tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -110,35 +115,39 @@ def test_rihacek_rows_bitwise_equal_the_gathered_rows_on_zero_samples(grid_name)
     _assert_rows_equal("rihacek", GridFunction(grid, values), _random_function(grid, 4))
 
 
+def _entries(grid, slab):
+    """The number of entries of ``grid`` on the x-points ``slab``."""
+    return math.prod(np.broadcast_to(0, grid.shape)[slab].shape)
+
+
 def _assert_rows_equal(kind, f, g):
     out_grid, build = _ROW_BUILDERS[kind](f, g)
-    for rows in row_slabs(out_grid) + [slice(None)]:
-        count = len(range(*rows.indices(out_grid.shape[0])))
-        got = build(rows, _row_buffers(out_grid, count))
-        want = oracles.gathered_rows(kind, f, g, rows)
-        assert got.shape == want.shape, rows
-        assert got.tobytes() == want.tobytes(), rows
+    for slab in row_slabs(out_grid) + [()]:
+        got = build(slab, _row_buffers(_entries(out_grid, slab)))
+        want = oracles.gathered_rows(kind, f, g, slab)
+        assert got.shape == want.shape, slab
+        assert got.tobytes() == want.tobytes(), slab
 
 
 @pytest.mark.parametrize("grid_name", ROW_GRIDS)
 @pytest.mark.parametrize("kind", ["wigner", "stft", "rihacek"])
 def test_rows_bitwise_equal_the_gathered_rows_in_reused_buffers(kind, grid_name):
-    # one buffer set of the longest slab, filled with nan, serves every slab
-    # in reverse order, the longer last slab first: each slab must write
+    # one buffer set of the largest slab, filled with nan, serves every slab
+    # in reverse order, the larger last slab first: each slab must write
     # every entry it returns, and return a view of the set, not a fresh array
     grid = ROW_GRIDS[grid_name]
     f, g = _random_function(grid, 1), _random_function(grid, 2)
     out_grid, build = _ROW_BUILDERS[kind](f, g)
     slabs = row_slabs(out_grid)
-    buffers = _row_buffers(out_grid, max(rows.stop - rows.start for rows in slabs))
+    buffers = _row_buffers(max(_entries(out_grid, slab) for slab in slabs))
     for buffer in buffers:
         buffer.fill(np.nan)
-    for rows in reversed(slabs):
-        got = build(rows, buffers)
-        want = oracles.gathered_rows(kind, f, g, rows)
-        assert got.shape == want.shape, rows
-        assert got.tobytes() == want.tobytes(), rows
-        assert any(np.shares_memory(got, buffer) for buffer in buffers), rows
+    for slab in reversed(slabs):
+        got = build(slab, buffers)
+        want = oracles.gathered_rows(kind, f, g, slab)
+        assert got.shape == want.shape, slab
+        assert got.tobytes() == want.tobytes(), slab
+        assert any(np.shares_memory(got, buffer) for buffer in buffers), slab
 
 
 @pytest.mark.parametrize("inverse", [False, True])

@@ -15,8 +15,15 @@ environment's default.  The corpus is
 * library records: the bytes (``tobytes()``) of the distributions, every
   operator stage, ``apply_metaplectic``, ``tensor_with_conj``,
   ``partial_dft``/``partial_idft`` and ``opA_build``/``opA_apply``, and the
-  ``repr`` of the streamed norms and the probe reports' text.  A call that
-  raises records its exception's type and message.
+  ``repr`` of the streamed norms and the probe reports' text, on d = 1 and
+  2 grids, among them one whose x-rows are larger than a slab; the SHA-256
+  of the ``grid-function`` and CSV text written from
+  ``streamed_distribution``'s slabs on that grid; and, for the corpus
+  matrices and ``random_symplectic`` seeds 0-3, the bytes of
+  ``dj_factorize`` (Q, L, P, J and the residual), the ``classify_lp``
+  verdict, and the ``.mat`` bytes of the generators built from the
+  factorization.  A call that raises records its exception's type and
+  message.
 
 Each record is compared byte for byte and each difference is printed with
 the record's name (``cli/<case>/<stdout|stderr|exit|file>`` or
@@ -29,7 +36,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import fnmatch
+import hashlib
 import io
 import math
 import os
@@ -98,22 +107,28 @@ def _write_inputs(where: Path) -> None:
         "symbol.gf": _signal_text(wigner_axes, _gaussian(wigner_axes, 0.7, 0.0, 0.1)),
         # and on the doubled grid, the output grid of generic.mat
         "symbol-generic.gf": _signal_text(d1 * 2, _gaussian(d1 * 2, 0.7, 0.0, 0.1)),
-        "J.mat": _matrix_text([[0.0, 1.0], [-1.0, 0.0]]),
-        "shear.mat": _matrix_text([[1.0, 0.0], [0.5, 1.0]]),
-        "dilation.mat": _matrix_text([[2.0, 0.0], [0.0, 0.5]]),
-        "wigner.mat": _matrix_text([[0.5, 0.5, 0, 0], [0, 0, 0.5, -0.5], [0, 0, 1, 1], [-1, 1, 0, 0]]),
-        # the Wigner matrix after a chirp: no classical kind
-        "generic.mat": _matrix_text(
-            [[0.5, 0.5, 0, 0], [0.15, -0.15, 0.5, -0.5], [0.3, 0.3, 1, 1], [-1, 1, 0, 0]]
-        ),
-        "S2.mat": _matrix_text(_symplectic_d2()),
-        "singular-b.mat": _matrix_text([[0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]]),
-        "not-symplectic.mat": _matrix_text([[1.0, 2.0], [3.0, 4.0]]),
-        "nan.mat": _matrix_text([[math.nan, 1.0], [-1.0, 0.0]]),
+        **{f"{name}.mat": _matrix_text(mat) for name, mat in _corpus_matrices().items()},
     }
     for name, text in files.items():
         with open(where / name, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _corpus_matrices() -> dict:
+    """The corpus matrices: the CLI runs read them as ``<name>.mat``, and the
+    library records factorize and classify them."""
+    return {
+        "J": [[0.0, 1.0], [-1.0, 0.0]],
+        "shear": [[1.0, 0.0], [0.5, 1.0]],
+        "dilation": [[2.0, 0.0], [0.0, 0.5]],
+        "wigner": [[0.5, 0.5, 0, 0], [0, 0, 0.5, -0.5], [0, 0, 1, 1], [-1, 1, 0, 0]],
+        # the Wigner matrix after a chirp: no classical kind
+        "generic": [[0.5, 0.5, 0, 0], [0.15, -0.15, 0.5, -0.5], [0.3, 0.3, 1, 1], [-1, 1, 0, 0]],
+        "S2": _symplectic_d2(),
+        "singular-b": [[0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]],
+        "not-symplectic": [[1.0, 2.0], [3.0, 4.0]],
+        "nan": [[math.nan, 1.0], [-1.0, 0.0]],
+    }
 
 
 def _symplectic_d2():
@@ -217,6 +232,8 @@ def _library_records(small: bool):
             "d1-regular": mn.Grid.regular(1, 128, 6.0),
             "d2-16": mn.Grid.selfdual(2, 16),
             "d2-24x16": mn.Grid((mn.Axis(24, 0.21), mn.Axis(16, 0.37))),
+            # an x-row of the distributions is 2 MiB, past one slab
+            "d2-2x256": mn.Grid((mn.Axis(2, 0.7), mn.Axis(256, 0.0625))),
         })
     kinds = {"wigner": mn.wigner_projection, "stft": mn.stft_projection, "rihacek": mn.rihacek_projection}
     for gname, grid in grids.items():
@@ -237,6 +254,9 @@ def _library_records(small: bool):
             break
         yield f"tensor_with_conj-{gname}", lambda: mn.tensor_with_conj(f, g)
         yield from _stage_records(grid, f, gname)
+        if gname == "d2-2x256":
+            for kind in kinds:
+                yield f"streamed_distribution-{kind}-{gname}", lambda: _streamed_text(kind, f, g)
 
     s = noise(mn.Grid.selfdual(1, 32), 3)
     generic = mn.wigner_projection(1) @ sc.chirp_block(0.3 * np.eye(2))
@@ -251,6 +271,9 @@ def _library_records(small: bool):
             f = noise(mn.Grid.selfdual(d, 64 if d == 1 else 16), seed)
             yield f"random_symplectic-{seed}-{d}", lambda: S.mat
             yield f"apply_metaplectic-{seed}-{d}", lambda: mn.apply_metaplectic(S, f)
+            yield from _matrix_records(f"random_symplectic-{seed}-{d}", lambda: S)
+    for name, mat in _corpus_matrices().items():
+        yield from _matrix_records(f"corpus-{name}", lambda: sc.SymplecticMatrix(mat))
     # each symbol on the output grid of its matrix
     for name, A in (("wigner", mn.wigner_projection(1)), ("generic", generic)):
         symbol = mn.wigner_metaplectic(A, s, s)
@@ -264,6 +287,44 @@ def _library_records(small: bool):
     yield "quasi_isometry_probe", lambda: probes.quasi_isometry_probe(dil, 2.0, n=64)
     yield "unbounded_probe", lambda: probes.unbounded_probe(singular_b, 2.0, 2.0, n=32)
     yield "norm_equiv_probe", lambda: probes.norm_equiv_probe(mn.wigner_projection(1), 2.0, 1.0, n=64)
+
+
+def _streamed_text(kind, f, g) -> str:
+    """The L^2 norm of ``streamed_distribution`` and the SHA-256 of the
+    ``grid-function`` and CSV text its slabs write."""
+    import metaplectic.metaplectic_numeric as mn
+    from metaplectic.io import csv_blocks, grid_function_blocks
+
+    grid, l2, slabs = mn.streamed_distribution(kind, f, g)
+    out = [repr(l2)]
+    for writer in (grid_function_blocks, csv_blocks):
+        digest = hashlib.sha256()
+        for block in writer(grid, slabs()):
+            digest.update(block.encode())
+        out.append(digest.hexdigest())
+    return "\n".join(out)
+
+
+def _matrix_records(name, matrix):
+    """The records of the matrix layer on the matrix that ``matrix()``
+    makes: its ``dj_factorize``, its ``classify_lp`` verdict and the
+    generators built from the factorization."""
+    import metaplectic.symplectic_core as sc
+
+    def generators():
+        fact = sc.dj_factorize(matrix())
+        blocks = (
+            sc.chirp_block(fact.Q),
+            sc.dilation_block(fact.L),
+            sc.multiplier_block(fact.P),
+            sc.interchange(fact.J),
+            sc.standard_involution(fact.d),
+        )
+        return b"".join(block.mat.tobytes() for block in blocks)
+
+    yield f"dj_factorize-{name}", lambda: sc.dj_factorize(matrix())
+    yield f"classify_lp-{name}", lambda: sc.classify_lp(matrix())
+    yield f"generators-{name}", generators
 
 
 def _stage_records(grid, f, gname):
@@ -301,6 +362,10 @@ def _record_bytes(value) -> bytes:
         return f"{axes}\n{value.values.dtype.str}\n".encode() + value.values.tobytes()
     if isinstance(value, np.ndarray):
         return f"{value.dtype.str} {value.shape}\n".encode() + value.tobytes()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        # each field by this function: arrays by their bytes, the rest by repr
+        fields = dataclasses.fields(value)
+        return b"".join(f"{x.name}: ".encode() + _record_bytes(getattr(value, x.name)) + b"\n" for x in fields)
     if hasattr(value, "ratios"):
         from metaplectic.io import write_probe_report
 
