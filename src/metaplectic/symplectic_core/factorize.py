@@ -5,27 +5,37 @@ The central routine writes any symplectic S as
     S = V_Q . D_L . V_P^T . Pi_J
 
 with V_Q = [[I,0],[Q,I]], D_L = [[inv(L),0],[0,L^T]], V_P^T = [[I,P],[0,I]]
-and Pi_J the partial interchange.  The index set J is found by exhaustive
-search (d <= 16): J is admissible exactly when X(J) = A I_{J^c} + B I_J is
-invertible, and among admissible sets we keep the best conditioned one
-(largest |det X|).  Every subset is scored by |det X(J)|, in batched
-determinants of about 1 MB of X(J) entries each; the singular-value verdict
-then runs on one candidate at a time in descending score order and the
-first to pass wins.  The ranking is stable over the (cardinality,
-lexicographic) order, so ties keep the smaller cardinality, then the
-lexicographically least set.  Given J the parameters are forced:
+and Pi_J the partial interchange.  J is admissible exactly when
+X(J) = A I_{J^c} + B I_J is invertible, and among admissible sets we keep
+the best conditioned one (largest |det X|), ties going to the smaller
+cardinality, then the lexicographically least set.  Given J the parameters
+are forced:
 
     L = X^{-1},   P = X^{-1} (B I_{J^c} - A I_J),   Q = (C I_{J^c} + D I_J) X^{-1}.
 
-The subset masks of each d are built once per process, in that order, and
-kept read-only (1 MiB at d = 16).  Column j of X(J) is column j of A or of
-B, that is column j or d + j of [A | B], so each chunk of X(J) is one
-gather of the columns of [A | B] at indices read off the chunk's masks,
-and the determinants take it as a strided view.  The search is an
-``lru_cache(maxsize=1)`` on the matrix's bytes, d and the resolved
-tolerance, and caches only the winning mask.  One entry serves the real
-repeats: ``shift_perturb``, ``admissible_shift_range`` and
-``wigner_split`` each factorize the matrix they are given.
+Column j of X(J) is column j of A or of B, so |det X(J)| is the volume of d
+columns picked one per coordinate, a maximum-volume submatrix of [A | B]
+(Goreinov & Tyrtyshnikov, 2001).  J comes from a branch and bound on
+projected column norms (d <= 16).  The tree picks a_j or b_j at depth j; a
+node carries the volume of its chosen columns and the other columns
+projected off their span, and by Hadamard's inequality its volume times,
+over each coordinate left, the larger projected norm of a_j and b_j bounds
+every leaf below it.  The greedy leaf, the larger projected norm at each
+depth, gives the incumbent; the walk, depth first in batches of bounded
+size, keeps every leaf whose bound reaches (1 - 1e-8)^2 of it.  The kept
+leaves are scored by batched determinants of X(J), gathered from the
+columns of [A | B], and the singular-value verdict runs on one at a time in
+descending score order, then (cardinality, lexicographic) order, taking
+the first to pass down to (1 - 1e-8) of the best score.  Every pruned leaf
+scores below that, and a batched det decides each matrix alone, so the
+winner and its bits are those of scoring all 2^d subsets.  If the verdict
+refuses every candidate, the walk runs again at floor 0: it prunes
+nothing, so it is the exhaustive search, and it alone raises the ``no
+admissible index set`` error.  The search is an ``lru_cache(maxsize=1)``
+on the matrix's bytes, d and the resolved tolerance, and caches only the
+winning mask.  One entry serves the real repeats: ``shift_perturb``,
+``admissible_shift_range`` and ``wigner_split`` each factorize the matrix
+they are given.
 
 Specializations: ``free_factorize`` (B invertible, a three-generator form
 around the full interchange) and ``lower_tri_factorize`` (B = 0, no
@@ -44,11 +54,20 @@ from .classify import BoundednessCase, classify_lp, is_free, is_symplectic
 from .generators import chirp_block, dilation_block, interchange, multiplier_block
 from .types import DJFactorization, IndexSet, SymplecticMatrix
 
-#: exhaustive subset search is O(2^d); keep it at desk scale
+#: the index-set search may score all 2^d subsets; keep it at desk scale
 MAX_SEARCH_DIM = 16
 
-#: X(J) entries per batched determinant of the search (8 bytes each)
-_DET_CHUNK_ENTRIES = 1 << 17
+#: float64 entries that one batch of the search holds: the residuals of the
+#: tree walk's nodes, or the X(J) of the leaves it scores (8 bytes each)
+_BATCH_ENTRIES = 1 << 13
+
+#: relative margin of the branch and bound, far above the rounding of a
+#: volume or a determinant
+_MARGIN = 1e-8
+
+#: the least walk floor whose leaves keep every norm: a projected norm at
+#: or above it has a square above the least normal float
+_LEAST_FLOOR = 1e-150
 
 #: forced symmetry of the solved parameters is checked at this relative level
 SYMMETRY_TOL = 1e-10
@@ -57,20 +76,6 @@ SYMMETRY_TOL = 1e-10
 def dj_compose(f: DJFactorization) -> SymplecticMatrix:
     """Multiply the four factors V_Q . D_L . V_P^T . Pi_J back together."""
     return chirp_block(f.Q) @ dilation_block(f.L) @ multiplier_block(f.P) @ interchange(f.J)
-
-
-@lru_cache(maxsize=None)
-def _subset_masks(d: int) -> np.ndarray:
-    """The read-only (2^d, d) boolean masks of every subset of {1..d}, by
-    cardinality and then lexicographically; built once per d."""
-    # code c holds coordinate j + 1 when bit d - 1 - j of c is set, so among
-    # the codes of one popcount, descending order is lexicographic order; no
-    # tuple of itertools.combinations is made, so only the table stays behind
-    codes = np.arange((1 << d) - 1, -1, -1, dtype=">u4")
-    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - d :]
-    masks = bits[np.argsort(bits.sum(axis=1), kind="stable")].astype(bool)
-    masks.flags.writeable = False
-    return masks
 
 
 def _columns(S: SymplecticMatrix) -> np.ndarray:
@@ -90,31 +95,115 @@ def _x_of(cols: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return cols[np.arange(d) + d * masks].swapaxes(-1, -2)
 
 
+def _masks(codes: np.ndarray, d: int) -> np.ndarray:
+    """The masks of subset codes: bit d - 1 - j of a code holds coordinate
+    j + 1, so among the codes of one popcount, descending order is
+    lexicographic order."""
+    return (codes[:, None] >> np.arange(d - 1, -1, -1)) & 1 == 1
+
+
+def _children(res: np.ndarray, vol: np.ndarray, code: np.ndarray, bit: int):
+    """The two children of each node of a batch.  A node at depth k holds,
+    in rows 2i and 2i + 1 of ``res``, a_{k+i} and b_{k+i} projected off the
+    span of its chosen columns, the volume ``vol`` those columns span and
+    its subset ``code``.  Child 0 chooses a_k and child 1 b_k, which sets
+    ``bit`` of its code."""
+    piv = res[:, :2]
+    nu = np.sqrt(np.einsum("nij,nij->ni", piv, piv))
+    q = piv / np.where(nu > 0.0, nu, 1.0)[..., None]
+    rest = res[:, 2:]
+    # Gram-Schmidt: each child takes its pivot's direction off the rest
+    kids = rest[:, None] - (q @ rest.swapaxes(1, 2))[..., None] * q[:, :, None, :]
+    n, d = len(vol), res.shape[-1]
+    return kids.reshape(2 * n, -1, d), (vol[:, None] * nu).ravel(), (code[:, None] | [0, bit]).ravel()
+
+
+def _root(unit: np.ndarray):
+    """The root node of the tree walk over the columns ``unit`` of [A | B]."""
+    d = unit.shape[1]
+    return unit.reshape(2, d, d).swapaxes(0, 1).reshape(1, 2 * d, d), np.ones(1), np.zeros(1, int)
+
+
+def _greedy_volume(unit: np.ndarray) -> float:
+    """The volume of the greedy leaf: at each depth, the child whose pivot
+    has the larger projected norm."""
+    d = unit.shape[1]
+    res, vol, code = _root(unit)
+    for k in range(d):
+        res, vol, code = _children(res, vol, code, 1 << (d - 1 - k))
+        i = np.argmax(vol)
+        res, vol, code = res[i : i + 1], vol[i : i + 1], code[i : i + 1]
+    return float(vol[0])
+
+
+def _leaves(unit: np.ndarray, floor: float):
+    """The codes of every leaf whose bound reaches ``floor``, in batches.
+
+    The walk is depth first over batches of at most ``_BATCH_ENTRIES``
+    residual entries.  A node's bound is its volume times, over each
+    coordinate left, the larger projected norm of a_j and b_j: Hadamard's
+    inequality bounds the volume of every leaf below it so.  At floor 0
+    nothing is pruned and every subset comes out.
+    """
+    d = unit.shape[1]
+    stack = [(0, *_root(unit))]
+    while stack:
+        k, *node = stack.pop()
+        res, vol, code = _children(*node, 1 << (d - 1 - k))
+        k += 1
+        if k == d:
+            yield code[vol >= floor]
+            continue
+        norms = np.sqrt(np.einsum("nij,nij->ni", res, res)).reshape(len(vol), -1, 2).max(axis=-1)
+        keep = vol * norms.prod(axis=-1) >= floor
+        res, vol, code = res[keep], vol[keep], code[keep]
+        step = max(1, _BATCH_ENTRIES // (res.shape[1] * d))
+        for i in range(0, len(vol), step):
+            stack.append((k, res[i : i + step], vol[i : i + step], code[i : i + step]))
+
+
 @lru_cache(maxsize=1)
 def _search(mat: bytes, d: int, search_tol: float) -> np.ndarray:
     """The (read-only) mask of the interchange set of the 2d x 2d matrix with
-    bytes ``mat``: the first subset in descending |det X(J)| order whose X(J)
-    passes the singular-value verdict."""
+    bytes ``mat``: the first subset in descending |det X(J)| order, then by
+    (cardinality, lexicographic) order, whose X(J) passes the singular-value
+    verdict.
+
+    A branch and bound keeps the leaves that can come first.  On the columns
+    over sigma_max(S), whose volumes are at most 1, the greedy leaf gives
+    an incumbent volume, and the walk keeps every leaf whose bound reaches
+    (1 - margin)^2 of it.  These are scored by the batched determinants, and
+    a candidate is taken only with a score of at least (1 - margin) of their
+    largest: every pruned leaf scores below that, so the winner is the
+    exhaustive search's.  If the verdict refuses every such candidate, the
+    walk runs again at floor 0, which scores every subset.
+    """
     S = SymplecticMatrix(np.frombuffer(mat).reshape(2 * d, 2 * d), validate=False)
     _, scale = singular_extremes(S.mat)
-    masks = _subset_masks(d)
     cols = _columns(S)
-    # a batched det decides each matrix alone, so chunks of about 1 MB of
-    # X(J) give the same scores as one stack
-    step = max(1, _DET_CHUNK_ENTRIES // (d * d))
-    scores = np.concatenate(
-        [np.abs(np.linalg.det(_x_of(cols, masks[i : i + step]))) for i in range(0, len(masks), step)]
-    )
-    # the stable sort keeps the (cardinality, lexicographic) order among ties
-    for k in np.argsort(-scores, kind="stable"):
-        if rel_invertible(_x_of(cols, masks[k]), search_tol, scale):
-            return masks[k]
+    unit = cols / scale
+    first = (1.0 - _MARGIN) ** 2 * _greedy_volume(unit)
+    # a batched det decides each matrix alone, so any batches of X(J) give
+    # the same scores as one stack
+    step = max(1, _BATCH_ENTRIES // (d * d))
+    for floor in (first, 0.0) if first >= _LEAST_FLOOR else (0.0,):
+        codes = np.concatenate(list(_leaves(unit, floor)))
+        masks = _masks(codes, d)
+        batches = range(0, len(masks), step)
+        scores = np.concatenate([np.abs(np.linalg.det(_x_of(cols, masks[i : i + step]))) for i in batches])
+        threshold = (1.0 - _MARGIN) * scores.max() if floor else 0.0
+        if not np.isfinite(threshold):
+            continue
+        for k in np.lexsort((-codes, masks.sum(axis=1), -scores)):
+            if scores[k] < threshold:
+                break
+            if rel_invertible(_x_of(cols, masks[k]), search_tol, scale):
+                mask = masks[k].copy()
+                mask.flags.writeable = False
+                return mask
     # an exactly symplectic S gets here when it is too ill-conditioned for
     # the cutoff: diag(1e-5, 1e5) has X(J) = 1e-5 or 0 against sigma_max 1e5
-    best = max(
-        np.linalg.svd(_x_of(cols, masks[i : i + step]), compute_uv=False)[:, -1].max()
-        for i in range(0, len(masks), step)
-    )
+    best = max(np.linalg.svd(_x_of(cols, masks[i : i + step]), compute_uv=False)[:, -1].max() for i in batches)
     raise ValueError(
         "no admissible index set found: no X(J) reaches tol * sigma_max(S); the best "
         f"ratio sigma_min(X(J)) / sigma_max(S) is {best / scale:.3e}, tol {search_tol:.3e}"
@@ -122,7 +211,9 @@ def _search(mat: bytes, d: int, search_tol: float) -> np.ndarray:
 
 
 def dj_factorize(S: SymplecticMatrix, tol: float | None = None) -> DJFactorization:
-    """Factor S = V_Q . D_L . V_P^T . Pi_J with an exhaustively chosen J.
+    """Factor S = V_Q . D_L . V_P^T . Pi_J with the J of ``_search``: the
+    largest |det X(J)| that passes the singular-value verdict, found by
+    branch and bound.
 
     Admissibility of J means A I_{J^c} + B I_J is invertible; at least one
     subset is always admissible.  Q and P come out symmetric (forced by the

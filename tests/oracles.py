@@ -18,6 +18,9 @@ same slabs as its streamed norms, so they are not an oracle for them);
 ``scattered_wigner_adjoint``, the Wigner adjoint by an index scatter;
 ``looped_dj_factorize``, the interchange-set search one subset at a time;
 ``where_x_stack``, the search's stack of X(J) by ``np.where``;
+``subset_masks`` and ``exhaustive_mask``, the interchange-set search that
+scores all 2^d subsets by batched determinants of ``where_x_stack`` chunks,
+whose winner the branch and bound of ``dj_factorize`` must choose;
 ``block_chirp``, ``block_multiplier``, ``block_dilation`` and
 ``block_interchange``, the generators assembled by ``np.block``;
 ``direct_lp_norm``, the plain L^p norm as one expression on the whole
@@ -45,6 +48,7 @@ import csv
 import io
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -499,6 +503,47 @@ def where_x_stack(S: SymplecticMatrix, masks: np.ndarray) -> np.ndarray:
     x = np.where(masks[..., None, :], S.B, S.A)
     x += 0.0
     return x
+
+
+#: X(J) entries per batched determinant of ``exhaustive_mask`` (8 bytes each)
+EXHAUSTIVE_CHUNK_ENTRIES = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def subset_masks(d: int) -> np.ndarray:
+    """The read-only (2^d, d) boolean masks of every subset of {1..d}, by
+    cardinality and then lexicographically; built once per d."""
+    # code c holds coordinate j + 1 when bit d - 1 - j of c is set, so among
+    # the codes of one popcount, descending order is lexicographic order; no
+    # tuple of itertools.combinations is made, so only the table stays behind
+    codes = np.arange((1 << d) - 1, -1, -1, dtype=">u4")
+    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - d :]
+    masks = bits[np.argsort(bits.sum(axis=1), kind="stable")].astype(bool)
+    masks.flags.writeable = False
+    return masks
+
+
+def exhaustive_mask(S: SymplecticMatrix, tol: float | None = None) -> np.ndarray:
+    """The interchange mask of ``dj_factorize`` by scoring every subset:
+    |det X(J)| of every ``subset_masks`` row, in batched determinants of
+    ``where_x_stack`` chunks, then the first subset in the stable descending
+    order of the scores whose X(J) passes the singular-value verdict.  With
+    none, the ``no admissible index set`` error of ``dj_factorize``, with the
+    best sigma_min(X(J)) over every subset."""
+    tol = default_tol() if tol is None else tol
+    _, scale = singular_extremes(S.mat)
+    masks = subset_masks(S.d)
+    step = max(1, EXHAUSTIVE_CHUNK_ENTRIES // (S.d * S.d))
+    chunks = [masks[i : i + step] for i in range(0, len(masks), step)]
+    scores = np.concatenate([np.abs(np.linalg.det(where_x_stack(S, chunk))) for chunk in chunks])
+    for k in np.argsort(-scores, kind="stable"):
+        if rel_invertible(where_x_stack(S, masks[k]), tol, scale):
+            return masks[k]
+    best = max(np.linalg.svd(where_x_stack(S, chunk), compute_uv=False)[:, -1].max() for chunk in chunks)
+    raise ValueError(
+        "no admissible index set found: no X(J) reaches tol * sigma_max(S); the best "
+        f"ratio sigma_min(X(J)) / sigma_max(S) is {best / scale:.3e}, tol {tol:.3e}"
+    )
 
 
 # --------------------------------------------------------------------------

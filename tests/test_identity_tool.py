@@ -5,10 +5,13 @@ BLAS thread and once with the default, and compares every record byte for
 byte.  Against a directory it needs no git.
 """
 
+import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from test_cli import FAILING_RUNS
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "identity.py"
@@ -40,3 +43,13 @@ def test_a_changed_output_is_named_and_fails_unless_expected(tmp_path):
     assert "DIFFERS [default BLAS] cli/wigner-stft/stdout" in out
     assert "cli/apply-J/file-out.gf" not in out
     assert out.rstrip().endswith("2 unexpected differences")
+
+
+def test_the_corpus_runs_every_failing_cli_run():
+    spec = importlib.util.spec_from_file_location("identity", TOOL)
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    assert identity.FAILING_RUNS == {case: argv for case, (argv, _) in FAILING_RUNS.items()}
+    # the full corpus, which the tier-1 runs leave out, formats each argv
+    used = {arg[1:-1] for argv in identity.FAILING_RUNS.values() for arg in argv if arg.startswith("{")}
+    assert used <= set(identity._FAILING_FILES) | {"o", "t"}

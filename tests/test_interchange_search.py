@@ -1,17 +1,24 @@
 """The interchange-set search of ``dj_factorize``, bit for bit.
 
-``dj_factorize`` scores every subset by |det X(J)|, in chunks of about
-1 MB of X(J) gathered from the columns of [A | B], and runs the
-singular-value verdict on one candidate at a time in descending score
-order.  The oracle ``looped_dj_factorize`` builds each X(J) from 0/1
-projectors and decides it alone.  Both must choose the same J and give the
-same floats, compared by ``tobytes()``; the negated matrices hold -0.0
-entries, and the ``vetoed-top`` matrices have a largest-|det| subset that
-fails the verdict at tol 1e-3.  Each gathered chunk must equal, byte for
-byte, the ``np.where`` stack of ``oracles.where_x_stack``.
+``dj_factorize`` finds J by a branch and bound on projected column norms:
+the greedy leaf's volume is the incumbent, the tree walk keeps every leaf
+whose Hadamard bound reaches (1 - 1e-8)^2 of it, the kept leaves are scored
+by batched |det X(J)| on X(J) gathered from the columns of [A | B], and the
+singular-value verdict runs on one candidate at a time in descending score
+order, down to (1 - 1e-8) of the best score.  When it refuses them all, the
+walk runs again at floor 0 and scores every subset.  The oracle
+``looped_dj_factorize`` builds each X(J) from 0/1 projectors and decides
+it alone, and ``oracles.exhaustive_mask`` scores all 2^d subsets as the
+search did before the branch and bound.  All must choose the same J, and
+the factors must be the same floats, compared by ``tobytes()``; the
+negated matrices hold -0.0 entries, and the ``vetoed-top`` matrices have a
+largest-|det| subset that fails the verdict at tol 1e-3, so they take the
+rerun.  Each gathered chunk must equal, byte for byte, the ``np.where``
+stack of ``oracles.where_x_stack``.
 
-The search's one-entry memo is watched through ``factorize._subset_masks``,
-the per-d table of subset masks, which each search asks for once.
+The search's one-entry memo is watched through
+``factorize._greedy_volume``, the incumbent of the branch and bound, which
+each search computes once.
 """
 
 import itertools
@@ -19,6 +26,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplectic.metaplectic_numeric.distributions import (
     rihacek_projection,
@@ -101,27 +110,41 @@ def test_dj_factorize_bitwise_equals_the_subset_loop(name, tol):
 def test_vetoed_top_matrices_do_not_take_the_largest_det(seed):
     # if the verdict stopped vetoing, these cases would test nothing new
     S = _vetoed_top(seed)
-    masks = factorize._subset_masks(4)
+    masks = oracles.subset_masks(4)
     scores = [abs(np.linalg.det(S.A @ np.diag(~m) + S.B @ np.diag(m))) for m in masks]
     top = masks[int(np.argmax(scores))]
     assert dj_factorize(S, 1e-3).J != IndexSet(4, tuple(np.flatnonzero(top) + 1))
 
 
-@pytest.mark.parametrize("d, bound", [(12, 2e6), (16, 6e6)])
-def test_search_holds_one_chunk_of_x_at_a_time(monkeypatch, d, bound):
-    # the determinants take about 1 MB of X(J) at a time: at d=12 all 4096
-    # subsets at once would take 4.7 MB, and at d=16 the size-8 stack alone
-    # 26 MB; the masks, scores and order of 2^16 subsets take about 3 MB
-    S = random_symplectic(4, d)
-    dj_factorize(S)
-    factorize._search.cache_clear()
+def _peak_bytes(call) -> int:
     tracemalloc.start()
     try:
-        dj_factorize(S)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < bound
+    return peak
+
+
+@pytest.mark.parametrize("d", [12, 16])
+def test_search_holds_a_bounded_frontier(d):
+    # the walk and the determinants hold batches of 64 KiB: at d=12 all
+    # 4096 X(J) at once would take 4.7 MB, and at d=16 the size-8 stack
+    # alone 26 MB
+    S = random_symplectic(4, d)
+    dj_factorize(S)
+    factorize._search.cache_clear()
+    assert _peak_bytes(lambda: dj_factorize(S)) < 1e6
+
+
+def test_a_walk_at_floor_zero_holds_a_bounded_frontier_at_d16():
+    # the rerun's walk prunes nothing; breadth first, the residuals of the
+    # 2^15 nodes at depth 15 alone would take 8.4 MB
+    S = random_symplectic(4, 16)
+    unit = factorize._columns(S) / np.linalg.norm(S.mat, 2)
+    leaves = []
+    assert _peak_bytes(lambda: leaves.extend(len(codes) for codes in factorize._leaves(unit, 0.0))) < 1.5e6
+    assert sum(leaves) == 1 << 16
 
 
 def test_d13_search_bitwise_equals_the_subset_loop():
@@ -141,20 +164,23 @@ def test_negated_corpus_holds_negative_zeros():
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_subset_masks_run_by_cardinality_then_lexicographically(d):
-    masks = factorize._subset_masks(d)
+    masks = oracles.subset_masks(d)
     members = [tuple(np.flatnonzero(m) + 1) for m in masks]
     assert members == [c for size in range(d + 1) for c in itertools.combinations(range(1, d + 1), size)]
     assert not masks.flags.writeable
-    assert factorize._subset_masks(d) is masks
+    assert oracles.subset_masks(d) is masks
+    # the search's subset codes give the same masks in the same order
+    codes = np.array([sum(1 << (d - j) for j in c) for c in members], dtype=int)
+    assert np.array_equal(factorize._masks(codes, d), masks)
 
 
 def test_subset_mask_table_at_d16_takes_one_mib():
-    # the table the search keeps for the life of the process: 2^16 masks of
-    # 16 bools, and no index table beside it
-    factorize._subset_masks.cache_clear()
+    # the oracle's table: 2^16 masks of 16 bools, and no index table beside
+    # it; the search itself keeps no table
+    oracles.subset_masks.cache_clear()
     tracemalloc.start()
     try:
-        masks = factorize._subset_masks(16)
+        masks = oracles.subset_masks(16)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -165,7 +191,7 @@ def test_subset_mask_table_at_d16_takes_one_mib():
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_gathered_x_chunks_bitwise_equal_the_where_stack(name):
     S = _matrix(name)
-    masks = factorize._subset_masks(S.d)
+    masks = oracles.subset_masks(S.d)
     cols = factorize._columns(S)
     for i in range(0, len(masks), 5):
         chunk = masks[i : i + 5]
@@ -181,13 +207,13 @@ def test_gathered_x_chunks_bitwise_equal_the_where_stack(name):
 def searches(monkeypatch):
     """The d of each search from here on; the memo starts empty."""
     seen = []
-    subset_masks = factorize._subset_masks
+    greedy_volume = factorize._greedy_volume
 
-    def spy(d):
-        seen.append(d)
-        return subset_masks(d)
+    def spy(unit):
+        seen.append(unit.shape[1])
+        return greedy_volume(unit)
 
-    monkeypatch.setattr(factorize, "_subset_masks", spy)
+    monkeypatch.setattr(factorize, "_greedy_volume", spy)
     factorize._search.cache_clear()
     return seen
 
@@ -277,3 +303,127 @@ def test_a_search_that_raises_keeps_the_last_entry(searches):
         dj_factorize(random_symplectic(8, 4), 0.5)
     assert _bytes(dj_factorize(S)) == first
     assert searches == [4, 4]
+
+
+# -- the branch and bound against the exhaustive oracle ---------------------------
+
+#: the ``matrix-analysis`` pool of ``perfbench/workloads.py`` at its default
+#: seed 0: 32 ``random_symplectic`` seeds at d = 12
+POOL_SEEDS = tuple(int(s) for s in np.random.default_rng([0, 3]).integers(0, 2**31, size=32))
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """(floor, leaves kept) of each tree walk from here on; the memo starts empty."""
+    seen = []
+    leaves = factorize._leaves
+
+    def spy(unit, floor):
+        seen.append([floor, 0])
+        for codes in leaves(unit, floor):
+            seen[-1][1] += len(codes)
+            yield codes
+
+    monkeypatch.setattr(factorize, "_leaves", spy)
+    factorize._search.cache_clear()
+    return seen
+
+
+def _chosen_mask(S, tol=None) -> np.ndarray:
+    return dj_factorize(S, tol).J.mask()
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_chosen_mask_bitwise_equals_the_exhaustive_oracle(name, tol):
+    S = _matrix(name)
+    assert np.array_equal(_chosen_mask(S, tol), oracles.exhaustive_mask(S, tol))
+
+
+@pytest.mark.parametrize("seed", POOL_SEEDS)
+def test_pool_mask_bitwise_equals_the_exhaustive_oracle_at_d12(walks, seed):
+    S = random_symplectic(seed, 12)
+    assert np.array_equal(_chosen_mask(S), oracles.exhaustive_mask(S))
+    # one walk, which scores a small part of the 4096 subsets
+    [(floor, kept)] = walks
+    assert floor > 0.0 and kept <= 1 << 10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_d16_mask_bitwise_equals_the_exhaustive_oracle(walks, seed):
+    S = random_symplectic(seed, 16)
+    assert np.array_equal(_chosen_mask(S), oracles.exhaustive_mask(S))
+    [(floor, kept)] = walks
+    assert floor > 0.0 and kept <= 1 << 13
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), d=st.integers(1, 10), tol=st.sampled_from([None, 1e-3, 0.05]))
+def test_drawn_mask_bitwise_equals_the_exhaustive_oracle(seed, d, tol):
+    S = random_symplectic(seed, d)
+    try:
+        want = oracles.exhaustive_mask(S, tol)
+    except ValueError as error:
+        with pytest.raises(ValueError) as got:
+            dj_factorize(S, tol)
+        assert str(got.value) == str(error)
+    else:
+        assert np.array_equal(_chosen_mask(S, tol), want)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_tied_subsets_keep_every_leaf_and_take_the_first(walks, d):
+    # every X(J) of rotation45 is the same matrix, so every leaf ties with
+    # the incumbent, and the empty set comes first by cardinality
+    S = _rotation45(d)
+    assert dj_factorize(S).J == IndexSet(d, ())
+    assert np.array_equal(_chosen_mask(S), oracles.exhaustive_mask(S))
+    assert [kept for _, kept in walks] == [1 << d]
+
+
+@pytest.mark.parametrize("seed", VETOED_TOP_SEEDS)
+def test_vetoed_top_matrices_take_the_rerun_at_floor_zero(walks, seed):
+    S = _vetoed_top(seed)
+    assert np.array_equal(_chosen_mask(S, 1e-3), oracles.exhaustive_mask(S, 1e-3))
+    [(floor, kept), rerun] = walks
+    assert floor > 0.0 and kept < 16
+    assert rerun == [0.0, 16]
+
+
+@pytest.mark.parametrize(
+    "S, tol",
+    [
+        (random_symplectic(8, 4), 0.5),
+        (SymplecticMatrix(np.diag([1e-5, 1e5])), None),
+        (random_symplectic(3, 9), 0.3),
+    ],
+    ids=["random-half", "stretch", "random-d9"],
+)
+def test_a_refused_search_bitwise_gives_the_oracle_error(S, tol):
+    with pytest.raises(ValueError, match="no admissible index set") as error:
+        dj_factorize(S, tol)
+    with pytest.raises(ValueError) as want:
+        oracles.exhaustive_mask(S, tol)
+    assert str(error.value) == str(want.value)
+
+
+def test_a_tiny_incumbent_walks_every_leaf(walks):
+    # on [A | B] over sigma_max(S) every column here is about 1e-80 long,
+    # so the incumbent volume is about 1e-160: below the least floor, a
+    # projected norm could lose its square to underflow, so the one walk
+    # runs at floor 0
+    S = dilation_block(1e40 * np.eye(2)) @ random_symplectic(3, 2)
+    assert np.array_equal(_chosen_mask(S, 1e-100), oracles.exhaustive_mask(S, 1e-100))
+    assert walks == [[0.0, 4]]
+
+
+def test_overflowing_scores_take_the_rerun(walks):
+    # every |det X(J)| overflows to inf, so all tie and the empty set comes
+    # first; the walk prunes it on the columns over sigma_max(S), where its
+    # volume is 0.057 against 6.3 of the full set, so only the rerun finds it
+    S = dilation_block(1e-160 * np.eye(2)) @ random_symplectic(2, 2)
+    with np.errstate(over="ignore"):
+        mask = _chosen_mask(S)
+        assert np.array_equal(mask, oracles.exhaustive_mask(S))
+    assert not mask.any()
+    assert [floor > 0.0 for floor, _ in walks] == [True, False]

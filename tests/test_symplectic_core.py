@@ -170,7 +170,7 @@ def test_index_set_basics():
 
 def _subsets(d):
     """All 2^d index sets, in the search's (cardinality, lexicographic) order."""
-    return [IndexSet(d, tuple(np.flatnonzero(mask) + 1)) for mask in factorize._subset_masks(d)]
+    return [IndexSet(d, tuple(np.flatnonzero(mask) + 1)) for mask in oracles.subset_masks(d)]
 
 
 def test_index_set_subsets_enumeration():

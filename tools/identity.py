@@ -11,7 +11,9 @@ environment's default.  The corpus is
 * CLI runs of every verb through ``metaplectic.cli.main``, in process, each
   in its own directory: stdout, stderr, exit code and every file the run
   writes (``--out``, ``--csv``), on input files this script writes itself,
-  including malformed, CRLF and non-finite ones;
+  including malformed, CRLF and non-finite ones, and every failing run of
+  ``tests/test_cli.py::FAILING_RUNS`` (``FAILING_RUNS`` here, checked
+  against it by a tier-1 test);
 * library records: the bytes (``tobytes()``) of the distributions, every
   operator stage, ``apply_metaplectic``, ``tensor_with_conj``,
   ``partial_dft``/``partial_idft`` and ``opA_build``/``opA_apply``, and the
@@ -22,7 +24,12 @@ environment's default.  The corpus is
   matrices and ``random_symplectic`` seeds 0-3, the bytes of
   ``dj_factorize`` (Q, L, P, J and the residual), the ``classify_lp``
   verdict, and the ``.mat`` bytes of the generators built from the
-  factorization.  A call that raises records its exception's type and
+  factorization; the bytes of ``dj_factorize`` on ``random_symplectic``
+  seeds 0-3 at d = 16 and on the ``vetoed-top`` matrices of
+  ``tests/test_interchange_search.py`` at tol 1e-3; and the fields of
+  ``perfbench/workloads.py::analyse`` (arrays by their bytes, the rest by
+  ``repr``) on the 32 d = 12 matrices of the ``matrix-analysis`` pool at
+  its default seed.  A call that raises records its exception's type and
   message.
 
 Each record is compared byte for byte and each difference is printed with
@@ -108,6 +115,11 @@ def _write_inputs(where: Path) -> None:
         # and on the doubled grid, the output grid of generic.mat
         "symbol-generic.gf": _signal_text(d1 * 2, _gaussian(d1 * 2, 0.7, 0.0, 0.1)),
         **{f"{name}.mat": _matrix_text(mat) for name, mat in _corpus_matrices().items()},
+        # the signals and the symbol of FAILING_RUNS, on the grid (8, 0.5)
+        "big.gf": _signal_text([(8, 0.5)], np.full(8, 1.5e308 + 1.5e308j)),
+        "b.gf": _signal_text([(8, 0.5)], np.full(8, 1e200)),
+        "Sy.gf": _signal_text([(8, 0.5), (8, 0.125)], np.ones((8, 8))),
+        "E999.mat": "symplectic-matrix v1\nd 1\nrow 1e999 0.0\nrow 0.0 1.0\n",
     }
     for name, text in files.items():
         with open(where / name, "w", encoding="utf-8", newline="") as fh:
@@ -128,6 +140,11 @@ def _corpus_matrices() -> dict:
         "singular-b": [[0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]],
         "not-symplectic": [[1.0, 2.0], [3.0, 4.0]],
         "nan": [[math.nan, 1.0], [-1.0, 0.0]],
+        "I": [[1.0, 0.0], [0.0, 1.0]],
+        "H": [[1e10, 0.0], [0.0, 1e-10]],
+        "rihacek": [[1.0, 0, 0, 0], [0, 0, 0, -1.0], [0, 0, 1.0, 1.0], [-1.0, 1.0, 0, 0]],
+        "inf": [[math.inf, 0.0], [0.0, 1.0]],
+        "nan-b": [[1.0, math.nan], [0.0, 1.0]],
     }
 
 
@@ -147,6 +164,54 @@ def _symplectic_d2():
 
 #: the input files, as a CLI run sees them from its own directory
 IN = "../../in/"
+
+#: the argv of each case of ``tests/test_cli.py::FAILING_RUNS``, around its
+#: files: {R} is a d = 2 symplectic matrix there and S2 here, and {o} and {t}
+#: are files the run must not write
+FAILING_RUNS = {
+    "sample-overflow": ["sample", "--n", "8", "--shift", "1e200", "--out", "{t}"],
+    "apply-csv-overflow": ["apply", "{I}", "{big}", "--out", "{o}", "--csv", "{t}"],
+    "wigner-overflow": ["wigner", "{b}", "--out", "{t}"],
+    "apply-overflow": ["apply", "{I}", "{b}", "--out", "{t}"],
+    "apply-norm-overflow": ["apply", "{I}", "{big}", "--out", "{t}"],
+    "probe-isometry-q": ["probe", "isometry", "{T}", "--p", "2", "--q", "4", "--out", "{t}"],
+    "probe-normequiv-tol": ["probe", "normequiv", "{R}", "--p", "2", "--q", "2", "--n", "16", "--tol", "0.3",
+                            "--out", "{t}"],
+    "check-tol-zero": ["check", "{T}", "--tol", "0"],
+    "classify-tol-negative": ["classify", "{T}", "--p", "2", "--tol", "-1"],
+    "classify-tol-nan": ["classify", "{T}", "--p", "2", "--tol", "nan"],
+    "factorize-tol": ["factorize", "{T}", "--tol=-1e-9", "--out", "{t}"],
+    "apply-tol": ["apply", "{T}", "{b}", "--tol", "0", "--out", "{t}"],
+    "probe-tol": ["probe", "isometry", "{T}", "--p", "2", "--tol", "-1", "--out", "{t}"],
+    "classify-tol-hundred": ["classify", "{J}", "--p", "1.5", "--tol", "100"],
+    "classify-tol-one": ["classify", "{J}", "--p", "1.5", "--tol", "1"],
+    "classify-tol-inf": ["classify", "{J}", "--p", "1.5", "--tol", "inf"],
+    "quantize-out-without-signal": ["quantize", "{Sy}", "--out", "{o}", "--csv", "{t}"],
+    "classify-norm-overflow": ["classify", "{H}", "--p", "0.01"],
+    "probe-isometry-overflow": ["probe", "isometry", "{H}", "--p", "0.01", "--out", "{t}"],
+    "sample-memory": ["sample", "--d", "4", "--n", "16384", "--out", "{t}"],
+    "probe-normequiv-overflow": ["probe", "normequiv", "{W}", "--p", "3000", "--q", "1", "--n", "16", "--out", "{t}"],
+    "probe-normequiv-underflow": ["probe", "normequiv", "{Rh}", "--p", "3000", "--q", "1", "--n", "8",
+                                  "--out", "{t}"],
+    "probe-isometry-underflow": ["probe", "isometry", "{T}", "--p", "3000", "--out", "{t}"],
+    "probe-beckner-underflow": ["probe", "beckner", "{J}", "--p", "1.0005", "--lambdas", "1,2,4", "--out", "{t}"],
+    "check-inf": ["check", "{Inf}"],
+    "check-nan": ["check", "{NaN}"],
+    "check-1e999": ["check", "{E999}"],
+    "factorize-inf": ["factorize", "{Inf}", "--out", "{t}"],
+    "factorize-1e999": ["factorize", "{E999}", "--out", "{t}"],
+    "classify-nan": ["classify", "{NaN}", "--p", "2"],
+    "apply-inf": ["apply", "{Inf}", "{b}", "--out", "{t}"],
+    "probe-nan": ["probe", "isometry", "{NaN}", "--p", "2", "--out", "{t}"],
+    "quantize-matrix-1e999": ["quantize", "{Sy}", "--matrix", "{E999}"],
+}
+
+#: the input file of each placeholder of ``FAILING_RUNS``
+_FAILING_FILES = {
+    "I": "I.mat", "J": "J.mat", "T": "dilation.mat", "R": "S2.mat", "H": "H.mat", "W": "wigner.mat",
+    "Rh": "rihacek.mat", "big": "big.gf", "b": "b.gf", "Sy": "Sy.gf", "Inf": "inf.mat", "NaN": "nan-b.mat",
+    "E999": "E999.mat",
+}
 
 
 def _cli_runs(small: bool) -> dict[str, list[str]]:
@@ -208,6 +273,9 @@ def _cli_runs(small: bool) -> dict[str, list[str]]:
         runs[f"wigner-{kind}-window"] = ["wigner", IN + "noise1.gf", "--window", IN + "win1.gf", *written]
         runs[f"wigner-{kind}-d2"] = ["wigner", IN + "sig2.gf", *written, "--csv", "W.csv"]
         runs[f"wigner-{kind}-mixed-steps"] = ["wigner", IN + "sig2m.gf", "--window", IN + "win2m.gf", *written]
+    files = {key: IN + name for key, name in _FAILING_FILES.items()} | {"o": "o.gf", "t": "t.gf"}
+    for case, argv in FAILING_RUNS.items():
+        runs[f"failing-{case}"] = [arg.format(**files) for arg in argv]
     return runs
 
 
@@ -274,6 +342,20 @@ def _library_records(small: bool):
             yield from _matrix_records(f"random_symplectic-{seed}-{d}", lambda: S)
     for name, mat in _corpus_matrices().items():
         yield from _matrix_records(f"corpus-{name}", lambda: sc.SymplecticMatrix(mat))
+    for seed in range(4):
+        S = sc.random_symplectic(seed, 16)
+        yield f"dj_factorize-random_symplectic-{seed}-16", lambda: sc.dj_factorize(S)
+    # the matrices of tests/test_interchange_search.py whose largest |det X(J)|
+    # fails the verdict at tol 1e-3
+    stretch = sc.dilation_block(np.diag([100.0, 1.0, 1.0, 1.0]))
+    for seed in (115, 179, 195):
+        S = sc.random_symplectic(seed, 4) @ stretch @ sc.random_symplectic(seed + 1000, 4)
+        yield f"dj_factorize-vetoed-top-{seed}-1e-3", lambda: sc.dj_factorize(S, 1e-3)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import MatrixAnalysis, analyse
+
+    for i, S in enumerate(MatrixAnalysis(0, None).pool):
+        yield f"analyse-pool-{i}", lambda: analyse(S)
     # each symbol on the output grid of its matrix
     for name, A in (("wigner", mn.wigner_projection(1)), ("generic", generic)):
         symbol = mn.wigner_metaplectic(A, s, s)
@@ -362,6 +444,8 @@ def _record_bytes(value) -> bytes:
         return f"{axes}\n{value.values.dtype.str}\n".encode() + value.values.tobytes()
     if isinstance(value, np.ndarray):
         return f"{value.dtype.str} {value.shape}\n".encode() + value.tobytes()
+    if isinstance(value, dict):
+        return b"".join(f"{key}: ".encode() + _record_bytes(item) + b"\n" for key, item in value.items())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         # each field by this function: arrays by their bytes, the rest by repr
         fields = dataclasses.fields(value)
